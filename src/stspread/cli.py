@@ -441,7 +441,7 @@ def _demo_bounds(args, rep):
     space = pg2(3)
     size3, wit3 = min_saturating_size(space)
     rep.check(
-        size3 >= 5 and is_saturating_set(space, wit3) and is_spreading_set(space, wit3),
+        size3 == 5 and is_saturating_set(space, wit3) and is_spreading_set(space, wit3),
         "exact_pg2(3)",
         "size=%d witness=%s" % (size3, _fmt_set(wit3)),
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .errors import NotSteinerError, TrivialOrderError
@@ -30,10 +31,12 @@ DEFAULT_CLOSED_SET_BUDGET = 100000
 
 
 def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Positions of the set bits, lowest first."""
+    digits = format(mask, "b")[::-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _mask_of(ts: TripleSystem, points: Iterable[int]) -> int:
@@ -61,17 +64,7 @@ def _closure_mask(third, seeds):
         if not mask & bit:
             mask |= bit
             members.append(p)
-    i = 0
-    while i < len(members):
-        x = members[i]
-        row = third[x]
-        for j in range(i):
-            z = row[members[j]]
-            if z >= 0 and not (mask >> z) & 1:
-                mask |= 1 << z
-                members.append(z)
-        i += 1
-    return mask, members
+    return _grow(third, mask, members, 0)
 
 
 def _closure_extend(third, mask, members, extra):
@@ -80,12 +73,13 @@ def _closure_extend(third, mask, members, extra):
     Only pairs touching the new point and its consequences are examined;
     pairs inside the already-closed prefix cannot fire anything new.
     """
-    mask |= 1 << extra
-    members = members + [extra]
-    i = len(members) - 1
+    return _grow(third, mask | 1 << extra, members + [extra], len(members))
+
+
+def _grow(third, mask, members, i):
+    """Close mask, checking the pairs that involve members[i:]."""
     while i < len(members):
-        x = members[i]
-        row = third[x]
+        row = third[members[i]]
         for j in range(i):
             z = row[members[j]]
             if z >= 0 and not (mask >> z) & 1:
@@ -95,22 +89,105 @@ def _closure_extend(third, mask, members, extra):
     return mask, members
 
 
+def _cover_mask(third, mask):
+    """S u N(S) for one point set S, as a mask."""
+    cover = mask
+    inside = list(_iter_bits(mask))
+    for i, x in enumerate(inside):
+        row = third[x]
+        for y in inside[:i]:
+            z = row[y]
+            if z >= 0:
+                cover |= 1 << z
+    return cover
+
+
+# -- bit-sliced batches ----------------------------------------------------
+
+
+def _subset_batches(n, k, tops):
+    """Batches of the k-subsets of range(n) with each maximum t in tops.
+
+    A batch holds one int per point, bit j set when candidate j holds the
+    point.  Yields (full, batch) for t in tops, ascending, in colex order, by
+    Pascal's rule: the i-subsets of range(t+1) are those of range(t), then
+    the (i-1)-subsets of range(t) plus t.
+    """
+    rows = [[] for _ in range(k)]  # rows[i][p]: the i-subsets of range(t) holding p
+    t = 0
+    for top in tops:
+        while t < top:
+            for i in range(k - 1, 0, -1):
+                row, below, shift = rows[i], rows[i - 1], comb(t, i)
+                for p in range(t):
+                    row[p] |= below[p] << shift
+                row.append(((1 << comb(t, i - 1)) - 1) << shift)
+            rows[0].append(0)
+            t += 1
+        full = (1 << comb(t, k - 1)) - 1
+        yield full, rows[k - 1] + [full] + [0] * (n - t - 1)
+
+
+def _sweep(triples, src, dst):
+    """One block pass over a batch: a candidate with two points of a block in
+    src gains the third in dst, so with dst a copy of src it is S u N(S)."""
+    for a, b, c in triples:
+        sa, sb, sc = src[a], src[b], src[c]
+        dst[a] |= sb & sc
+        dst[b] |= sa & sc
+        dst[c] |= sa & sb
+    return dst
+
+
+def _batch_closure(triples, batch):
+    """Close every candidate in place, passing until nothing changes."""
+    before = None
+    while batch != before:
+        before = list(batch)
+        _sweep(triples, batch, batch)
+    return batch
+
+
+def _holding_all(batch, full):
+    """The candidates that hold every point."""
+    for s in batch:
+        full &= s
+    return full
+
+
+def _triple_closures(ts):
+    """Closures of all 3-subsets, in batches of about 2^14.
+
+    Yields (full, live, closed).  Bit j of a batch is its j-th triple in the
+    lexicographic order of combinations(range(n), 3), and the batches follow
+    that order too; live marks the triples that are not blocks.
+    """
+    n, third = ts.order, ts._third
+    batch, width, blocks = [0] * n, 0, 0
+    for a, b in combinations(range(n - 1), 2):
+        run = ((1 << (n - 1 - b)) - 1) << width
+        batch[a] |= run
+        batch[b] |= run
+        if third[a][b] > b:
+            blocks |= 1 << (width + third[a][b] - b - 1)
+        for c in range(b + 1, n):
+            batch[c] |= 1 << width
+            width += 1
+        # wide enough to share each pass over the blocks among many triples,
+        # narrow enough to bound memory and let the callers stop early
+        if width >= 1 << 14 or (a, b) == (n - 3, n - 2):
+            full = (1 << width) - 1
+            yield full, full & ~blocks, _batch_closure(ts.triples, batch)
+            batch, width, blocks = [0] * n, 0, 0
+
+
 # -- public operators ------------------------------------------------------
 
 
 def neighbors(ts: TripleSystem, points: Iterable[int]) -> frozenset:
     """Points outside the set that complete a covered pair inside it."""
     mask = _mask_of(ts, points)
-    third = ts._third
-    out = 0
-    inside = list(_iter_bits(mask))
-    for i, x in enumerate(inside):
-        row = third[x]
-        for y in inside[:i]:
-            z = row[y]
-            if z >= 0 and not (mask >> z) & 1:
-                out |= 1 << z
-    return _to_set(out)
+    return _to_set(_cover_mask(ts._third, mask) & ~mask)
 
 
 def closure_points(ts: TripleSystem, points: Iterable[int]) -> frozenset:
@@ -190,17 +267,7 @@ def is_spreading_set(ts: TripleSystem, points: Iterable[int]) -> bool:
 
 def is_saturating_set(ts: TripleSystem, points: Iterable[int]) -> bool:
     """True when S u N(S) already covers every point (one-step spreading)."""
-    mask = _mask_of(ts, points)
-    third = ts._third
-    inside = list(_iter_bits(mask))
-    cover = mask
-    for i, x in enumerate(inside):
-        row = third[x]
-        for y in inside[:i]:
-            z = row[y]
-            if z >= 0:
-                cover |= 1 << z
-    return cover == (1 << ts.order) - 1
+    return _cover_mask(ts._third, _mask_of(ts, points)) == (1 << ts.order) - 1
 
 
 def is_spreading_system(ts: TripleSystem) -> bool:
@@ -214,13 +281,8 @@ def is_spreading_system(ts: TripleSystem) -> bool:
         raise NotSteinerError("spreading-system test needs a Steiner system")
     if ts.order <= 3:
         raise TrivialOrderError("spreading-system test needs order > 3")
-    third = ts._third
-    full = (1 << ts.order) - 1
-    for a, b, c in combinations(range(ts.order), 3):
-        if third[a][b] == c:
-            continue
-        mask, _ = _closure_mask(third, (a, b, c))
-        if mask != full:
+    for full, live, closed in _triple_closures(ts):
+        if live & ~_holding_all(closed, full):
             return False
     return True
 
@@ -241,53 +303,42 @@ def enumerate_closed_sets(
     """All proper closed sets of size >= 3 that are not single blocks.
 
     These are exactly the nontrivial subsystems.  Search is breadth-first on
-    the closure lattice: seed with the closures of all non-block 3-subsets,
-    then repeatedly close (closed set + outside point).  Collection stops,
-    with truncated=True, once max_count sets have been found.
+    the closure lattice: seed with the closures of all non-block 3-subsets
+    in lexicographic order, then repeatedly close (closed set + outside
+    point).  Collection stops, with truncated=True, at max_count sets.
     """
-    third = ts._third
-    n = ts.order
-    full = (1 << n) - 1
-    found = {}
+    full = (1 << ts.order) - 1
+    found = set()
     frontier = []
     truncated = False
 
-    def offer(mask, members):
+    def offer(mask):
         nonlocal truncated
         if mask == full or mask in found:
             return
-        size = len(members)
-        if size < 3:
-            return
-        if size == 3:
-            a, b, c = sorted(members)
-            if third[a][b] == c:
-                return
         if len(found) >= max_count:
             truncated = True
             return
-        found[mask] = tuple(members)
+        found.add(mask)
         frontier.append(mask)
 
-    for a, b, c in combinations(range(n), 3):
-        if third[a][b] == c:
-            continue
-        mask, members = _closure_mask(third, (a, b, c))
-        offer(mask, members)
+    for ones, live, closed in _triple_closures(ts):
+        live &= ~_holding_all(closed, ones)  # whole closures are not proper
+        seeds = [0] * ones.bit_length()
+        for p, s in enumerate(closed):
+            for j in _iter_bits(s & live):
+                seeds[j] |= 1 << p
+        for j in _iter_bits(live):
+            offer(seeds[j])  # once truncated, offers add nothing
         if truncated:
             break
 
-    qi = 0
-    while qi < len(frontier) and not truncated:
-        mask = frontier[qi]
-        members = list(found[mask])
-        qi += 1
-        for p in range(n):
-            if not (mask >> p) & 1:
-                m2, mem2 = _closure_extend(third, mask, members, p)
-                offer(m2, mem2)
-                if truncated:
-                    break
+    for mask in frontier:  # offer() appends while the loop runs
+        if truncated:
+            break
+        members = list(_iter_bits(mask))
+        for p in _iter_bits(full & ~mask):
+            offer(_closure_extend(ts._third, mask, members, p)[0])
 
     sets = sorted((_to_set(m) for m in found), key=lambda s: (len(s), sorted(s)))
     return ClosedSetEnumeration(tuple(sets), truncated)

@@ -238,9 +238,8 @@ def two_minimal_sizes_sts(
     the smallest admissible order at least twice-plus-one its point count;
     if every restart budget there fails, the next two admissible orders are
     tried.  Each candidate completion is verified: both witnesses must
-    spread and every hyperplane X_i must stay properly closed (which also
-    certifies minimality of the base, since any proper subset of it sits
-    inside some X_i).
+    spread and no (n-1)-subset of the base may spread, which by
+    monotonicity certifies that the base is minimal.
     """
     art = section4_partial(n)
     source = art.system

@@ -29,9 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import config
+from .closure import _holding_all, _subset_batches, _sweep, _to_set
 from .errors import (
     BudgetExhaustedError,
     NotPrimePowerError,
@@ -56,26 +55,20 @@ class HyperplaneFamily:
 
     Point i of PG(n,2) is the vector with integer label i+1; the hyperplane
     of functional c consists of the points whose label has even overlap with
-    c.  masks holds one point bitmask per hyperplane; the frozenset view is
-    materialized lazily.
+    c.  masks holds one point bitmask per hyperplane; hyperplanes builds the
+    frozensets anew on each access.
     """
 
-    __slots__ = ("n", "functionals", "masks", "_sets")
+    __slots__ = ("n", "functionals", "masks")
 
     def __init__(self, n, functionals, masks):
         self.n = n
         self.functionals = functionals
         self.masks = masks
-        self._sets = None
 
     @property
     def hyperplanes(self):
-        if self._sets is None:
-            self._sets = tuple(
-                frozenset(i for i in range(len(self.masks)) if (m >> i) & 1)
-                for m in self.masks
-            )
-        return self._sets
+        return tuple(_to_set(m) for m in self.masks)
 
     def __len__(self):
         return len(self.masks)
@@ -95,14 +88,15 @@ def _check_pg_dim(n: int) -> int:
 def hyperplanes_pg2(n: int) -> HyperplaneFamily:
     """Enumerate all 2^(n+1) - 1 hyperplanes of PG(n,2)."""
     count = _check_pg_dim(n)
-    labels = np.arange(1, count + 1, dtype=np.uint32)
-    masks = []
+    odd = [0] * (count + 1)  # odd[c]: the points whose label has odd overlap with c
     for c in range(1, count + 1):
-        on_h = (np.bitwise_count(labels & np.uint32(c)) & 1) == 0
-        masks.append(
-            int.from_bytes(np.packbits(on_h, bitorder="little").tobytes(), "little")
-        )
-    return HyperplaneFamily(n, tuple(range(1, count + 1)), tuple(masks))
+        low = c & -c
+        if c == low:  # one label bit: its column
+            odd[c] = sum(1 << (lab - 1) for lab in range(low, count + 1) if lab & low)
+        else:
+            odd[c] = odd[c ^ low] ^ odd[low]
+    masks = tuple(((1 << count) - 1) ^ m for m in odd[1:])
+    return HyperplaneFamily(n, tuple(range(1, count + 1)), masks)
 
 
 def _points_mask(n_points: int, points: Iterable[int]) -> int:
@@ -174,7 +168,7 @@ def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
     strict = (not degenerate) and (not radicand_negative) and deviation ** 2 > bound_sq
     return DeviationReport(
         functional=fam.functionals[best_idx],
-        hyperplane=fam.hyperplanes[best_idx],
+        hyperplane=_to_set(fam.masks[best_idx]),
         deviation=deviation,
         bound_squared=bound_sq,
         strict=strict,
@@ -258,23 +252,13 @@ def compute_saturation_bound(n: int, q: int = 2, exact: bool = False) -> Saturat
 
 
 def _saturating_level(args):
+    """Colex-first saturating k-subset with its maximum in tops, or None."""
     ts, k, tops = args
-    third = ts._third
-    full = (1 << ts.order) - 1
-    for top in tops:
-        for rest in colex_subsets(top, k - 1):
-            subset = rest + (top,)
-            cover = 0
-            for p in subset:
-                cover |= 1 << p
-            for i in range(1, k):
-                row = third[subset[i]]
-                for j in range(i):
-                    z = row[subset[j]]
-                    if z >= 0:
-                        cover |= 1 << z
-            if cover == full:
-                return subset
+    for full, batch in _subset_batches(ts.order, k, tops):
+        hits = _holding_all(_sweep(ts.triples, batch, list(batch)), full)
+        if hits:
+            j = (hits & -hits).bit_length() - 1
+            return [p for p, s in enumerate(batch) if s >> j & 1]
     return None
 
 
@@ -379,17 +363,3 @@ def intersection_extremes(
     return ExtremesReport(
         n, m, best_maxmin, frozenset(wit_maxmin), best_minmax, frozenset(wit_minmax)
     )
-
-
-def is_saturating_in_pg(n: int, points: Iterable[int]) -> bool:
-    """Secant-based saturation test in PG(n,2) without building the system:
-    S saturates iff S plus the pairwise xor completions covers everything."""
-    count = (1 << (n + 1)) - 1
-    mask = _points_mask(count, points)
-    pts = [p for p in range(count) if (mask >> p) & 1]
-    cover = mask
-    for i, x in enumerate(pts):
-        for y in pts[:i]:
-            z = ((x + 1) ^ (y + 1)) - 1
-            cover |= 1 << z
-    return cover == (1 << count) - 1

@@ -22,15 +22,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional
 
 from . import config
 from .closure import (
+    _batch_closure,
     _closure_extend,
     _closure_mask,
+    _holding_all,
+    _iter_bits,
     _mask_of,
+    _subset_batches,
     _to_set,
+    _triple_closures,
     closure_points,
 )
 from .errors import (
@@ -181,37 +185,11 @@ class SpreadingEnumeration:
     truncated: bool
 
 
-def _spreads_cached(third, full, subset, memo):
-    key = frozenset(subset)
-    hit = memo.get(key)
-    if hit is None:
-        hit = _closure_mask(third, subset)[0] == full
-        memo[key] = hit
-    return hit
-
-
 def _scan_level(args):
+    """Per top in tops, the bits of its colex batch whose subset spreads."""
     ts, k, tops = args
-    third = ts._third
-    n = ts.order
-    full = (1 << n) - 1
-    closed = []
-    out = []
-    for top in tops:
-        for rest in colex_subsets(top, k - 1):
-            subset = rest + (top,)
-            mask = 0
-            for p in subset:
-                mask |= 1 << p
-            if any(mask & ~c == 0 for c in closed):
-                continue
-            cmask, _ = _closure_mask(third, subset)
-            if cmask != full:
-                if cmask not in closed:
-                    closed.append(cmask)
-                continue
-            out.append(subset)
-    return out
+    return [_holding_all(_batch_closure(ts.triples, batch), full)
+            for full, batch in _subset_batches(ts.order, k, tops)]
 
 
 def enumerate_minimal_spreading_sets(
@@ -222,11 +200,12 @@ def enumerate_minimal_spreading_sets(
 ) -> SpreadingEnumeration:
     """Every minimal spreading set of size at most max_size.
 
-    Scans subsets in colexicographic order, pruning any subset inside an
-    already-seen proper closed set, then verifies minimality of each hit
-    against all its subsets of size >= 2.  budget caps the total number of
-    subsets considered; a size level that would push past it is skipped
-    entirely and flagged, which keeps results independent of jobs.
+    Closes every k-subset for k = 2, 3, ..., one colex batch per maximum
+    point.  By monotonicity a spreading k-set is minimal exactly when none of
+    its (k-1)-subsets spreads, which is looked up in the spreading sets of
+    the level before.  budget caps the total number of subsets considered; a
+    size level that would push past it is skipped entirely and flagged,
+    which keeps results independent of jobs.
     """
     if not ts.is_steiner():
         raise NotSteinerError("spreading-set enumeration needs a Steiner system")
@@ -236,12 +215,11 @@ def enumerate_minimal_spreading_sets(
                             % config.order_cap(config.MAX_ENUMERATION_ORDER))
     if max_size is None:
         max_size = (n + 1).bit_length() - 1
-    third = ts._third
-    full = (1 << n) - 1
-    memo = {}
     results = []
     truncated = False
     spent = 0
+    prev_bits = 0  # bit r: the r-th (k-1)-subset in colex order spreads
+    prev = set()  # the spreading (k-1)-subsets, as masks
     for k in range(2, max_size + 1):
         level = math.comb(n, k)
         if spent + level > budget:
@@ -253,17 +231,24 @@ def enumerate_minimal_spreading_sets(
         hits = []
         for part in run_jobs(_scan_level, [(ts, k, c) for c in chunks], jobs):
             hits.extend(part)
-        for subset in hits:
-            minimal = True
-            for drop in range(len(subset)):
-                sub = subset[:drop] + subset[drop + 1 :]
-                if len(sub) >= 2 and _spreads_cached(third, full, sub, memo):
-                    minimal = False
-                    break
-            if minimal:
-                results.append(frozenset(subset))
-    results.sort(key=lambda s: (len(s), sorted(s)))
-    return SpreadingEnumeration(tuple(results), max_size, truncated)
+        # bit j of a top's batch is the j-th (k-1)-subset in colex order
+        rests = [sum(1 << p for p in rest) for rest in colex_subsets(n - 1, k - 1)]
+        spread_bits = 0
+        spreading = set()
+        for t, spread in zip(tops, hits):
+            top = 1 << t
+            spread_bits |= spread << math.comb(t, k)
+            if k < max_size:
+                spreading.update(rests[j] | top for j in _iter_bits(spread))
+            # prev_bits drops the k-sets whose points below t already spread
+            for j in _iter_bits(spread & ~prev_bits):
+                mask = rests[j] | top
+                if prev and any(mask ^ (1 << p) in prev for p in _iter_bits(mask)):
+                    continue
+                results.append(tuple(_iter_bits(mask)))
+        prev_bits, prev = spread_bits, spreading
+    results.sort(key=lambda s: (len(s), s))
+    return SpreadingEnumeration(tuple(map(frozenset, results)), max_size, truncated)
 
 
 def _split_tops(tops, k, jobs):
@@ -303,12 +288,13 @@ def check_projective(ts: TripleSystem) -> bool:
     n = ts.order
     if (n + 1) & n:
         return False
-    third = ts._third
-    for a, b, c in combinations(range(n), 3):
-        if third[a][b] == c:
-            continue
-        mask, members = _closure_mask(third, (a, b, c))
-        if len(members) != 7:
+    # non-block triples of a Steiner system close to 7 or more points
+    for full, live, closed in _triple_closures(ts):
+        at_least = [full] + [0] * 8  # at_least[j]: closures of j or more points
+        for s in closed:
+            for j in range(8, 0, -1):
+                at_least[j] |= at_least[j - 1] & s
+        if live & at_least[8]:
             return False
     return True
 

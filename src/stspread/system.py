@@ -224,11 +224,6 @@ def build_system(order, triples, kind=SystemKind.PARTIAL, tag=PLAIN_TAG) -> Trip
     return TripleSystem(order, triples, kind, tag)
 
 
-def validate_pairwise(ts: TripleSystem) -> None:
-    """Re-run the linearity check; kept for symmetry, construction validates."""
-    TripleSystem(ts.order, ts.triples, ts.kind, ts.tag)
-
-
 def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
     """Restrict ts to a point subset.
 

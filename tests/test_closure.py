@@ -1,6 +1,7 @@
 """Closure fixpoint, traces, spreading/saturating predicates, closed sets."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from stspread import (
     is_spreading_system,
     neighbors,
     pg2,
+    random_sts,
     subsystem_free_sts15,
 )
 
@@ -28,6 +30,7 @@ from oracles import (
 )
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+RANDOM_SYSTEMS = [(v, seed) for v in (7, 9, 13, 15, 19) for seed in (0, 1, 2)]
 
 
 def test_neighbors_fano():
@@ -117,6 +120,18 @@ def test_spreading_system_detection():
         is_spreading_system(build_system(3, ((0, 1, 2),), "steiner"))
 
 
+@pytest.mark.parametrize("v,seed", RANDOM_SYSTEMS)
+def test_spreading_system_matches_naive_closures(v, seed):
+    ts = random_sts(v, seed)
+    blocks = set(ts.triples)
+    want = all(
+        naive_closure(ts.triples, t) == frozenset(range(v))
+        for t in combinations(range(v), 3)
+        if t not in blocks
+    )
+    assert is_spreading_system(ts) == want
+
+
 def test_closed_sets_of_pg3_are_the_fano_subsystems():
     ts = pg2(3)
     enum = enumerate_closed_sets(ts)
@@ -150,6 +165,12 @@ def test_closed_sets_of_pg4_truncation_flag():
     enum = enumerate_closed_sets(pg2(4), max_count=3)
     assert enum.truncated
     assert len(enum.sets) == 3
+    # the closures of the lexicographically first non-block triples
+    assert enum.sets == (
+        frozenset(range(7)),
+        frozenset({0, 1, 2, 7, 8, 9, 10}),
+        frozenset({0, 1, 2, 11, 12, 13, 14}),
+    )
 
 
 def test_closed_sets_of_pg4_full():

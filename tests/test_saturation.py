@@ -20,10 +20,10 @@ from stspread import (
     lunelli_sce_min,
     min_saturating_size,
     pg2,
+    random_sts,
     refined_saturating_bound,
     variance_identity,
 )
-from stspread.saturation import is_saturating_in_pg
 
 from oracles import (
     hyperplane_point_indices,
@@ -33,6 +33,7 @@ from oracles import (
 )
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+RANDOM_SYSTEMS = [(v, seed) for v in (7, 9, 13, 15, 19) for seed in (0, 1, 2)]
 
 
 # -- hyperplane family -------------------------------------------------------
@@ -202,6 +203,18 @@ def test_min_saturating_matches_naive_oracle_on_small_systems():
         assert not naive_saturates(9, nine.triples, smaller)
 
 
+@pytest.mark.parametrize("v,seed", RANDOM_SYSTEMS)
+def test_min_saturating_matches_colex_oracle_scan(v, seed):
+    ts = random_sts(v, seed)
+    for k in range(1, v + 1):
+        hits = [c for c in combinations(range(v), k) if naive_saturates(v, ts.triples, c)]
+        if hits:
+            break
+    # colex order compares the largest points first
+    first = min(hits, key=lambda c: c[::-1])
+    assert min_saturating_size(ts) == (k, frozenset(first))
+
+
 def test_min_saturating_trivial_line():
     line = build_system(3, ((0, 1, 2),), "steiner")
     assert min_saturating_size(line) == (2, frozenset({0, 1}))
@@ -211,6 +224,10 @@ def test_min_saturating_jobs_equivalence():
     serial = min_saturating_size(pg2(3), jobs=1)
     parallel = min_saturating_size(pg2(3), jobs=4)
     assert serial == parallel
+    space = pg2(4)
+    witness = frozenset({2, 3, 5, 7, 9, 11, 13, 15, 16})
+    assert min_saturating_size(space, jobs=1) == (9, witness)
+    assert min_saturating_size(space, jobs=4) == (9, witness)
 
 
 def test_xor_saturation_agrees_with_incidence_definition():
@@ -219,7 +236,6 @@ def test_xor_saturation_agrees_with_incidence_definition():
     for _ in range(200):
         subset = rng.sample(range(15), rng.randint(0, 15))
         assert is_saturating_set(ts, subset) == xor_saturates(3, subset)
-        assert is_saturating_in_pg(3, subset) == xor_saturates(3, subset)
 
 
 # -- intersection extremes ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Spreading-set search: greedy, exact minimum, enumeration, projectivity."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,9 +24,15 @@ from stspread import (
     verify_dimension_theorem,
 )
 
-from oracles import all_minimal_spreading, brute_min_spreading, naive_is_spreading
+from oracles import (
+    all_minimal_spreading,
+    brute_min_spreading,
+    naive_closure,
+    naive_is_spreading,
+)
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+RANDOM_SYSTEMS = [(v, seed) for v in (7, 9, 13, 15, 19) for seed in (0, 1, 2)]
 
 
 def _fano():
@@ -146,6 +153,15 @@ def test_enumerate_matches_oracle_on_ag9():
     assert len(enum.sets) == 72
 
 
+@pytest.mark.parametrize("v,seed", RANDOM_SYSTEMS)
+def test_enumerate_matches_oracle_on_random_systems(v, seed):
+    ts = random_sts(v, seed)
+    enum = enumerate_minimal_spreading_sets(ts)
+    assert not enum.truncated
+    assert len(set(enum.sets)) == len(enum.sets)
+    assert set(enum.sets) == all_minimal_spreading(v, ts.triples, enum.max_size)
+
+
 def test_enumerate_pg3_has_no_size3():
     enum = enumerate_minimal_spreading_sets(pg2(3), max_size=3)
     assert enum.sets == ()
@@ -184,6 +200,18 @@ def test_check_projective():
     assert not check_projective(subsystem_free_sts15(0))
     assert not check_projective(perturbed_pg(4, 0))
     assert not check_projective(random_sts(13, 0))
+
+
+@pytest.mark.parametrize("v,seed", RANDOM_SYSTEMS)
+def test_check_projective_matches_naive_closures(v, seed):
+    ts = random_sts(v, seed)
+    blocks = set(ts.triples)
+    sizes = {
+        len(naive_closure(ts.triples, t))
+        for t in combinations(range(v), 3)
+        if t not in blocks
+    }
+    assert check_projective(ts) == ((v + 1) & v == 0 and sizes == {7})
 
 
 def test_min_equals_log_iff_projective():

@@ -19,7 +19,6 @@ from stspread import (
     serialize,
     serialize_labels,
     steiner_admissible,
-    validate_pairwise,
     with_labels,
 )
 
@@ -96,10 +95,6 @@ def test_rejects_pair_in_two_blocks():
 def test_rejects_non_steiner_when_declared():
     with pytest.raises(NotSteinerError):
         build_system(7, FANO[:-1], "steiner")
-
-
-def test_validate_pairwise_accepts_fano():
-    validate_pairwise(build_system(7, FANO, "steiner"))
 
 
 def test_immutability():
