@@ -8,18 +8,7 @@ plus one.  The binary projective spaces are exactly the systems where the
 minimum spreading-set size reaches log2(n+1); everything else needs fewer.
 """
 
-import random
-
-from stspread import (
-    ag3,
-    check_projective,
-    greedy_spreading_set,
-    min_spreading_size,
-    pg2,
-    random_sts,
-    subsystem_free_sts15,
-    verify_dimension_theorem,
-)
+from stspread import claims, greedy_spreading_set, pg2
 
 # Greedy growth: start from a pair, always adjoin the first point outside the
 # current closure.  The closure sizes double-plus-one each round, so the
@@ -31,40 +20,13 @@ for ts in (pg2(2), pg2(3), pg2(4)):
     print("  pg2, order %2d: witness %r, closure sizes %r"
           % (ts.order, sorted(res.witness), list(res.closure_sizes)))
 
-# Random systems stay under the bound but almost never meet it exactly:
-# a typical Steiner system has no proper subsystems, so any non-block triple
-# already spreads.
-rng = random.Random(9)
-print("\nrandom systems, bound floor(log2(n+1))")
-for order in (7, 9, 13, 15, 19, 21, 25, 27):
-    ts = random_sts(order, rng.randrange(1 << 30))
-    res = greedy_spreading_set(ts)
-    bound = (order + 1).bit_length() - 1
-    print("  order %2d: greedy %d <= %d" % (order, res.size, bound))
-
-# The exact minimum tells the two families apart.
-print("\nexact minimum vs projectivity")
-rows = [
-    ("pg2(2)", pg2(2)), ("pg2(3)", pg2(3)), ("pg2(4)", pg2(4)),
-    ("ag3(2)", ag3(2)), ("ag3(3)", ag3(3)),
-    ("sts15-free", subsystem_free_sts15(0)),
-]
-agree = True
-for name, ts in rows:
-    n = ts.order
-    size, witness = min_spreading_size(ts)
-    attains = (n + 1) & n == 0 and size == (n + 1).bit_length() - 1
-    proj = check_projective(ts)
-    agree = agree and attains == proj
-    print("  %-11s order %2d: min %d, attains log2(n+1): %-5s projective: %s"
-          % (name, n, size, attains, proj))
-
-# In projective space the closed sets behave like subspaces: dimensions are
-# integral and the join/meet dimension identity holds on random pairs.
-report = verify_dimension_theorem(pg2(4), trials=300, seed=1)
-print("\ndimension identity on pg2(4): %d trials, %d counterexamples"
-      % (report.trials, len(report.counterexamples)))
-
-ok = agree and report.ok
-print("\n%s geometries: minimum is attained exactly on projective spaces"
-      % ("PASS" if ok else "FAIL"))
+# Random systems stay under the bound but almost never meet it exactly: a
+# typical Steiner system has no proper subsystems, so any non-block triple
+# already spreads.  The exact minimum tells the projective spaces apart, and
+# in them the closed sets behave like subspaces: dimensions are integral and
+# the join/meet dimension identity holds on random pairs.
+print("\n" + claims.report(
+    "geometries: minimum is attained exactly on projective spaces",
+    [*claims.maxofmin(orders=(7, 9, 13, 15, 19, 21, 25, 27), seed=9),
+     *claims.unicity(trials=300, seed=1)],
+))

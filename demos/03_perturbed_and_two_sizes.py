@@ -8,60 +8,24 @@ undercuts the projective maximum, and a purpose-built order-61 system
 carrying minimal spreading sets of sizes 3 and 4 simultaneously.
 """
 
-from itertools import combinations
-
-from stspread import (
-    closure_points,
-    complete_partial,
-    is_spreading_set,
-    min_spreading_size,
-    perturbed_pg,
-    section4_partial,
-    two_minimal_sizes_sts,
-)
+from stspread import claims, section4_partial
 
 # Perturbation: take the 31-point projective space, rip out the 35 blocks of
 # a 15-point subspace, and install a subsystem-free 15-point system instead,
 # aligned so that the three blocks through the old basis points survive.
-ts = perturbed_pg(4, seed=0)
-print("perturbed space: order %d, %d blocks" % (ts.order, len(ts.triples)))
-
 # The old basis points v1..v4 (indices 1,3,7,15) still form a minimal
 # spreading set of size 4 = log2(32) - 1, one less than the projective
-# minimum of 5 -- so near-maximal size does not force projectivity.
-witness = (1, 3, 7, 15)
-print("cl(v1,v2,v3) is the replaced 15-point set:",
-      closure_points(ts, [1, 3, 7]) == set(range(15)))
-print("witness %r spreads: %s" % (list(witness), is_spreading_set(ts, witness)))
-minimal = all(not is_spreading_set(ts, sub)
-              for k in (1, 2, 3) for sub in combinations(witness, k))
-print("witness minimal (all proper subsets fail):", minimal)
-
-# The replacement also cheapens the global minimum: any non-collinear triple
+# minimum of 5 -- so near-maximal size does not force projectivity.  The
+# replacement also cheapens the global minimum: any non-collinear triple
 # inside the rebuilt part closes to all 15 points and then escapes.
-size, small = min_spreading_size(ts)
-print("global minimum: %d via %r" % (size, sorted(small)))
-
+#
 # Two sizes at once: a 30-point partial system pins four hyperplane-like
 # closed sets around a 4-point base and chains seven fresh points to a
-# designated triple; hill climbing embeds it in a Steiner system of order 61.
+# designated triple; hill climbing embeds it in a Steiner system of order 61,
+# which then carries the base (size 4) and the b_triple (size 3) as minimal
+# spreading sets.
 art = section4_partial(4)
-print("\npartial system: order %d, %d blocks, base %r"
+print("partial system: order %d, %d blocks, base %r"
       % (art.system.order, len(art.system.triples), list(art.base_points)))
-report = complete_partial(art.system, 61, seed=0)
-print("embedding into order 61: success=%s restarts=%d"
-      % (report.success, report.restarts_used))
-
-# The packaged pipeline repeats this end to end and verifies both witnesses.
-full, base, b_triple = two_minimal_sizes_sts(4, seed=0)
-checks = [
-    full.is_steiner(),
-    is_spreading_set(full, b_triple),
-    all(not is_spreading_set(full, p) for p in combinations(sorted(b_triple), 2)),
-    is_spreading_set(full, base),
-    all(not is_spreading_set(full, set(base) - {a}) for a in base),
-]
-print("\norder-61 system: minimal spreading sets %r (size 3) and %r (size 4)"
-      % (sorted(b_triple), sorted(base)))
-print("%s two sizes: %d/%d checks hold"
-      % ("PASS" if all(checks) and minimal else "FAIL", sum(checks), len(checks)))
+print("\n" + claims.report(
+    "two sizes", [*claims.almostmax(), *claims.two_sizes(4, seed=0)]))

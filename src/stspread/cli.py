@@ -10,7 +10,8 @@ Commands:
 * saturate min|bounds|variance|extremes ...  saturation-side computations.
 * embed --system FILE --target V  hill-climbing completion.
 * demo maxofmin|unicity|almostmax|two-sizes|szoras|bounds
-  end-to-end replications printing one PASS/FAIL line per sub-check.
+  end-to-end replications printing one PASS/FAIL line per record of the
+  matching stspread.claims function.
 
 Exit codes: 0 success, 1 usage, 2 invalid input, 3 budget exhausted,
 4 verified property violated.  All stdout is a pure function of the
@@ -23,15 +24,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import platform
-import random
 import sys
 import time
 
-from . import __version__
-from .closure import closure, enumerate_closed_sets, is_saturating_set, is_spreading_set
-from .completion import complete_partial, two_minimal_sizes_sts, random_sts
+from . import __version__, claims
+from .claims import _fmt_set
+from .closure import closure, enumerate_closed_sets
+from .completion import complete_partial, random_sts
 from .constructions import (
     ag3,
     perturbed_pg,
@@ -41,6 +41,7 @@ from .constructions import (
 )
 from .errors import (
     BudgetExhaustedError,
+    ParseError,
     SearchExhaustedError,
     StsError,
 )
@@ -50,7 +51,6 @@ from .saturation import (
     intersection_extremes,
     lunelli_sce_min,
     min_saturating_size,
-    refined_saturating_bound,
     variance_identity,
 )
 from .spreading import (
@@ -58,7 +58,6 @@ from .spreading import (
     enumerate_minimal_spreading_sets,
     greedy_spreading_set,
     min_spreading_size,
-    verify_dimension_theorem,
 )
 from .system import parse, serialize, serialize_labels
 
@@ -83,13 +82,31 @@ def _csv_ints(text):
         raise argparse.ArgumentTypeError("expected comma-separated integers") from None
 
 
-def _fmt_set(points):
-    return ",".join(str(p) for p in sorted(points))
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def convert(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected an integer >= %d" % low)
+    return convert
+
+
+def _point_pair(text):
+    pair = _csv_ints(text)
+    if len(pair) != 2:
+        raise argparse.ArgumentTypeError("expected two comma-separated points")
+    return pair
 
 
 def _load_system(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError:
+        raise ParseError("%s is not UTF-8 text" % path) from None
 
 
 class _Report:
@@ -103,8 +120,7 @@ class _Report:
         self.lines.append(text)
 
     def check(self, okay, label, detail=""):
-        tail = (" " + detail) if detail else ""
-        self.lines.append("%s %s%s" % ("PASS" if okay else "FAIL", label, tail))
+        self.lines.append(claims.render((label, okay, detail)))
         if not okay:
             self.failures += 1
         return okay
@@ -289,176 +305,22 @@ def _cmd_embed(args):
 # -- demo ------------------------------------------------------------------
 
 
-def _demo_maxofmin(args, rep):
-    bound_of = lambda n: (n + 1).bit_length() - 1
-    for i, order in enumerate(args.orders):
-        ts = random_sts(order, args.seed + i)
-        res = greedy_spreading_set(ts)
-        rep.check(
-            res.size <= bound_of(order),
-            "greedy_bound order=%d" % order,
-            "greedy=%d bound=%d" % (res.size, bound_of(order)),
-        )
-    for d in (2, 3, 4):
-        ts = pg2(d)
-        res = greedy_spreading_set(ts)
-        rep.check(
-            res.size == d + 1,
-            "greedy_equality pg2(%d)" % d,
-            "greedy=%d log2(order+1)=%d" % (res.size, d + 1),
-        )
-
-
-def _demo_unicity(args, rep):
-    systems = [
-        ("pg2(2)", pg2(2)),
-        ("pg2(3)", pg2(3)),
-        ("ag3(2)", ag3(2)),
-        ("sts15-free", subsystem_free_sts15(args.seed)),
-        ("random(13)", random_sts(13, args.seed)),
-    ]
-    for name, ts in systems:
-        n = ts.order
-        size, _ = min_spreading_size(ts)
-        attains = ((n + 1) & n) == 0 and size == (n + 1).bit_length() - 1
-        proj = check_projective(ts)
-        rep.check(
-            attains == proj,
-            "unicity %s" % name,
-            "min=%d projective=%s" % (size, str(proj).lower()),
-        )
-    for d in (3, 4):
-        report = verify_dimension_theorem(pg2(d), trials=args.trials, seed=args.seed)
-        rep.check(
-            report.ok,
-            "dimension pg2(%d)" % d,
-            "trials=%d counterexamples=%d" % (report.trials, len(report.counterexamples)),
-        )
-
-
-def _demo_almostmax(args, rep):
-    ts = perturbed_pg(4, args.seed)
-    rep.check(ts.order == 31 and ts.is_steiner(), "perturbed_steiner",
-              "order=%d blocks=%d" % (ts.order, len(ts.triples)))
-    from .closure import closure_points
-
-    w = closure_points(ts, [1, 3, 7])
-    rep.check(w == frozenset(range(15)), "replacement_subspace_closed",
-              "size=%d" % len(w))
-    witness = (1, 3, 7, 15)
-    rep.check(is_spreading_set(ts, witness), "witness_spreads",
-              "witness=%s" % _fmt_set(witness))
-    from itertools import combinations
-
-    minimal = all(
-        not is_spreading_set(ts, sub)
-        for k in (2, 3)
-        for sub in combinations(witness, k)
-    )
-    rep.check(minimal, "witness_minimal", "all proper subsets fail")
-    size, _ = min_spreading_size(ts)
-    rep.check(size <= 4 < 5, "below_projective_maximum",
-              "min=%d witness_size=4 projective_max=5" % size)
-
-
-def _demo_two_sizes(args, rep):
-    ts, base, btri = two_minimal_sizes_sts(args.n, args.seed)
-    rep.say("order=%d blocks=%d seed=%d" % (ts.order, len(ts.triples), args.seed))
-    rep.say("base=%s" % _fmt_set(base))
-    rep.say("b_triple=%s" % _fmt_set(btri))
-    rep.check(ts.is_steiner(), "steiner", "order=%d" % ts.order)
-    rep.check(is_spreading_set(ts, btri), "b_triple_spreads", "size=3")
-    from itertools import combinations
-
-    rep.check(
-        all(not is_spreading_set(ts, pair) for pair in combinations(sorted(btri), 2)),
-        "b_triple_minimal",
-        "all pairs fail",
-    )
-    rep.check(is_spreading_set(ts, base), "base_spreads", "size=%d" % len(base))
-    rep.check(
-        all(not is_spreading_set(ts, base - {a}) for a in sorted(base)),
-        "base_minimal",
-        "all (n-1)-subsets fail",
-    )
-
-
-def _demo_szoras(args, rep):
-    rng = random.Random(args.seed)
-    count = (1 << (args.n + 1)) - 1
-    identity_fail = strict_fail = degenerate = 0
-    for _ in range(args.trials):
-        m = rng.randint(0, count)
-        subset = rng.sample(range(count), m)
-        lhs, rhs = variance_identity(args.n, subset)
-        if lhs != rhs:
-            identity_fail += 1
-        dev = deviating_hyperplane(args.n, subset)
-        if dev.degenerate:
-            degenerate += 1
-        elif not dev.strict:
-            strict_fail += 1
-    rep.check(identity_fail == 0, "variance_identity",
-              "trials=%d failures=%d" % (args.trials, identity_fail))
-    rep.check(strict_fail == 0, "deviation_strict",
-              "trials=%d failures=%d degenerate=%d"
-              % (args.trials, strict_fail, degenerate))
-
-
-def _demo_bounds(args, rep):
-    ok_corollary = True
-    prev = 0
-    ok_refined = ok_monotone = True
-    for n in range(1, args.max_n + 1):
-        lun = lunelli_sce_min(n, 2)
-        target = (1 << (n + 2)) - 2
-        s = 1
-        while s * s + s < target:
-            s += 1
-        ok_corollary = ok_corollary and s == lun
-        ref = refined_saturating_bound(n)
-        ok_refined = ok_refined and ref >= lun
-        ok_monotone = ok_monotone and ref >= prev
-        prev = ref
-    rep.check(ok_corollary, "lunelli_q2_closed_form",
-              "least s with s^2+s >= 2^(n+2)-2, n <= %d" % args.max_n)
-    rep.check(ok_refined, "refined_at_least_lunelli", "n <= %d" % args.max_n)
-    rep.check(ok_monotone, "refined_monotone", "n <= %d" % args.max_n)
-    ok_q3 = True
-    for n in range(1, min(args.max_n, 6) + 1):
-        lun3 = lunelli_sce_min(n, 3)
-        threshold = (3 ** (n + 1) - 1) // 2
-        root = math.isqrt(threshold - 1) + 1  # least s with s^2 >= threshold
-        ok_q3 = ok_q3 and lun3 == root
-    rep.check(ok_q3, "lunelli_q3_closed_form", "least s with s^2 >= (3^(n+1)-1)/2")
-    fano = pg2(2)
-    size2, wit2 = min_saturating_size(fano)
-    rep.check(
-        size2 == 4 and is_saturating_set(fano, wit2) and is_spreading_set(fano, wit2),
-        "exact_pg2(2)",
-        "size=%d witness=%s" % (size2, _fmt_set(wit2)),
-    )
-    space = pg2(3)
-    size3, wit3 = min_saturating_size(space)
-    rep.check(
-        size3 == 5 and is_saturating_set(space, wit3) and is_spreading_set(space, wit3),
-        "exact_pg2(3)",
-        "size=%d witness=%s" % (size3, _fmt_set(wit3)),
-    )
-
-
 def _cmd_demo(args):
     rep = _Report()
-    handler = {
-        "maxofmin": _demo_maxofmin,
-        "unicity": _demo_unicity,
-        "almostmax": _demo_almostmax,
-        "two-sizes": _demo_two_sizes,
-        "szoras": _demo_szoras,
-        "bounds": _demo_bounds,
-    }[args.which]
+    records = {
+        "maxofmin": lambda: claims.maxofmin(args.orders, args.seed),
+        "unicity": lambda: claims.unicity(args.trials, args.seed),
+        "almostmax": lambda: claims.almostmax(args.seed),
+        "two-sizes": lambda: claims.two_sizes(args.n, args.seed),
+        "szoras": lambda: claims.szoras(args.n, args.trials, args.seed),
+        "bounds": lambda: claims.bounds(args.max_n),
+    }[args.which]()
     try:
-        handler(args, rep)
+        for name, okay, detail in records:
+            if okay is None:
+                rep.say(detail)
+            else:
+                rep.check(okay, name, detail)
     except BudgetExhaustedError as exc:
         rep.say("budget exhausted: %s" % exc)
         return EXIT_BUDGET, rep, {}
@@ -507,11 +369,11 @@ def _build_parser():
     p.add_argument("--trace", action="store_true")
     p = asub.add_parser("spread")
     p.add_argument("mode", choices=("greedy", "min", "enumerate"))
-    p.add_argument("--seed-pair", type=_csv_ints, default=None)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--seed-pair", type=_point_pair, default=None)
+    p.add_argument("--max-size", type=_int_at_least(1), default=None)
     _format_opt(p)
     p = asub.add_parser("subsystems")
-    p.add_argument("--max-count", type=int, default=100000)
+    p.add_argument("--max-count", type=_int_at_least(1), default=100000)
     _format_opt(p)
     asub.add_parser("projective")
 
@@ -528,7 +390,7 @@ def _build_parser():
     p.add_argument("--set", type=_csv_ints, required=True)
     p = ssub.add_parser("extremes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
     _format_opt(p)
 
     emb = sub.add_parser("embed", help="complete a partial system")
@@ -612,30 +474,25 @@ def main(argv=None) -> int:
     start = time.time()
     try:
         code, rep, files = _DISPATCH[args.command](args)
+        for path in sorted(files):
+            with open(path, "wb") as fh:
+                fh.write(files[path])
+        manifest_path = args.manifest
+        if manifest_path is None and args.command == "construct":
+            manifest_path = args.out + ".manifest.json"
+        if manifest_path:
+            _write_manifest(manifest_path, argv, args, code, rep, files, time.time() - start)
     except (BudgetExhaustedError, SearchExhaustedError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_BUDGET
-    except StsError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (StsError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INVALID
 
-    for path in sorted(files):
-        with open(path, "wb") as fh:
-            fh.write(files[path])
     text = rep.text()
     if text:
         sys.stdout.write(text)
-
-    manifest_path = args.manifest
-    if manifest_path is None and args.command == "construct":
-        manifest_path = args.out + ".manifest.json"
-    if manifest_path:
-        _write_manifest(manifest_path, argv, args, code, rep, files, time.time() - start)
     return code
-
 
 if __name__ == "__main__":
     sys.exit(main())

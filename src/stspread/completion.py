@@ -13,14 +13,16 @@ that an uncovered pair always has conflict-free third points available.
 two_minimal_sizes_sts drives the whole pipeline of the two-sizes
 construction: build the partial system whose spreading structure is rigged,
 embed it into the first admissible order at least 2u+1 (falling back to the
-next two admissible orders), and verify on the finished Steiner system that
-{b1,b2,b3} and the affine base are both minimal spreading sets.
+next two admissible orders), and accept a finished Steiner system when
+two_sizes_checks finds {b1,b2,b3} and the affine base both minimal
+spreading sets.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .closure import is_spreading_set
@@ -224,6 +226,26 @@ def next_admissible(v: int) -> int:
     return v
 
 
+def two_sizes_checks(ts: TripleSystem, base, b_triple):
+    """The five (name, ok, detail) records that ts carries the minimal
+    spreading sets b_triple and base.
+
+    Minimality is checked one point down: by monotonicity no smaller subset
+    spreads when no subset with one point fewer does.
+    """
+    return (
+        ("steiner", ts.is_steiner(), "order=%d" % ts.order),
+        ("b_triple_spreads", is_spreading_set(ts, b_triple), "size=3"),
+        ("b_triple_minimal",
+         not any(is_spreading_set(ts, pair) for pair in combinations(sorted(b_triple), 2)),
+         "all pairs fail"),
+        ("base_spreads", is_spreading_set(ts, base), "size=%d" % len(base)),
+        ("base_minimal",
+         not any(is_spreading_set(ts, base - {a}) for a in sorted(base)),
+         "all (n-1)-subsets fail"),
+    )
+
+
 def two_minimal_sizes_sts(
     n: int = 4,
     seed: int = 0,
@@ -237,9 +259,8 @@ def two_minimal_sizes_sts(
     spreading set of size 3).  The partial two-sizes system is embedded into
     the smallest admissible order at least twice-plus-one its point count;
     if every restart budget there fails, the next two admissible orders are
-    tried.  Each candidate completion is verified: both witnesses must
-    spread and no (n-1)-subset of the base may spread, which by
-    monotonicity certifies that the base is minimal.
+    tried.  A candidate completion is accepted when every two_sizes_checks
+    record passes.
     """
     art = section4_partial(n)
     source = art.system
@@ -272,15 +293,7 @@ def two_minimal_sizes_sts(
             remaining -= report.restarts_used
             system = report.system
             last_report = report
-            okay = (
-                is_spreading_set(system, b_triple)
-                and is_spreading_set(system, base)
-                and all(
-                    not is_spreading_set(system, base - {a})
-                    for a in sorted(base)
-                )
-            )
-            if okay:
+            if all(ok for _, ok, _ in two_sizes_checks(system, base, b_triple)):
                 return system, base, b_triple
     raise BudgetExhaustedError(
         "two-sizes completion failed for targets %s" % (targets,),

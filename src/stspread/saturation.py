@@ -8,13 +8,15 @@ provides the hyperplane machinery behind two lower bounds:
 * the Lunelli-Sce counting bound (q-1) C(s,2) + s >= (q^(n+1)-1)/(q-1),
   valid in PG(n,q) because s points and their secants must reach everything;
 
-* a refinement for q = 2 built on an exact variance identity: summing
+* a bound for q = 2 built on an exact variance identity: summing
   (u(H) - m/2)^2 over all hyperplanes H, where u(H) = |S n H| and m = |S|,
-  gives exactly m 2^(n-1) - m^2/4.  The average forces some hyperplane to
-  deviate from m/2 by more than sqrt(m/4 - m^2 / 2^(n+3)), while counting
-  the points off a hyperplane shows a saturating set must satisfy
-  m - m1 + m1 (m - m1) >= 2^n - 1 with m1 = |S n H|.  A candidate size m
-  survives only if some intersection count m1 inside the deviation window
+  gives exactly m 2^(n-1) - m^2/4.  There are fewer than 2^(n+1)
+  hyperplanes, so some hyperplane lies outside the deviation window: it
+  deviates from m/2 by more than sqrt(m/4 - m^2 / 2^(n+3)).  A hyperplane
+  has 2^n points off it, and a saturating set reaches them only through
+  its m - m1 points off H and the m1 (m - m1) secants crossing H, so
+  m - m1 + m1 (m - m1) >= 2^n with m1 = |S n H|.  A candidate size m
+  survives only if some intersection count m1 outside the deviation window
   meets that necessary condition (and m passes the counting bound).
 
 All hyperplane arithmetic is exact: counts are integers and the identity is
@@ -198,10 +200,11 @@ def refined_saturating_bound(n: int) -> int:
     """Least m not ruled out for a saturating set of PG(n,2).
 
     A size m survives when it passes the Lunelli-Sce count and some integer
-    intersection count m1 inside the deviation window
+    intersection count m1 outside the deviation window
     |m1 - m/2| <= sqrt(m/4 - m^2/2^(n+3)) satisfies the off-hyperplane
-    covering condition m - m1 + m1(m - m1) >= 2^n - 1.  All comparisons are
-    exact (squared and scaled to integers).
+    covering condition m - m1 + m1(m - m1) >= 2^n.  All comparisons are
+    exact (squared and scaled to integers).  For n <= 10 the values equal
+    the Lunelli-Sce bound.
     """
     if n < 1:
         raise TrivialOrderError("refined_saturating_bound needs n >= 1")
@@ -210,17 +213,15 @@ def refined_saturating_bound(n: int) -> int:
             "refined_saturating_bound capped at n = %d" % config.MAX_HYPERPLANE_DIM
         )
     points = (1 << (n + 1)) - 1
-    need = (1 << n) - 1
-    scale = 1 << (n + 1)  # band test: 2^(n+1) (2 m1 - m)^2 <= m (2^(n+1) - m)
+    off = 1 << n  # points off a hyperplane
+    scale = 1 << (n + 1)  # window test: 2^(n+1) (2 m1 - m)^2 <= m (2^(n+1) - m)
     for m in range(1, points + 1):
         if m * (m - 1) // 2 + m < points:
             continue
-        lo = max(0, m - (1 << n))
-        hi = min(m, (1 << n) - 1)
-        for m1 in range(lo, hi + 1):
-            if scale * (2 * m1 - m) ** 2 > m * (scale - m):
+        for m1 in range(max(0, m - off), min(m, off - 1) + 1):
+            if scale * (2 * m1 - m) ** 2 <= m * (scale - m):
                 continue
-            if m - m1 + m1 * (m - m1) >= need:
+            if m - m1 + m1 * (m - m1) >= off:
                 return m
     raise TooLargeError("no surviving size up to the point count")  # unreachable
 

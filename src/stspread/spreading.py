@@ -257,7 +257,7 @@ def _split_tops(tops, k, jobs):
     Subsets with the same maximum are contiguous in colex order, so chunking
     by maximum keeps each worker's slice contiguous and the merge ordered.
     """
-    if jobs <= 1:
+    if jobs <= 1 or not tops:
         return [tops]
     weights = [math.comb(t, k - 1) for t in tops]
     total = sum(weights) or 1

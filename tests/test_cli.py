@@ -152,6 +152,8 @@ def test_demo_commands_pass(capsys):
         ["demo", "szoras", "--n", "2", "--trials", "25"],
         ["demo", "bounds", "--max-n", "6"],
         ["demo", "maxofmin", "--orders", "7,9"],
+        ["demo", "unicity", "--trials", "20"],
+        ["demo", "two-sizes"],
     ):
         code, stdout, _ = run(capsys, *argv)
         assert code == 0, argv
@@ -169,6 +171,31 @@ def test_exit_codes_usage_and_invalid(tmp_path, capsys):
                        "--out", str(tmp_path / "x.txt"))
     assert code == 2
     assert "order" in err
+
+
+def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
+    system = tmp_path / "p3.txt"
+    run(capsys, "construct", "pg2", "--dim", "3", "--out", str(system))
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00 not text")
+    spread = ["analyze", "--system", str(system), "spread"]
+    cases = [
+        (1, spread + ["greedy", "--seed-pair", "1"]),
+        (1, spread + ["greedy", "--seed-pair", "1,2,3"]),
+        (1, spread + ["enumerate", "--max-size", "-3"]),
+        (1, ["analyze", "--system", str(system), "subsystems", "--max-count", "-1"]),
+        (1, ["saturate", "extremes", "--n", "3", "--m", "-1"]),
+        (2, ["analyze", "--system", str(binary), "projective"]),
+        (2, ["construct", "pg2", "--dim", "2", "--out", str(tmp_path / "no" / "x.txt")]),
+        (2, ["--manifest", str(tmp_path / "no" / "m.json"), "saturate", "bounds"]),
+    ]
+    for expected, argv in cases:
+        code, stdout, err = run(capsys, *argv)
+        assert code == expected, argv
+        assert stdout == "", argv
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors == err.splitlines()[-1:], argv
 
 
 def test_manifest_records_input_digest(tmp_path, capsys):

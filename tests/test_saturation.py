@@ -155,6 +155,14 @@ def test_refined_bound_dominates_lunelli():
         assert refined_saturating_bound(n) >= lunelli_sce_min(n, 2)
 
 
+def test_lower_bounds_at_most_exact_minimum():
+    for n, exact in ((2, 4), (3, 5), (4, 9)):
+        size, _ = min_saturating_size(pg2(n))
+        assert size == exact
+        assert lunelli_sce_min(n, 2) <= size
+        assert refined_saturating_bound(n) <= size
+
+
 def test_compute_saturation_bound_structure():
     bound = compute_saturation_bound(3, 2, exact=True)
     assert bound.n == 3 and bound.q == 2

@@ -189,6 +189,13 @@ def test_enumerate_jobs_equivalence():
     assert serial.truncated == parallel.truncated
 
 
+def test_enumerate_jobs_equivalence_past_the_order():
+    # levels above the order are empty; splitting them must not divide by zero
+    serial = enumerate_minimal_spreading_sets(pg2(3), 20, jobs=1)
+    assert enumerate_minimal_spreading_sets(pg2(3), 20, jobs=2) == serial
+    assert len(serial.sets) == 840
+
+
 # -- projectivity and dimension ----------------------------------------------
 
 
