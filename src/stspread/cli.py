@@ -28,7 +28,7 @@ import platform
 import sys
 import time
 
-from . import __version__, claims
+from . import __version__, claims, config
 from .claims import _fmt_set
 from .closure import closure, enumerate_closed_sets
 from .completion import complete_partial, random_sts
@@ -80,6 +80,13 @@ def _csv_ints(text):
         return tuple(int(f) for f in text.split(",") if f != "")
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers") from None
+
+
+def _orders(text):
+    orders = _csv_ints(text)
+    if not orders:
+        raise argparse.ArgumentTypeError("expected at least one order")
+    return orders
 
 
 def _int_at_least(low):
@@ -235,7 +242,11 @@ def _cmd_saturate(args):
     if args.what == "bounds":
         rows = []
         for n in range(1, args.max_n + 1):
-            bound = compute_saturation_bound(n, 2, exact=args.exact and n <= 3)
+            # the exact minimum is a subset scan of PG(n,2), which has
+            # 2^(n+1)-1 points; the column stops at the enumeration cap
+            exact = args.exact and (1 << (n + 1)) - 1 <= config.order_cap(
+                config.MAX_ENUMERATION_ORDER)
+            bound = compute_saturation_bound(n, 2, exact=exact)
             lun3 = lunelli_sce_min(n, 3)
             rows.append((n, bound.lunelli, bound.refined, lun3, bound.exact))
         if args.format == "csv":
@@ -382,7 +393,7 @@ def _build_parser():
     p = ssub.add_parser("min")
     p.add_argument("--system", required=True)
     p = ssub.add_parser("bounds")
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--max-n", type=_int_at_least(1), default=10)
     p.add_argument("--exact", action="store_true")
     _format_opt(p)
     p = ssub.add_parser("variance")
@@ -404,7 +415,7 @@ def _build_parser():
     dem = sub.add_parser("demo", help="replicate a named result")
     dsub = dem.add_subparsers(dest="which", required=True)
     p = dsub.add_parser("maxofmin")
-    p.add_argument("--orders", type=_csv_ints, default=(7, 9, 13, 15))
+    p.add_argument("--orders", type=_orders, default=(7, 9, 13, 15))
     p = dsub.add_parser("unicity")
     p.add_argument("--trials", type=int, default=500)
     dsub.add_parser("almostmax")
@@ -414,7 +425,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p = dsub.add_parser("bounds")
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--max-n", type=_int_at_least(1), default=10)
     for name, prs in dsub.choices.items():
         prs.add_argument("--seed", type=int, default=0)
     return root
@@ -471,7 +482,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    start = time.time()
+    start = time.perf_counter()
     try:
         code, rep, files = _DISPATCH[args.command](args)
         for path in sorted(files):
@@ -481,7 +492,7 @@ def main(argv=None) -> int:
         if manifest_path is None and args.command == "construct":
             manifest_path = args.out + ".manifest.json"
         if manifest_path:
-            _write_manifest(manifest_path, argv, args, code, rep, files, time.time() - start)
+            _write_manifest(manifest_path, argv, args, code, rep, files, time.perf_counter() - start)
     except (BudgetExhaustedError, SearchExhaustedError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_BUDGET

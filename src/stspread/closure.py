@@ -155,6 +155,27 @@ def _holding_all(batch, full):
     return full
 
 
+# candidates per transposition and per frontier chunk: a transposition
+# string holds order * 2^12 characters
+_CHUNK_CAP = 1 << 12
+
+
+def _columns(batch, width):
+    """The candidates of a batch as masks, candidate j at index j.
+
+    Transposes up to _CHUNK_CAP candidates at a time: their bits of every
+    row, top point first, go into one string, and the slice of it with step
+    w that starts at w-1-j reads candidate j's mask, top point first.
+    """
+    masks = []
+    for low in range(0, width, _CHUNK_CAP):
+        w = min(_CHUNK_CAP, width - low)
+        rows = "".join([format(s >> low & ((1 << w) - 1), "0%db" % w)
+                        for s in reversed(batch)])
+        masks += [int(rows[j::w], 2) for j in range(w - 1, -1, -1)]
+    return masks
+
+
 def _triple_closures(ts):
     """Closures of all 3-subsets, in batches of about 2^14.
 
@@ -179,6 +200,37 @@ def _triple_closures(ts):
             full = (1 << width) - 1
             yield full, full & ~blocks, _batch_closure(ts.triples, batch)
             batch, width, blocks = [0] * n, 0, 0
+
+
+def _extensions(ts, frontier):
+    """Closures of each closed set in frontier plus one outside point.
+
+    Candidate (i, p) is frontier[i] plus point p, taken in order of i and
+    then of ascending p; frontier may grow while the generator runs, and the
+    new entries are extended in their turn.  Yields (cands, masks, hits) per
+    chunk: the candidates, their closures as masks, and bit j set when
+    candidate j closes to every point.  Chunks hold whole frontier entries;
+    they start near 64 candidates, so an early hit stays cheap, and double
+    up to _CHUNK_CAP, which bounds memory.
+    """
+    n = ts.order
+    full = (1 << n) - 1
+    limit, i = 64, 0
+    while i < len(frontier):
+        batch, cands = [0] * n, []
+        while i < len(frontier) and len(cands) < limit:
+            mask, start = frontier[i], len(cands)
+            for p in _iter_bits(full & ~mask):
+                batch[p] |= 1 << len(cands)
+                cands.append((i, p))
+            run = ((1 << (len(cands) - start)) - 1) << start
+            for q in _iter_bits(mask):
+                batch[q] |= run
+            i += 1
+        width = len(cands)
+        _batch_closure(ts.triples, batch)
+        yield cands, _columns(batch, width), _holding_all(batch, (1 << width) - 1)
+        limit = min(2 * limit, _CHUNK_CAP)
 
 
 # -- public operators ------------------------------------------------------
@@ -304,8 +356,11 @@ def enumerate_closed_sets(
 
     These are exactly the nontrivial subsystems.  Search is breadth-first on
     the closure lattice: seed with the closures of all non-block 3-subsets
-    in lexicographic order, then repeatedly close (closed set + outside
-    point).  Collection stops, with truncated=True, at max_count sets.
+    in lexicographic order, then close each found set plus each outside
+    point, in the order the sets were found and by ascending point, one
+    bit-sliced batch per chunk of candidates.  Closures are collected in
+    exactly that order, so the sets kept when collection stops at max_count
+    (with truncated=True) do not depend on the batching.
     """
     full = (1 << ts.order) - 1
     found = set()
@@ -324,21 +379,19 @@ def enumerate_closed_sets(
 
     for ones, live, closed in _triple_closures(ts):
         live &= ~_holding_all(closed, ones)  # whole closures are not proper
-        seeds = [0] * ones.bit_length()
-        for p, s in enumerate(closed):
-            for j in _iter_bits(s & live):
-                seeds[j] |= 1 << p
-        for j in _iter_bits(live):
-            offer(seeds[j])  # once truncated, offers add nothing
+        if live:
+            seeds = _columns(closed, ones.bit_length())
+            for j in _iter_bits(live):
+                offer(seeds[j])  # once truncated, offers add nothing
         if truncated:
             break
 
-    for mask in frontier:  # offer() appends while the loop runs
-        if truncated:
-            break
-        members = list(_iter_bits(mask))
-        for p in _iter_bits(full & ~mask):
-            offer(_closure_extend(ts._third, mask, members, p)[0])
+    if not truncated:
+        for _, masks, _ in _extensions(ts, frontier):  # offer() appends
+            for mask in masks:
+                offer(mask)
+            if truncated:
+                break
 
     sets = sorted((_to_set(m) for m in found), key=lambda s: (len(s), sorted(s)))
     return ClosedSetEnumeration(tuple(sets), truncated)

@@ -15,6 +15,12 @@ spreading), so minimum witnesses correspond exactly to chains
 cl(p1,p2) < cl(.. p3) < ... that end at the full point set, and distinct
 chains through the same closed set can be merged.  This is the subset scan
 with closed-set pruning taken to its limit and returns the same value.
+The walk closes pairs one by one in colex order, then hands the distinct
+closures to the chunked walker of closure.py (which enumerate_closed_sets
+shares): it closes each closed set plus each outside point as one
+bit-sliced batch per chunk, in the order of a scalar breadth-first search,
+so the first spreading candidate it reports is the one that search meets
+first.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .closure import (
     _batch_closure,
     _closure_extend,
     _closure_mask,
+    _extensions,
     _holding_all,
     _iter_bits,
     _mask_of,
@@ -136,7 +143,11 @@ def min_spreading_size(ts: TripleSystem):
     """Least size of a spreading set, with a witness.
 
     Breadth-first search over distinct closures of generator chains; see the
-    module docstring for why this matches the exhaustive subset scan.
+    module docstring for why this matches the exhaustive subset scan.  The
+    closures of one level are visited in the order they were found, each
+    with its outside points ascending, and several levels share a batch;
+    the witness is the first chain in that order whose closure is every
+    point, the same as in the scalar search.
     """
     if not ts.is_steiner():
         raise NotSteinerError("min_spreading_size needs a Steiner system")
@@ -149,29 +160,24 @@ def min_spreading_size(ts: TripleSystem):
     third = ts._third
     full = (1 << n) - 1
     seen = set()
-    frontier = []
+    frontier, gens = [], []  # distinct closures and the chains that reach them
     for x, y in colex_subsets(n, 2):
-        mask, members = _closure_mask(third, (x, y))
+        mask, _ = _closure_mask(third, (x, y))
         if mask == full:
             return 2, frozenset({x, y})
         if mask not in seen:
             seen.add(mask)
-            frontier.append((mask, members, (x, y)))
-    size = 2
-    while frontier:
-        size += 1
-        nxt = []
-        for mask, members, gens in frontier:
-            for p in range(n):
-                if (mask >> p) & 1:
-                    continue
-                m2, mem2 = _closure_extend(third, mask, members, p)
-                if m2 == full:
-                    return size, frozenset(gens + (p,))
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append((m2, mem2, gens + (p,)))
-        frontier = nxt
+            frontier.append(mask)
+            gens.append((x, y))
+    for cands, masks, hits in _extensions(ts, frontier):
+        if hits:
+            i, p = cands[(hits & -hits).bit_length() - 1]
+            return len(gens[i]) + 1, frozenset(gens[i] + (p,))
+        for (i, p), mask in zip(cands, masks):
+            if mask not in seen:
+                seen.add(mask)
+                frontier.append(mask)
+                gens.append(gens[i] + (p,))
     raise NotSteinerError("no spreading set found; system is not connected")
 
 

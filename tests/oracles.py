@@ -70,6 +70,72 @@ def naive_saturates(order, triples, subset):
     return len(step) == order
 
 
+# -- breadth-first walks of the closure lattice ------------------------------
+#
+# Both walks visit candidates in one order: the frontier in the order its
+# closed sets were first found, and each frontier set with its outside points
+# in ascending order; the frontier grows while it is walked.
+
+
+def bfs_min_spreading(order, triples):
+    """Smallest spreading set, by closing chains of generators.
+
+    Pairs come first, in colex order; the first candidate whose closure is
+    the whole point set is returned, with the chain that reached it.
+    """
+    everything = frozenset(range(order))
+    seen = set()
+    frontier = []
+    for y in range(order):
+        for x in range(y):
+            closed = naive_closure(triples, (x, y))
+            if closed == everything:
+                return 2, frozenset((x, y))
+            if closed not in seen:
+                seen.add(closed)
+                frontier.append((closed, (x, y)))
+    for closed, gens in frontier:
+        for p in range(order):
+            if p in closed:
+                continue
+            bigger = naive_closure(triples, closed | {p})
+            if bigger == everything:
+                return len(gens) + 1, frozenset(gens + (p,))
+            if bigger not in seen:
+                seen.add(bigger)
+                frontier.append((bigger, gens + (p,)))
+    raise AssertionError("no spreading set found")
+
+
+def bfs_closed_sets(order, triples):
+    """Proper closed sets of size >= 3 that are not blocks, in the order
+    they are first found.
+
+    Closures of the non-block 3-subsets are offered in lexicographic order,
+    then the closures of each found set plus one outside point.  A search
+    that keeps at most m sets keeps the first m of this list, and is cut
+    short exactly when the list is longer.
+    """
+    everything = frozenset(range(order))
+    blocks = {frozenset(t) for t in triples}
+    found = []
+    seen = {everything}
+
+    def offer(closed):
+        if closed not in seen:
+            seen.add(closed)
+            found.append(closed)
+
+    for t in combinations(range(order), 3):
+        if frozenset(t) not in blocks:
+            offer(naive_closure(triples, t))
+    for closed in found:
+        for p in range(order):
+            if p not in closed:
+                offer(naive_closure(triples, closed | {p}))
+    return found
+
+
 # -- binary projective space -----------------------------------------------
 
 

@@ -97,18 +97,31 @@ def test_analyze_subsystems_and_projective(tmp_path, capsys):
     assert code == 0 and stdout.strip() == "projective=true"
 
 
+def test_spread_min_witnesses_at_order_63(tmp_path, capsys):
+    for family, extra, witness in (("pg2", [], "0,1,3,7,15,31"),
+                                   ("perturbed-pg", ["--seed", "0"], "0,1,15,31")):
+        out = tmp_path / (family + ".txt")
+        run(capsys, "construct", family, "--dim", "5", *extra, "--out", str(out))
+        code, stdout, _ = run(capsys, "analyze", "--system", str(out), "spread", "min")
+        assert code == 0
+        assert stdout == "size=%d\nwitness=%s\n" % (witness.count(",") + 1, witness)
+
+
 def test_saturate_min_and_bounds(tmp_path, capsys):
     out = tmp_path / "fano.txt"
     run(capsys, "construct", "pg2", "--dim", "2", "--out", str(out))
     code, stdout, _ = run(capsys, "saturate", "min", "--system", str(out))
     assert code == 0 and "size=4" in stdout
-    code, stdout, _ = run(capsys, "saturate", "bounds", "--max-n", "3",
+    code, stdout, _ = run(capsys, "saturate", "bounds", "--max-n", "5",
                           "--exact", "--format", "csv")
     assert code == 0
     rows = stdout.splitlines()
     assert rows[0] == "n,lunelli_q2,refined_q2,lunelli_q3,exact_q2"
     assert rows[2] == "2,4,4,4,4"
     assert rows[3] == "3,5,5,7,5"
+    assert rows[4] == "4,8,8,11,9"
+    # PG(5,2) has 63 points, past the subset-scan cap: no exact value
+    assert rows[5].endswith(",")
 
 
 def test_saturate_variance_and_extremes(capsys):
@@ -185,6 +198,9 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (1, spread + ["enumerate", "--max-size", "-3"]),
         (1, ["analyze", "--system", str(system), "subsystems", "--max-count", "-1"]),
         (1, ["saturate", "extremes", "--n", "3", "--m", "-1"]),
+        (1, ["saturate", "bounds", "--max-n", "0"]),
+        (1, ["demo", "bounds", "--max-n", "0"]),
+        (1, ["demo", "maxofmin", "--orders", ""]),
         (2, ["analyze", "--system", str(binary), "projective"]),
         (2, ["construct", "pg2", "--dim", "2", "--out", str(tmp_path / "no" / "x.txt")]),
         (2, ["--manifest", str(tmp_path / "no" / "m.json"), "saturate", "bounds"]),

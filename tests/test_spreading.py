@@ -230,6 +230,25 @@ def test_min_equals_log_iff_projective():
         assert attains == check_projective(ts)
 
 
+@pytest.mark.parametrize("make,size", [
+    (lambda: pg2(4), 5),
+    (lambda: pg2(5), 6),
+    (lambda: perturbed_pg(4, 0), 3),
+    (lambda: perturbed_pg(5, 0), 4),
+    (lambda: random_sts(31, 1), 3),
+    (lambda: random_sts(63, 1), 3),
+], ids=["pg2(4)", "pg2(5)", "perturbed_pg(4,0)", "perturbed_pg(5,0)",
+        "random_sts(31,1)", "random_sts(63,1)"])
+def test_min_reaches_log_only_on_projective_spaces_at_orders_31_and_63(make, size):
+    ts = make()
+    got, witness = min_spreading_size(ts)
+    assert (got, len(witness)) == (size, size)
+    assert is_spreading_set(ts, witness)
+    log = (ts.order + 1).bit_length() - 1
+    assert (got == log) == check_projective(ts)
+    assert got <= log
+
+
 def test_dimension_theorem_on_projective_spaces():
     for d in (2, 3, 4):
         report = verify_dimension_theorem(pg2(d), trials=100, seed=0)
