@@ -10,6 +10,19 @@ frozen blocks survive.  Any target order v >= 2u+1 (u = source order) is
 safe territory: embeddings exist there, and u <= (v-1)/2 also guarantees
 that an uncovered pair always has conflict-free third points available.
 
+Each move finds its third points with a few big-int operations instead of a
+scan over all n points.  The climber keeps one bitmask per point: cov[x] has
+bit z set when the pair {x,z} is covered, frz[x] when a frozen block covers
+it.  The admissible third points of {x,y} are then the set bits of
+
+    full & ~(frz[x] | frz[y] | cov[x] & cov[y] | 1<<x | 1<<y)
+
+and the move draws rng.randrange(popcount) and takes the set bit of that
+rank in ascending order (_nth_bit).  A scan that lists the candidates in
+ascending order and draws an index into that list makes the same calls on
+the generator and picks the same z, so blocks, move counts and restarts are
+those of the scalar climb (tests/oracles.py, scalar_climb).
+
 two_minimal_sizes_sts drives the whole pipeline of the two-sizes
 construction: build the partial system whose spreading structure is rigged,
 embed it into the first admissible order at least 2u+1 (falling back to the
@@ -42,6 +55,8 @@ from .system import (
 
 DEFAULT_RESTARTS = 50
 DEFAULT_MOVES = 10 ** 6
+
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -76,10 +91,28 @@ class CompletionReport:
         return "\n".join(lines) + "\n"
 
 
+def _nth_bit(m, r):
+    """Index of the set bit of rank r (0-based, ascending) in m."""
+    base = 0
+    while True:
+        word = m & _WORD
+        count = word.bit_count()
+        if r < count:
+            break
+        r -= count
+        m >>= 64
+        base += 64
+    for _ in range(r):
+        word &= word - 1
+    return base + (word & -word).bit_length() - 1
+
+
 def _climb(order, frozen_blocks, rng, max_moves):
     """One hill-climbing attempt; returns (blocks or None, moves used)."""
     n = order
     cover = [[-1] * n for _ in range(n)]
+    # frz[x] / cov[x]: bit z set when {x,z} is covered by a frozen block / covered
+    frz = [0] * n
     blocks = {}
     nfrozen = len(frozen_blocks)
     for bid, (x, y, z) in enumerate(frozen_blocks):
@@ -89,7 +122,11 @@ def _climb(order, frozen_blocks, rng, max_moves):
                 raise FrozenConflictError("frozen blocks share the pair (%d,%d)" % (u, v))
             cover[u][v] = bid
             cover[v][u] = bid
+            frz[u] |= 1 << v
+            frz[v] |= 1 << u
+    cov = frz[:]
     next_id = nfrozen
+    full = (1 << n) - 1
 
     uncov = []
     pos = {}
@@ -104,6 +141,8 @@ def _climb(order, frozen_blocks, rng, max_moves):
             x, y = y, x
         cover[x][y] = bid
         cover[y][x] = bid
+        cov[x] |= 1 << y
+        cov[y] |= 1 << x
         code = x * n + y
         i = pos.pop(code)
         last = uncov.pop()
@@ -116,6 +155,8 @@ def _climb(order, frozen_blocks, rng, max_moves):
             x, y = y, x
         cover[x][y] = -1
         cover[y][x] = -1
+        cov[x] &= ~(1 << y)
+        cov[y] &= ~(1 << x)
         code = x * n + y
         pos[code] = len(uncov)
         uncov.append(code)
@@ -125,23 +166,13 @@ def _climb(order, frozen_blocks, rng, max_moves):
         moves += 1
         code = uncov[rng.randrange(len(uncov))]
         x, y = divmod(code, n)
-        covx = cover[x]
-        covy = cover[y]
-        cands = []
-        for z in range(n):
-            if z == x or z == y:
-                continue
-            c1 = covx[z]
-            c2 = covy[z]
-            if 0 <= c1 < nfrozen or 0 <= c2 < nfrozen:
-                continue
-            if c1 >= 0 and c2 >= 0:
-                continue  # switching may resolve one conflict, not two
-            cands.append(z)
+        # third points z with neither {x,z} nor {y,z} frozen and at most one
+        # of them covered: switching may resolve one conflict, not two
+        cands = full & ~(frz[x] | frz[y] | cov[x] & cov[y] | 1 << x | 1 << y)
         if not cands:
             continue
-        z = cands[rng.randrange(len(cands))]
-        conflict = covx[z] if covx[z] >= 0 else covy[z]
+        z = _nth_bit(cands, rng.randrange(cands.bit_count()))
+        conflict = cover[x][z] if cover[x][z] >= 0 else cover[y][z]
         if conflict >= 0:
             a, b, c = blocks.pop(conflict)
             uncover_pair(a, b)

@@ -1,12 +1,15 @@
 """Size caps for the search-heavy operations.
 
 Each cap bounds the order (point count) a given routine will accept before
-raising TooLargeError.  The environment variable STS_MAX_ORDER, when set to a
-positive integer, overrides every order cap at once; callers that need a
-one-off override can also pass explicit keyword arguments where offered.
+raising TooLargeError.  The environment variable STS_MAX_ORDER, when set,
+must be a positive integer and overrides every order cap at once; callers
+that need a one-off override can also pass explicit keyword arguments where
+offered.
 """
 
 import os
+
+from .errors import BadOrderError
 
 # Largest system any construction will build.
 MAX_CONSTRUCTION_ORDER = 2047
@@ -28,24 +31,28 @@ MAX_SECTION_N = 6
 
 
 def order_cap(default: int) -> int:
-    """Return the effective order cap: STS_MAX_ORDER when set, else default."""
+    """Return the effective order cap: STS_MAX_ORDER when set, else default.
+
+    Raises BadOrderError when STS_MAX_ORDER is set to anything but a
+    positive integer, rather than silently falling back to default.
+    """
     raw = os.environ.get("STS_MAX_ORDER")
     if raw is None:
         return default
     try:
         value = int(raw)
     except ValueError:
-        return default
-    return value if value > 0 else default
+        value = 0
+    if value < 1:
+        raise BadOrderError("STS_MAX_ORDER must be a positive integer, got %r" % raw)
+    return value
 
 
 def section_n_cap() -> int:
-    """Largest n accepted by the two-sizes construction."""
-    raw = os.environ.get("STS_MAX_ORDER")
-    if raw is None:
-        return MAX_SECTION_N
+    """Largest n accepted by the two-sizes construction: the largest n with
+    AG(n-1,3), of order 3^(n-1), within the order cap (default 3^(MAX_SECTION_N-1))."""
     cap = order_cap(3 ** (MAX_SECTION_N - 1))
-    n = MAX_SECTION_N
+    n = 1
     while 3 ** n <= cap:
         n += 1
     return n

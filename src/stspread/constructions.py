@@ -87,15 +87,16 @@ def ag3(d: int) -> TripleSystem:
     if order > config.order_cap(config.MAX_CONSTRUCTION_ORDER):
         raise TooLargeError("AG(%d,3) has order %d, above the cap" % (d, order))
     powers = [3 ** i for i in range(d)]
+    digits = [_f3_digits(v, d) for v in range(order)]
     triples = []
     for a in range(order):
-        da = _f3_digits(a, d)
+        da = digits[a]
         for b in range(a + 1, order):
-            db = _f3_digits(b, d)
+            db = digits[b]
             c = sum(((-da[i] - db[i]) % 3) * powers[i] for i in range(d))
             if c > b:
                 triples.append((a, b, c))
-    labels = tuple(_f3_digits(v, d) for v in range(order))
+    labels = tuple(digits)
     tag = GeometryTag("ag3", d, None, labels)
     return TripleSystem(order, triples, SystemKind.STEINER, tag)
 

@@ -23,7 +23,10 @@ file of "l <index> <vector>" lines rather than in the main format.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -81,7 +84,30 @@ def steiner_admissible(order: int) -> bool:
     return order % 6 in (1, 3)
 
 
+def _is_canonical(triples, order) -> bool:
+    """True when triples is a list or tuple of 3-tuples (a, b, c) with
+    0 <= a < b < c < order, in strictly increasing order.
+
+    These are exactly the inputs whose canonical form is tuple(triples): the
+    loop of _canonical_triples would keep every entry, in the same order and
+    with the same point objects, so it can be skipped.
+    """
+    if not isinstance(triples, (list, tuple)):
+        return False
+    if not triples:
+        return True
+    if set(map(type, triples)) != {tuple} or set(map(len, triples)) != {3}:
+        return False
+    return (
+        triples[0][0] >= 0
+        and all(a < b < c < order for a, b, c in triples)
+        and all(map(lt, triples, islice(triples, 1, None)))
+    )
+
+
 def _canonical_triples(triples: Iterable[Sequence[int]], order: int):
+    if _is_canonical(triples, order):
+        return tuple(triples)
     seen = set()
     out = []
     for t in triples:
@@ -110,6 +136,14 @@ class TripleSystem:
     distinct triples raises DuplicatePairError.  A system declared partial
     whose pair coverage turns out to be total is upgraded to Steiner so that
     "kind is Steiner" and "every pair is covered" always agree.
+
+    Blocks that already come canonical (a list or tuple of sorted 3-tuples
+    in strictly increasing order, see _is_canonical) are kept as they are;
+    any other input is deduplicated and sorted first.  The pair table is
+    then filled block by block, checking the pairs (a,b), (a,c), (b,c) of
+    each block in turn, so DuplicatePairError names the same pair whatever
+    form the blocks came in.  Once no pair lies in two blocks, b blocks
+    cover exactly 3b pairs, so coverage is total when 6b = order(order-1).
     """
 
     __slots__ = ("order", "triples", "kind", "tag", "_third")
@@ -125,20 +159,23 @@ class TripleSystem:
         triples = _canonical_triples(triples, order)
 
         # third[x][y] = z when {x,y,z} is a block, else -1; doubles as the
-        # pair index and as the linearity check.
+        # pair index and as the linearity check.  Pairs are checked in the
+        # order (a,b), (a,c), (b,c), so an error names the first shared pair.
         third = [[-1] * order for _ in range(order)]
         for a, b, c in triples:
-            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-                if third[x][y] != -1:
-                    raise DuplicatePairError(
-                        "pair (%d, %d) lies in two blocks" % (x, y)
-                    )
-                third[x][y] = z
-                third[y][x] = z
+            ta, tb, tc = third[a], third[b], third[c]
+            if ta[b] != -1:
+                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (a, b))
+            ta[b] = tb[a] = c
+            if ta[c] != -1:
+                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (a, c))
+            ta[c] = tc[a] = b
+            if tb[c] != -1:
+                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (b, c))
+            tb[c] = tc[b] = a
 
-        total = all(
-            third[x][y] != -1 for x in range(order) for y in range(x + 1, order)
-        )
+        # no pair lies in two blocks, so the blocks cover 3 * len distinct pairs
+        total = 6 * len(triples) == order * (order - 1)
         if kind is SystemKind.STEINER and not total:
             raise NotSteinerError("some pair is not covered by any block")
         if total and steiner_admissible(order):
@@ -289,22 +326,89 @@ def _parse_tag_comment(text: str):
     variant = parts[1]
     if variant not in ("plain", "pg2", "ag3", "perturbed_pg", "section4", "random"):
         return None
-    param = None if parts[2] == "-" else int(parts[2])
-    seed = None
-    for extra in parts[3:]:
-        if extra.startswith("seed="):
-            seed = int(extra[5:])
+    try:
+        param = None if parts[2] == "-" else int(parts[2])
+        seed = None
+        for extra in parts[3:]:
+            if extra.startswith("seed="):
+                seed = int(extra[5:])
+    except ValueError:
+        return None  # not a tag after all: an ordinary comment
     return GeometryTag(variant, param, seed, None)
 
 
-def parse(text: str) -> TripleSystem:
-    """Parse the text interchange format back into a validated system.
+_HEADER = re.compile(r"v ([1-9][0-9]{0,17}) (steiner|partial)\n")
+_BODY_BYTES = b"b0123456789 \n"
+_CHUNK = 1 << 20
 
-    Raises ParseError with a 1-based line number on any malformed line.  The
-    construction tag (variant, parameter, seed) is restored when the writer
-    recorded it; coordinate labels live in the sidecar and are re-attached
-    with parse_labels / with_labels.
+
+def _parse_fast(text: str):
+    """(order, triples, kind, tag) of a file in the form serialize writes,
+    or None when any line might be read differently by _parse_lines.
+
+    Accepts the header "v <order> <kind>", an optional comment on line 2 and
+    then only lines "b <i> <j> <k>" with i < j < k in [0, order), in chunks of
+    about _CHUNK characters.  A chunk passes only when it holds nothing but
+    the characters b, 0-9, space and LF, every line starts with b, it splits
+    into four tokens per line with "b" at every fourth, and every other
+    token is the decimal form of an int below order, looked up in a table
+    that rejects signs, leading zeros and non-ASCII digits.  Digit tokens
+    hold no b, so the n line starts fall on the n "b" tokens and each line
+    is "b i j k".  With i < j < k, whatever passes is exactly what
+    _parse_lines accepts, with the same triples in the same order.
     """
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    order = int(head.group(1))
+    kind = SystemKind(head.group(2))
+    tag = PLAIN_TAG
+    pos = head.end()
+    if text.startswith("#", pos):
+        nl = text.find("\n", pos)
+        line = text[pos:nl]
+        if nl < 0 or not (line.isascii() and line.isprintable()):
+            return None
+        maybe = _parse_tag_comment(line[1:].strip())
+        if maybe is not None:
+            tag = maybe
+        pos = nl + 1
+    if order > len(text):
+        return None  # keeps the index table no larger than the text
+    triples = []
+    index = {str(i): i for i in range(order)}
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK)
+        end = len(text) if end < 0 else end + 1
+        chunk = text[pos:end]
+        pos = end
+        lines = chunk.count("\n")
+        if (
+            not chunk.isascii()
+            or chunk.encode("ascii").translate(None, _BODY_BYTES)
+            or chunk[-1] != "\n"
+            or chunk[0] != "b"
+            or chunk.count("\nb") != lines - 1
+        ):
+            return None
+        tokens = chunk.split()
+        if len(tokens) != 4 * lines or tokens[::4].count("b") != lines:
+            return None
+        del tokens[::4]
+        try:
+            values = list(map(index.__getitem__, tokens))
+        except KeyError:
+            return None
+        first, second, third = values[0::3], values[1::3], values[2::3]
+        if not (all(map(lt, first, second)) and all(map(lt, second, third))):
+            return None
+        triples.extend(zip(first, second, third))
+    return order, triples, kind, tag
+
+
+def _parse_lines(text: str):
+    """(order, triples, kind, tag) read line by line; raises ParseError with
+    the line number of the first malformed line."""
     order = None
     kind = None
     tag = PLAIN_TAG
@@ -353,8 +457,26 @@ def parse(text: str) -> TripleSystem:
             raise ParseError("line %d: unknown record %r" % (lineno, fields[0]))
     if order is None:
         raise ParseError("line 0: missing 'v <order> <kind>' header")
+    return order, triples, kind, tag
+
+
+def parse(text: str) -> TripleSystem:
+    """Parse the text interchange format back into a validated system.
+
+    Raises ParseError with a 1-based line number on any malformed line.  The
+    construction tag (variant, parameter, seed) is restored when the writer
+    recorded it; coordinate labels live in the sidecar and are re-attached
+    with parse_labels / with_labels.
+
+    Files in the form serialize writes take a fast path (_parse_fast) that
+    tokenises the block lines in chunks.  On any doubt about a chunk it gives
+    up and the whole text is read again line by line from the start
+    (_parse_lines), so every input yields the same system, or the same
+    ParseError message and line number, on either path.
+    """
+    parts = _parse_fast(text) or _parse_lines(text)
     try:
-        return TripleSystem(order, triples, kind, tag)
+        return TripleSystem(*parts)
     except (DuplicatePairError, NotSteinerError, BadOrderError) as exc:
         raise ParseError("invalid system: %s" % exc) from exc
 

@@ -261,3 +261,191 @@ def ag_block_set(dim):
             if c > b:
                 blocks.add((a, b, c))
     return blocks
+
+
+# -- scalar reference loops of the fast paths ----------------------------------
+
+
+def scalar_climb(order, frozen_blocks, rng, max_moves):
+    """The hill climb with a per-move scan of every third point.
+
+    Same contract as completion._climb: returns (blocks or None, moves) and
+    makes the same calls on rng.
+    """
+    from stspread.errors import FrozenConflictError
+
+    n = order
+    cover = [[-1] * n for _ in range(n)]
+    blocks = {}
+    nfrozen = len(frozen_blocks)
+    for bid, (x, y, z) in enumerate(frozen_blocks):
+        blocks[bid] = (x, y, z)
+        for u, v in ((x, y), (x, z), (y, z)):
+            if cover[u][v] != -1:
+                raise FrozenConflictError("frozen blocks share the pair (%d,%d)" % (u, v))
+            cover[u][v] = bid
+            cover[v][u] = bid
+    next_id = nfrozen
+
+    uncov = []
+    pos = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            if cover[x][y] == -1:
+                pos[x * n + y] = len(uncov)
+                uncov.append(x * n + y)
+
+    def cover_pair(x, y, bid):
+        if x > y:
+            x, y = y, x
+        cover[x][y] = bid
+        cover[y][x] = bid
+        code = x * n + y
+        i = pos.pop(code)
+        last = uncov.pop()
+        if last != code:
+            uncov[i] = last
+            pos[last] = i
+
+    def uncover_pair(x, y):
+        if x > y:
+            x, y = y, x
+        cover[x][y] = -1
+        cover[y][x] = -1
+        code = x * n + y
+        pos[code] = len(uncov)
+        uncov.append(code)
+
+    moves = 0
+    while uncov and moves < max_moves:
+        moves += 1
+        code = uncov[rng.randrange(len(uncov))]
+        x, y = divmod(code, n)
+        covx = cover[x]
+        covy = cover[y]
+        cands = []
+        for z in range(n):
+            if z == x or z == y:
+                continue
+            c1 = covx[z]
+            c2 = covy[z]
+            if 0 <= c1 < nfrozen or 0 <= c2 < nfrozen:
+                continue
+            if c1 >= 0 and c2 >= 0:
+                continue
+            cands.append(z)
+        if not cands:
+            continue
+        z = cands[rng.randrange(len(cands))]
+        conflict = covx[z] if covx[z] >= 0 else covy[z]
+        if conflict >= 0:
+            a, b, c = blocks.pop(conflict)
+            uncover_pair(a, b)
+            uncover_pair(a, c)
+            uncover_pair(b, c)
+        bid = next_id
+        next_id += 1
+        blocks[bid] = tuple(sorted((x, y, z)))
+        cover_pair(x, y, bid)
+        cover_pair(x, z, bid)
+        cover_pair(y, z, bid)
+
+    if uncov:
+        return None, moves
+    return list(blocks.values()), moves
+
+
+def scalar_parse(text):
+    """The text format read line by line, with no fast path."""
+    from stspread.errors import BadOrderError, DuplicatePairError, NotSteinerError, ParseError
+    from stspread.system import PLAIN_TAG, SystemKind, TripleSystem, _parse_tag_comment
+
+    order = None
+    kind = None
+    tag = PLAIN_TAG
+    triples = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if order is not None and tag is PLAIN_TAG:
+                maybe = _parse_tag_comment(line[1:].strip())
+                if maybe is not None:
+                    tag = maybe
+            continue
+        fields = line.split()
+        if fields[0] == "v":
+            if order is not None:
+                raise ParseError("line %d: repeated header" % lineno)
+            if len(fields) != 3:
+                raise ParseError("line %d: header must be 'v <order> <kind>'" % lineno)
+            try:
+                order = int(fields[1])
+            except ValueError:
+                raise ParseError("line %d: bad order %r" % (lineno, fields[1])) from None
+            if fields[2] not in ("steiner", "partial"):
+                raise ParseError(
+                    "line %d: kind must be 'steiner' or 'partial', got %r"
+                    % (lineno, fields[2])
+                )
+            kind = SystemKind(fields[2])
+        elif fields[0] == "b":
+            if order is None:
+                raise ParseError("line %d: block before header" % lineno)
+            if len(fields) != 4:
+                raise ParseError("line %d: block must be 'b <i> <j> <k>'" % lineno)
+            try:
+                t = tuple(int(f) for f in fields[1:])
+            except ValueError:
+                raise ParseError("line %d: non-integer point index" % lineno) from None
+            if len(set(t)) != 3:
+                raise ParseError("line %d: repeated index in block" % lineno)
+            if min(t) < 0 or max(t) >= order:
+                raise ParseError("line %d: point outside [0, %d)" % (lineno, order))
+            triples.append(t)
+        else:
+            raise ParseError("line %d: unknown record %r" % (lineno, fields[0]))
+    if order is None:
+        raise ParseError("line 0: missing 'v <order> <kind>' header")
+    try:
+        return TripleSystem(order, triples, kind, tag)
+    except (DuplicatePairError, NotSteinerError, BadOrderError) as exc:
+        raise ParseError("invalid system: %s" % exc) from exc
+
+
+def scalar_triple_system(order, triples, kind):
+    """(triples, kind, third) as TripleSystem builds them, by the direct
+    route: deduplicate and sort every block, fill the pair table one
+    oriented pair at a time and test coverage pair by pair.  Raises the
+    same errors with the same messages."""
+    from stspread.errors import DuplicatePairError, NotSteinerError, OutOfRangeError, SamePointError
+    from stspread.system import SystemKind, steiner_admissible
+
+    seen = set()
+    out = []
+    for t in triples:
+        if len(t) != 3:
+            raise SamePointError("block %r does not have three distinct points" % (t,))
+        a, b, c = sorted(t)
+        if a == b or b == c:
+            raise SamePointError("block %r repeats a point" % (t,))
+        if a < 0 or c >= order:
+            raise OutOfRangeError("block %r is outside [0, %d)" % (t, order))
+        if (a, b, c) not in seen:
+            seen.add((a, b, c))
+            out.append((a, b, c))
+    out.sort()
+    third = [[-1] * order for _ in range(order)]
+    for a, b, c in out:
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if third[x][y] != -1:
+                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (x, y))
+            third[x][y] = z
+            third[y][x] = z
+    total = all(third[x][y] != -1 for x in range(order) for y in range(x + 1, order))
+    if kind is SystemKind.STEINER and not total:
+        raise NotSteinerError("some pair is not covered by any block")
+    if total and steiner_admissible(order):
+        kind = SystemKind.STEINER
+    return tuple(out), kind, third

@@ -1,5 +1,8 @@
 """Hill-climbing completion, random systems, and the two-sizes pipeline."""
 
+import hashlib
+import random
+
 import pytest
 
 from stspread import (
@@ -15,8 +18,11 @@ from stspread import (
     section4_partial,
     two_minimal_sizes_sts,
 )
+from stspread.completion import _climb
+from stspread.errors import FrozenConflictError
+from stspread.system import serialize
 
-from oracles import naive_is_spreading
+from oracles import naive_is_spreading, scalar_climb
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
@@ -142,3 +148,61 @@ def test_two_sizes_reproducible():
     first = two_minimal_sizes_sts(4, seed=0)
     second = two_minimal_sizes_sts(4, seed=0)
     assert first == second
+
+
+# -- the bitmask climb against the scalar oracle -------------------------------
+
+
+def _same_climb(order, frozen, seed, max_moves=10 ** 6, attempts=1):
+    """Run both climbs from one seed, attempt after attempt on one generator
+    each, and require equal (blocks, moves) and equal generator states."""
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(attempts):
+        got = _climb(order, frozen, fast_rng, max_moves)
+        want = scalar_climb(order, frozen, ref_rng, max_moves)
+        assert got == want
+        assert fast_rng.getstate() == ref_rng.getstate()
+        if got[0] is not None:
+            return got
+    return got
+
+
+@pytest.mark.parametrize("order", [7, 9, 13, 15, 19, 31, 63])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_climb_matches_scalar_oracle(order, seed):
+    blocks, moves = _same_climb(order, (), seed)
+    assert blocks is not None and moves > 0
+
+
+def test_climb_matches_scalar_oracle_with_frozen_blocks():
+    art = section4_partial(4)
+    target = next_admissible(2 * art.system.order + 1)
+    blocks, _ = _same_climb(target, art.system.triples, 0, attempts=5)
+    assert blocks is not None
+    assert set(art.system.triples) <= set(blocks)
+
+
+def test_climb_cut_short_matches_scalar_oracle():
+    blocks, moves = _same_climb(63, (), 1, max_moves=500)
+    assert (blocks, moves) == (None, 500)
+    art = section4_partial(4)
+    blocks, moves = _same_climb(61, art.system.triples, 3, max_moves=200, attempts=3)
+    assert (blocks, moves) == (None, 200)
+
+
+def test_climb_frozen_conflict_matches_scalar_oracle():
+    frozen = ((0, 1, 2), (3, 4, 5), (0, 1, 6))
+    with pytest.raises(FrozenConflictError) as got:
+        _climb(13, frozen, random.Random(0), 100)
+    with pytest.raises(FrozenConflictError) as want:
+        scalar_climb(13, frozen, random.Random(0), 100)
+    assert str(got.value) == str(want.value) == "frozen blocks share the pair (0,1)"
+
+
+def test_random_sts_255_is_pinned():
+    # digest of the system the scalar climb built; the oracle itself takes
+    # several seconds at this order
+    text = serialize(random_sts(255, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6710a588a16fcf3defe6c6b858fb9d50ed6972eb6412d49701978855b7f2e983"
+    )

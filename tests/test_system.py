@@ -2,6 +2,7 @@
 
 import pytest
 
+import stspread.system as system_module
 from stspread import (
     BadOrderError,
     DuplicatePairError,
@@ -11,16 +12,22 @@ from stspread import (
     SamePointError,
     SystemKind,
     TripleSystem,
+    ag3,
     build_system,
     induced_subsystem,
     parse,
     parse_labels,
+    perturbed_pg,
     pg2,
+    random_sts,
+    section4_partial,
     serialize,
     serialize_labels,
     steiner_admissible,
     with_labels,
 )
+
+from oracles import scalar_parse, scalar_triple_system
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
@@ -181,3 +188,212 @@ def test_serialize_is_sorted_and_lf_terminated():
     assert body == sorted(body)
     assert text.endswith("\n")
     assert "\r" not in text
+
+
+# -- parse: the chunked fast path against the line loop -------------------------
+
+FANO_TEXT = "v 7 steiner\n" + "".join("b %d %d %d\n" % t for t in FANO)
+TAGGED = serialize(pg2(2))  # "v 7 steiner", "# tag pg2 2", seven blocks
+
+
+def _edit(text, lineno, new):
+    """text with 1-based line lineno replaced by new (None deletes it)."""
+    lines = text.split("\n")
+    lines[lineno - 1:lineno] = [] if new is None else [new]
+    return "\n".join(lines)
+
+
+# one file for each ParseError the line loop raises
+MALFORMED = [
+    "v 7 partial\nv 7 partial\n",
+    "v 7\n",
+    "v seven partial\n",
+    "v 7 bogus\n",
+    "b 0 1 2\nv 7 partial\n",
+    "v 7 partial\nb 0 1\n",
+    "v 7 partial\nb 0 1 two\n",
+    "v 7 partial\nb 0 1 1\n",
+    "v 7 partial\nb 0 1 7\n",
+    "v 7 partial\nb 0 1 -1\n",
+    "v 7 partial\nx 0 1 2\n",
+    "# no header\n",
+    "",
+    "v 7 partial\nb 0 1 2\nb 0 1 3\n",
+    "v 7 steiner\nb 0 1 2\n",
+    "v 8 steiner\n",
+    "v 0 partial\n",
+    "v %s partial\n" % ("9" * 5000),
+    "v 99999999999 partial\nb 0 1 x\n",
+]
+
+# inputs at the edge of what the fast path accepts
+EDGES = [
+    FANO_TEXT,
+    TAGGED,
+    FANO_TEXT.replace("\n", "\r\n"),
+    _edit(FANO_TEXT, 4, "\nb 0 5 6"),
+    _edit(FANO_TEXT, 3, "b 0 3 4 "),
+    _edit(FANO_TEXT, 4, "# a comment\nb 0 5 6"),
+    _edit(TAGGED, 3, "# tag ag3 2\n" + TAGGED.split("\n")[2]),
+    _edit(FANO_TEXT, 4, "# tag ag3 2\nb 0 5 6"),
+    _edit(TAGGED, 2, "# tag pg2 x"),
+    _edit(TAGGED, 2, "# tag pg2 2 seed=\u0663"),
+    _edit(FANO_TEXT, 2, "b 0 1 +2"),
+    _edit(FANO_TEXT, 2, "b 0 1 002"),
+    _edit(FANO_TEXT, 2, "b 0 1 \u0662"),
+    _edit(FANO_TEXT, 2, "b 0 1 7"),
+    _edit(FANO_TEXT, 2, "b 0 1 1"),
+    _edit(FANO_TEXT, 2, "b 2 1 0"),
+    _edit(_edit(FANO_TEXT, 2, "b 2 4 5"), 8, "b 0 1 2"),
+    _edit(FANO_TEXT, 4, "b 0 3 4\nb 0 5 6"),
+    _edit(FANO_TEXT, 4, "b 0 3 5"),
+    _edit(FANO_TEXT, 8, None),
+    "v 7 steiner\n",
+    "v 7 partial\n",
+    "v 7 partial\n# tag random - seed=3\n",
+    _edit(FANO_TEXT, 2, "b 0 1\x0c2"),
+    _edit(FANO_TEXT, 2, "b 0 1\t2"),
+    _edit(FANO_TEXT, 2, "b 0 1\x852"),
+    _edit(FANO_TEXT, 2, " b 0 1 2"),
+    _edit(FANO_TEXT, 2, "b  0 1 2"),
+    _edit(FANO_TEXT, 2, "b 0 1 2 b"),
+    _edit(FANO_TEXT, 2, "b 0 1 2 b\n3 4 5"),
+    _edit(FANO_TEXT, 2, "b 1 1 2"),
+    _edit(FANO_TEXT, 2, "b 1 0 2"),
+    _edit(FANO_TEXT, 2, "b0 1 2"),
+    _edit(FANO_TEXT, 2, "b0 1 2 3"),
+    _edit(FANO_TEXT, 2, "b 0 1 2 3"),
+    FANO_TEXT.rstrip("\n"),
+    FANO_TEXT.replace("v 7", "v  7"),
+    FANO_TEXT.replace("v 7", "v 07"),
+    "\ufeff" + FANO_TEXT,
+]
+
+
+def _outcome(read, text):
+    try:
+        ts = read(text)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return ts.order, ts.triples, ts.kind, ts.tag
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 9, 40])
+def test_parse_matches_line_loop(monkeypatch, chunk):
+    monkeypatch.setattr(system_module, "_CHUNK", chunk)
+    for text in MALFORMED + EDGES:
+        assert _outcome(parse, text) == _outcome(scalar_parse, text), repr(text)
+
+
+def test_parse_errors_name_each_branch():
+    messages = [_outcome(parse, text)[1] for text in MALFORMED]
+    assert messages[-2].startswith("line 1: bad order")
+    assert messages[-1] == "line 2: non-integer point index"
+    assert messages[:12] == [
+        "line 2: repeated header",
+        "line 1: header must be 'v <order> <kind>'",
+        "line 1: bad order 'seven'",
+        "line 1: kind must be 'steiner' or 'partial', got 'bogus'",
+        "line 1: block before header",
+        "line 2: block must be 'b <i> <j> <k>'",
+        "line 2: non-integer point index",
+        "line 2: repeated index in block",
+        "line 2: point outside [0, 7)",
+        "line 2: point outside [0, 7)",
+        "line 2: unknown record 'x'",
+        "line 0: missing 'v <order> <kind>' header",
+    ]
+    assert all(m.startswith("invalid system: ") for m in messages[13:-2])
+
+
+def test_parse_fast_path_takes_serialized_systems():
+    corpus = [pg2(4), ag3(3), perturbed_pg(4, 0), random_sts(31, 1),
+              section4_partial(4).system, build_system(9, (), "partial")]
+    for ts in corpus:
+        text = serialize(ts)
+        assert system_module._parse_fast(text) is not None
+        back = parse(text)
+        assert _outcome(parse, text) == _outcome(scalar_parse, text)
+        assert back == ts and back.tag.variant == ts.tag.variant
+        assert back._third == ts._third
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 9, 40])
+def test_parse_fast_path_accepts_only_what_the_loop_reads_alike(monkeypatch, chunk):
+    monkeypatch.setattr(system_module, "_CHUNK", chunk)
+    for text in MALFORMED + EDGES:
+        fast = system_module._parse_fast(text)
+        if fast is None:
+            continue
+        assert fast == system_module._parse_lines(text), repr(text)
+    # indices the loop reads as 2, and lines it splits elsewhere, fall back
+    for line in ("b 0 1 +2", "b 0 1 002", "b 0 1 \u0662", "b 0 1\x0c2", "b 0 1\t2"):
+        assert system_module._parse_fast(_edit(FANO_TEXT, 2, line)) is None
+    # an order above the text length builds no index table
+    assert system_module._parse_fast("v 100 partial\nb 0 1 2\n") is None
+
+
+def test_malformed_tag_comment_is_an_ordinary_comment():
+    ts = parse(_edit(TAGGED, 2, "# tag pg2 x"))
+    assert ts.tag.variant == "plain"
+    assert ts == parse(FANO_TEXT)
+
+
+# -- TripleSystem: the canonical-input fast path against the direct route -------
+
+
+def _built(order, triples, kind):
+    try:
+        ts = TripleSystem(order, triples, kind)
+    except (DuplicatePairError, NotSteinerError, SamePointError, OutOfRangeError) as exc:
+        return type(exc).__name__, str(exc)
+    return ts.triples, ts.kind, ts._third
+
+
+def _direct(order, triples, kind):
+    try:
+        return scalar_triple_system(order, triples, kind)
+    except (DuplicatePairError, NotSteinerError, SamePointError, OutOfRangeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _shapes(blocks):
+    """The same blocks as a list, a tuple, a generator and unsorted."""
+    yield list(blocks)
+    yield tuple(blocks)
+    yield (b for b in blocks)
+    yield [tuple(reversed(b)) for b in reversed(blocks)]
+
+
+@pytest.mark.parametrize("kind", [SystemKind.PARTIAL, SystemKind.STEINER])
+def test_triple_system_matches_direct_route(kind):
+    sts15 = sorted(pg2(3).triples)
+    cases = [
+        (7, FANO),
+        (7, FANO[:-1]),
+        (7, FANO + ((0, 1, 2),)),
+        (7, FANO + ((0, 1, 3),)),
+        (7, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (1, 4, 5))),
+        (7, ((0, 2, 4), (2, 4, 6))),
+        (7, ((0, 2, 5), (1, 3, 5), (2, 3, 5))),
+        (7, ((0, 4, 5), (3, 4, 5))),
+        (7, ((0, 1, 2), (3, 4))),
+        (7, ((0, 1, 2, 3),)),
+        (15, sts15),
+        (15, sts15[:50] + [(3, 9, 14)] + sts15[50:]),
+        (15, sts15[:-1] + [(0, 1, 2)]),
+        (7, ((0, 1, 7),)),
+        (7, ((0, 1, 1),)),
+        (3, ((0, 1, 2),)),
+        (1, ()),
+        (2, ()),
+    ]
+    for order, blocks in cases:
+        for shape, twin in zip(_shapes(list(blocks)), _shapes(list(blocks))):
+            assert _built(order, shape, kind) == _direct(order, twin, kind), (order, blocks)
+
+
+def test_complete_partial_input_upgrades_to_steiner():
+    ts = TripleSystem(15, list(pg2(3).triples), SystemKind.PARTIAL)
+    assert ts.kind is SystemKind.STEINER
+    assert build_system(7, tuple(sorted(FANO)), "partial").is_steiner()
