@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
@@ -440,23 +441,50 @@ _DISPATCH = {
 }
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _write_atomic(path, data: bytes):
+    """Write data to path through a new temp file next to it and os.replace.
+
+    A failed write leaves an existing target as it was and removes the temp
+    file; its OSError names path, as a direct open(path, "wb") would.
+    """
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _write_manifest(path, argv, args, code, rep, files, elapsed):
     inputs = {}
     system_path = getattr(args, "system", None)
     if system_path:
+        h = hashlib.sha256()
         try:
             with open(system_path, "rb") as fh:
-                inputs[system_path] = _sha256(fh.read())
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    h.update(block)
+            inputs[system_path] = h.hexdigest()
         except OSError:
             inputs[system_path] = None
+    h = hashlib.sha256()
     if files:
-        digest = _sha256(b"".join(files[k] for k in sorted(files)))
+        for k in sorted(files):
+            h.update(files[k])
     else:
-        digest = _sha256(rep.text().encode())
+        h.update(rep.text().encode())
+    digest = h.hexdigest()
     manifest = {
         "argv": argv,
         "command": args.command,
@@ -469,9 +497,7 @@ def _write_manifest(path, argv, args, code, rep, files, elapsed):
         "exit_code": code,
         "elapsed_seconds": round(elapsed, 3),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def main(argv=None) -> int:
@@ -486,8 +512,7 @@ def main(argv=None) -> int:
     try:
         code, rep, files = _DISPATCH[args.command](args)
         for path in sorted(files):
-            with open(path, "wb") as fh:
-                fh.write(files[path])
+            _write_atomic(path, files[path])
         manifest_path = args.manifest
         if manifest_path is None and args.command == "construct":
             manifest_path = args.out + ".manifest.json"

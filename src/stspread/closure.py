@@ -67,17 +67,13 @@ def _closure_mask(third, seeds):
     return _grow(third, mask, members, 0)
 
 
-def _closure_extend(third, mask, members, extra):
-    """Closure of (closed set given by mask/members) plus one point.
-
-    Only pairs touching the new point and its consequences are examined;
-    pairs inside the already-closed prefix cannot fire anything new.
-    """
-    return _grow(third, mask | 1 << extra, members + [extra], len(members))
-
-
 def _grow(third, mask, members, i):
-    """Close mask, checking the pairs that involve members[i:]."""
+    """Close mask, checking the pairs that involve members[i:].
+
+    members[:i] must be closed already: pairs inside it cannot fire anything
+    new.  So adjoining one point p to a closed set is members.append(p)
+    followed by _grow(third, mask | 1 << p, members, len(members) - 1).
+    """
     while i < len(members):
         row = third[members[i]]
         for j in range(i):

@@ -4,7 +4,11 @@ Each cap bounds the order (point count) a given routine will accept before
 raising TooLargeError.  The environment variable STS_MAX_ORDER, when set,
 must be a positive integer and overrides every order cap at once; callers
 that need a one-off override can also pass explicit keyword arguments where
-offered.
+offered.  Caps given as a dimension or a parameter (MAX_HYPERPLANE_DIM,
+MAX_EXTREMES_DIM, MAX_DIMENSION_CHECK_DIM, MAX_SECTION_N) go through the
+order of the space they stand for (pg_dim_cap, section_n_cap), so
+STS_MAX_ORDER moves them too; MAX_EXTREMES_SUBSET bounds a subset size, not
+an order, and stays fixed.
 """
 
 import os
@@ -22,6 +26,11 @@ MAX_ENUMERATION_ORDER = 31
 
 # PG(n,2) hyperplane families and the related bounds.
 MAX_HYPERPLANE_DIM = 10
+
+# Exhaustive hyperplane-intersection scans (intersection_extremes): PG(n,2)
+# up to this n, subsets of at most MAX_EXTREMES_SUBSET points.
+MAX_EXTREMES_DIM = 3
+MAX_EXTREMES_SUBSET = 8
 
 # Dimension-theorem spot checks run on PG(d,2) up to this d.
 MAX_DIMENSION_CHECK_DIM = 5
@@ -56,3 +65,10 @@ def section_n_cap() -> int:
     while 3 ** n <= cap:
         n += 1
     return n
+
+
+def pg_dim_cap(default_dim: int) -> int:
+    """Largest n with PG(n,2), of order 2^(n+1) - 1, within the order cap
+    (default 2^(default_dim+1) - 1, so the default result is default_dim)."""
+    cap = order_cap((1 << (default_dim + 1)) - 1)
+    return (cap + 1).bit_length() - 2

@@ -56,18 +56,28 @@ STS15_MAX_RESTARTS = 100
 
 
 def pg2(d: int) -> TripleSystem:
-    """The projective Steiner triple system PG(d,2) of order 2^(d+1) - 1."""
+    """The projective Steiner triple system PG(d,2) of order 2^(d+1) - 1.
+
+    The blocks come out in lexicographic order, as (a-1, b-1, c-1) for labels
+    a < b < c = a xor b.  Every block takes its points from one list of
+    order ints, so all blocks share order int objects instead of holding
+    three fresh ones each (PG(10,2) has 698,027 blocks).
+    """
     if d < 1:
         raise TrivialOrderError("pg2 needs dimension >= 1")
     order = (1 << (d + 1)) - 1
     if order > config.order_cap(config.MAX_CONSTRUCTION_ORDER):
         raise TooLargeError("PG(%d,2) has order %d, above the cap" % (d, order))
+    pt = list(range(-1, order))  # pt[v]: the point with label v
     triples = []
     for a in range(1, order + 1):
-        for b in range(a + 1, order + 1):
-            c = a ^ b
-            if c > b:
-                triples.append((a - 1, b - 1, c - 1))
+        # with top the highest bit of a, c = a ^ b > b > a exactly when b has
+        # bit top clear and a higher bit set: b in [base, base + top) for
+        # base = 2 top, 4 top, 6 top, ... (order + 1 is a multiple of 2 top)
+        top = 1 << (a.bit_length() - 1)
+        pa = pt[a]
+        for base in range(2 * top, order + 1, 2 * top):
+            triples.extend([(pa, pt[b], pt[a ^ b]) for b in range(base, base + top)])
     labels = tuple(
         tuple((v >> i) & 1 for i in range(d + 1)) for v in range(1, order + 1)
     )
@@ -80,7 +90,12 @@ def _f3_digits(value: int, width: int) -> tuple:
 
 
 def ag3(d: int) -> TripleSystem:
-    """The affine Steiner triple system AG(d,3) of order 3^d."""
+    """The affine Steiner triple system AG(d,3) of order 3^d.
+
+    The blocks come out in lexicographic order.  As in pg2, every block takes
+    its points from one list of order ints, so all blocks share order int
+    objects.
+    """
     if d < 1:
         raise TrivialOrderError("ag3 needs dimension >= 1")
     order = 3 ** d
@@ -88,14 +103,16 @@ def ag3(d: int) -> TripleSystem:
         raise TooLargeError("AG(%d,3) has order %d, above the cap" % (d, order))
     powers = [3 ** i for i in range(d)]
     digits = [_f3_digits(v, d) for v in range(order)]
+    pt = list(range(order))
     triples = []
     for a in range(order):
         da = digits[a]
+        pa = pt[a]
         for b in range(a + 1, order):
             db = digits[b]
             c = sum(((-da[i] - db[i]) % 3) * powers[i] for i in range(d))
             if c > b:
-                triples.append((a, b, c))
+                triples.append((pa, pt[b], pt[c]))
     labels = tuple(digits)
     tag = GeometryTag("ag3", d, None, labels)
     return TripleSystem(order, triples, SystemKind.STEINER, tag)

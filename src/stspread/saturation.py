@@ -79,11 +79,9 @@ class HyperplaneFamily:
 def _check_pg_dim(n: int) -> int:
     if n < 1:
         raise TrivialOrderError("PG(n,2) needs n >= 1")
-    points = (1 << (n + 1)) - 1
-    cap = config.order_cap((1 << (config.MAX_HYPERPLANE_DIM + 1)) - 1)
-    if points > cap:
+    if n > config.pg_dim_cap(config.MAX_HYPERPLANE_DIM):
         raise TooLargeError("PG(%d,2) hyperplane family above the cap" % n)
-    return points
+    return (1 << (n + 1)) - 1
 
 
 @lru_cache(maxsize=16)
@@ -208,11 +206,7 @@ def refined_saturating_bound(n: int) -> int:
     """
     if n < 1:
         raise TrivialOrderError("refined_saturating_bound needs n >= 1")
-    if n > config.MAX_HYPERPLANE_DIM:
-        raise TooLargeError(
-            "refined_saturating_bound capped at n = %d" % config.MAX_HYPERPLANE_DIM
-        )
-    points = (1 << (n + 1)) - 1
+    points = _check_pg_dim(n)
     off = 1 << n  # points off a hyperplane
     scale = 1 << (n + 1)  # window test: 2^(n+1) (2 m1 - m)^2 <= m (2^(n+1) - m)
     for m in range(1, points + 1):
@@ -331,10 +325,13 @@ def intersection_extremes(
     count times the hyperplane count would exceed budget the call refuses
     up front with BudgetExhaustedError.
     """
-    if n > 3:
-        raise TooLargeError("intersection_extremes capped at n = 3")
-    if m > 8:
-        raise TooLargeError("intersection_extremes capped at m = 8")
+    n_cap = config.pg_dim_cap(config.MAX_EXTREMES_DIM)
+    if n > n_cap:
+        raise TooLargeError("intersection_extremes capped at n = %d" % n_cap)
+    if m > config.MAX_EXTREMES_SUBSET:
+        raise TooLargeError(
+            "intersection_extremes capped at m = %d" % config.MAX_EXTREMES_SUBSET
+        )
     fam = hyperplanes_pg2(n)
     count = (1 << (n + 1)) - 1
     if m > count:

@@ -33,9 +33,9 @@ from typing import Iterable, Optional
 from . import config
 from .closure import (
     _batch_closure,
-    _closure_extend,
     _closure_mask,
     _extensions,
+    _grow,
     _holding_all,
     _iter_bits,
     _mask_of,
@@ -109,7 +109,8 @@ def greedy_spreading_set(
         outside = (~mask) & full
         p = (outside & -outside).bit_length() - 1
         witness.append(p)
-        mask, members = _closure_extend(third, mask, members, p)
+        members.append(p)
+        mask, members = _grow(third, mask | 1 << p, members, len(members) - 1)
         sizes.append(len(members))
     return SpreadingSearchResult(
         frozenset(witness), len(witness), "greedy", tuple(sizes)
@@ -336,10 +337,9 @@ def verify_dimension_theorem(
     if ts.tag.variant != "pg2":
         raise NotProjectiveTagError("dimension checks need a pg2-constructed system")
     d = ts.tag.param
-    if d is None or d > config.MAX_DIMENSION_CHECK_DIM:
-        raise TooLargeError(
-            "dimension checks capped at d = %d" % config.MAX_DIMENSION_CHECK_DIM
-        )
+    d_cap = config.pg_dim_cap(config.MAX_DIMENSION_CHECK_DIM)
+    if d is None or d > d_cap:
+        raise TooLargeError("dimension checks capped at d = %d" % d_cap)
     rng = random.Random(seed)
     n = ts.order
     bad = []

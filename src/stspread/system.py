@@ -288,17 +288,29 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
 # -- text format ---------------------------------------------------------
 
 
+# Blocks per piece of text that serialize formats at once.
+_SERIALIZE_CHUNK = 1 << 14
+
+
 def serialize(ts: TripleSystem) -> str:
-    """Canonical text form of a system (sorted triples, LF line endings)."""
-    lines = ["v %d %s" % (ts.order, ts.kind.value)]
+    """Canonical text form of a system (sorted triples, LF line endings).
+
+    The block lines are formatted in chunks of _SERIALIZE_CHUNK blocks, each
+    joined into one string, and the chunks are joined at the end.  So no
+    list of one string per block is ever built, and the peak is about twice
+    the text: the chunks plus the result.
+    """
     tag = ts.tag
+    out = ["v %d %s\n" % (ts.order, ts.kind.value)]
     if tag.variant != "plain":
         extra = "" if tag.seed is None else " seed=%d" % tag.seed
         param = "-" if tag.param is None else str(tag.param)
-        lines.append("# tag %s %s%s" % (tag.variant, param, extra))
-    for a, b, c in ts.triples:
-        lines.append("b %d %d %d" % (a, b, c))
-    return "\n".join(lines) + "\n"
+        out.append("# tag %s %s%s\n" % (tag.variant, param, extra))
+    line = "b %d %d %d\n".__mod__
+    triples = ts.triples
+    for i in range(0, len(triples), _SERIALIZE_CHUNK):
+        out.append("".join(map(line, triples[i:i + _SERIALIZE_CHUNK])))
+    return "".join(out)
 
 
 def serialize_labels(ts: TripleSystem) -> str:

@@ -148,15 +148,21 @@ def f2_span_indices(point_indices, dim):
     return frozenset(lab - 1 for lab in span if lab)
 
 
-def pg_block_set(dim):
+def pairwise_pg2_triples(dim):
+    """Blocks of PG(dim,2) from a double loop over the label pairs a < b,
+    kept when c = a xor b > b, as (a-1, b-1, c-1) in loop order."""
     order = (1 << (dim + 1)) - 1
-    blocks = set()
+    triples = []
     for a in range(1, order + 1):
         for b in range(a + 1, order + 1):
             c = a ^ b
             if c > b:
-                blocks.add((a - 1, b - 1, c - 1))
-    return blocks
+                triples.append((a - 1, b - 1, c - 1))
+    return triples
+
+
+def pg_block_set(dim):
+    return set(pairwise_pg2_triples(dim))
 
 
 def union_size_by_inclusion_exclusion(sets):
@@ -249,21 +255,40 @@ def f3_affine_span(point_indices, dim):
     return frozenset(span)
 
 
-def ag_block_set(dim):
+def pairwise_ag3_triples(dim):
+    """Lines of AG(dim,3) from a double loop over the point pairs a < b,
+    kept when the third point c = -(a + b) (digit-wise mod 3) has c > b,
+    as (a, b, c) in loop order."""
     order = 3 ** dim
-    blocks = set()
+    digits = [f3_digits(v, dim) for v in range(order)]
+    triples = []
     for a in range(order):
-        da = f3_digits(a, dim)
+        da = digits[a]
         for b in range(a + 1, order):
-            db = f3_digits(b, dim)
-            dc = tuple((-x - y) % 3 for x, y in zip(da, db))
-            c = f3_value(dc)
+            c = f3_value(tuple((-x - y) % 3 for x, y in zip(da, digits[b])))
             if c > b:
-                blocks.add((a, b, c))
-    return blocks
+                triples.append((a, b, c))
+    return triples
+
+
+def ag_block_set(dim):
+    return set(pairwise_ag3_triples(dim))
 
 
 # -- scalar reference loops of the fast paths ----------------------------------
+
+
+def line_serialize(ts):
+    """The text format built as one string per line, joined with LF."""
+    lines = ["v %d %s" % (ts.order, ts.kind.value)]
+    tag = ts.tag
+    if tag.variant != "plain":
+        extra = "" if tag.seed is None else " seed=%d" % tag.seed
+        param = "-" if tag.param is None else str(tag.param)
+        lines.append("# tag %s %s%s" % (tag.variant, param, extra))
+    for a, b, c in ts.triples:
+        lines.append("b %d %d %d" % (a, b, c))
+    return "\n".join(lines) + "\n"
 
 
 def scalar_climb(order, frozen_blocks, rng, max_moves):

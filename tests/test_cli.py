@@ -1,12 +1,17 @@
 """Command line interface: wiring, formats, manifests, exit codes."""
 
+import errno
 import hashlib
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
 
-from stspread import parse
+import pytest
+
+from stspread import parse, pg2, serialize
 from stspread.cli import main
 
 
@@ -224,6 +229,87 @@ def test_manifest_records_input_digest(tmp_path, capsys):
     manifest = json.loads(mpath.read_text())
     assert manifest["inputs"][str(src)] == hashlib.sha256(src.read_bytes()).hexdigest()
     assert manifest["result_digest"] == hashlib.sha256(stdout.encode()).hexdigest()
+
+
+def test_manifest_digests_an_input_above_one_block(tmp_path, capsys):
+    src = tmp_path / "big.txt"
+    comment = "# " + "x" * (5 << 19) + "\n"  # 2.5 MB: two full 1 MB blocks and a part
+    src.write_text("v 7 steiner\n" + comment + "".join(serialize(pg2(2)).splitlines(True)[2:]))
+    mpath = tmp_path / "run.json"
+    code, _, _ = run(capsys, "--manifest", str(mpath), "analyze", "--system", str(src),
+                     "closure", "--set", "0,1")
+    assert code == 0
+    manifest = json.loads(mpath.read_text())
+    assert manifest["inputs"][str(src)] == hashlib.sha256(src.read_bytes()).hexdigest()
+
+
+def _names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_construct_replaces_an_existing_target(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    out.write_text("stale\n")
+    code, stdout, err = run(capsys, "construct", "pg2", "--dim", "2", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout == "wrote %s order=7 blocks=7 kind=steiner\nwrote %s.labels\n" % (out, out)
+    assert out.read_text() == serialize(pg2(2))
+    assert _names(tmp_path) == ["s.txt", "s.txt.labels", "s.txt.manifest.json"]
+
+
+def test_failed_write_keeps_the_target_and_leaves_no_temp_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (taken / "inside.txt").write_text("kept\n")
+    with pytest.raises(OSError) as direct:
+        open(taken, "wb")
+    code, stdout, err = run(capsys, "construct", "pg2", "--dim", "2", "--out", str(taken))
+    assert (code, stdout) == (2, "")
+    assert err == "error: %s\n" % direct.value
+    assert (taken / "inside.txt").read_text() == "kept\n"
+    assert _names(tmp_path) == ["taken"]
+
+
+def test_failed_replace_keeps_an_existing_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "s.txt"
+    out.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError(errno.EIO, "Input/output error", src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, stdout, err = run(capsys, "construct", "pg2", "--dim", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: [Errno 5] Input/output error: %r\n" % str(out)
+    assert out.read_text() == "old\n"
+    assert _names(tmp_path) == ["s.txt"]
+
+
+def test_write_never_goes_through_a_taken_temp_name(tmp_path, capsys):
+    other = tmp_path / "other"
+    other.write_text("other\n")
+    taken = tmp_path / ("s.txt.%d.tmp" % os.getpid())
+    taken.symlink_to(other)
+    code, stdout, _ = run(capsys, "construct", "pg2", "--dim", "2", "--out", str(tmp_path / "s.txt"))
+    assert (code, stdout) == (2, "")
+    assert other.read_text() == "other\n"
+    assert taken.is_symlink()
+    assert _names(tmp_path) == sorted(["other", taken.name])
+
+
+def test_new_files_get_the_mode_of_a_plain_open(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run(capsys, "construct", "pg2", "--dim", "2", "--out", str(tmp_path / "s.txt"))
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(umask)
+    assert code == 0
+    want = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert want == 0o640
+    for name in ("s.txt", "s.txt.labels", "s.txt.manifest.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want, name
 
 
 def test_stdout_deterministic_across_repeats_and_jobs(tmp_path, capsys):

@@ -2,7 +2,17 @@
 
 import pytest
 
-from stspread import BadOrderError, TooLargeError, config, pg2, section4_partial
+from stspread import (
+    BadOrderError,
+    TooLargeError,
+    config,
+    intersection_extremes,
+    lunelli_sce_min,
+    pg2,
+    refined_saturating_bound,
+    section4_partial,
+    verify_dimension_theorem,
+)
 from stspread.cli import main
 
 
@@ -10,6 +20,9 @@ def test_caps_without_override(monkeypatch):
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
     assert config.order_cap(31) == 31
     assert config.section_n_cap() == config.MAX_SECTION_N == 6
+    for dim in (config.MAX_HYPERPLANE_DIM, config.MAX_EXTREMES_DIM,
+                config.MAX_DIMENSION_CHECK_DIM):
+        assert config.pg_dim_cap(dim) == dim
 
 
 def test_override_raises_and_lowers_caps(monkeypatch):
@@ -44,3 +57,64 @@ def test_bad_override_exits_with_one_error_line(monkeypatch, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: STS_MAX_ORDER must be a positive integer, got 'garbage'\n"
     assert not (tmp_path / "fano.txt").exists()
+
+
+@pytest.mark.parametrize("raw, dim", [("1", 0), ("6", 1), ("7", 2), ("62", 4), ("63", 5),
+                                      ("100", 5), ("127", 6), ("4095", 11)])
+def test_pg_dim_cap_follows_the_override(monkeypatch, raw, dim):
+    monkeypatch.setenv("STS_MAX_ORDER", raw)
+    for default in (config.MAX_HYPERPLANE_DIM, config.MAX_EXTREMES_DIM):
+        assert config.pg_dim_cap(default) == dim
+
+
+def test_extremes_caps_come_from_config(monkeypatch):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    with pytest.raises(TooLargeError, match="capped at n = 3"):
+        intersection_extremes(4, 2)
+    with pytest.raises(TooLargeError, match="capped at m = 8"):
+        intersection_extremes(3, 9)
+    with pytest.raises(TooLargeError):
+        intersection_extremes(10 ** 9, 2)
+    monkeypatch.setenv("STS_MAX_ORDER", "7")
+    with pytest.raises(TooLargeError, match="capped at n = 2"):
+        intersection_extremes(3, 2)
+    assert intersection_extremes(2, 3).max_min == 1
+    monkeypatch.setenv("STS_MAX_ORDER", "31")
+    assert intersection_extremes(4, 2).min_max == 2
+    # the subset cap is not an order cap
+    monkeypatch.setenv("STS_MAX_ORDER", "4095")
+    with pytest.raises(TooLargeError, match="capped at m = 8"):
+        intersection_extremes(3, 9)
+
+
+def test_refined_bound_cap_follows_the_override(monkeypatch):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    with pytest.raises(TooLargeError):
+        refined_saturating_bound(11)
+    with pytest.raises(TooLargeError):
+        refined_saturating_bound(10 ** 9)
+    monkeypatch.setenv("STS_MAX_ORDER", "63")
+    assert refined_saturating_bound(5) == lunelli_sce_min(5, 2)
+    with pytest.raises(TooLargeError):
+        refined_saturating_bound(6)
+    monkeypatch.setenv("STS_MAX_ORDER", "4095")
+    assert refined_saturating_bound(11) >= lunelli_sce_min(11, 2)
+
+
+def test_dimension_check_cap_follows_the_override(monkeypatch):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    pg4 = pg2(4)
+    assert verify_dimension_theorem(pg4, trials=5).ok
+    monkeypatch.setenv("STS_MAX_ORDER", "15")
+    with pytest.raises(TooLargeError, match="capped at d = 3"):
+        verify_dimension_theorem(pg4, trials=5)
+    monkeypatch.setenv("STS_MAX_ORDER", "127")
+    assert verify_dimension_theorem(pg2(6), trials=5).ok
+
+
+def test_default_cap_errors_are_unchanged(monkeypatch, capsys):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    assert main(["saturate", "extremes", "--n", "4", "--m", "2"]) == 2
+    assert capsys.readouterr().err == "error: intersection_extremes capped at n = 3\n"
+    assert main(["saturate", "extremes", "--n", "3", "--m", "9"]) == 2
+    assert capsys.readouterr().err == "error: intersection_extremes capped at m = 8\n"

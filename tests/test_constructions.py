@@ -2,10 +2,12 @@
 
 import pytest
 
+import stspread.constructions as constructions
 from stspread import (
     NoTriangleError,
     SystemKind,
     TooLargeError,
+    TripleSystem,
     TrivialOrderError,
     ag3,
     closure_points,
@@ -21,6 +23,8 @@ from stspread import (
 from oracles import (
     ag_block_set,
     f3_affine_span,
+    pairwise_ag3_triples,
+    pairwise_pg2_triples,
     pg_block_set,
     union_size_by_inclusion_exclusion,
 )
@@ -65,6 +69,43 @@ def test_ag3_block_sets_match_oracle():
         ts = ag3(d)
         assert ts.order == 3 ** d
         assert set(ts.triples) == ag_block_set(d)
+
+
+def _built_with_input(monkeypatch, build, d):
+    """build(d) and the block list it handed to TripleSystem."""
+    given = []
+
+    def record(order, triples, kind, tag):
+        given.append(triples)
+        return TripleSystem(order, triples, kind, tag)
+
+    monkeypatch.setattr(constructions, "TripleSystem", record)
+    return build(d), given[0]
+
+
+def _distinct_points(ts):
+    return len({id(p) for t in ts.triples for p in t})
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_pg2_triples_match_pairwise_loop(monkeypatch, d):
+    ts, given = _built_with_input(monkeypatch, pg2, d)
+    want = pairwise_pg2_triples(d)
+    assert given == want
+    assert ts.triples == tuple(want)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_ag3_triples_match_pairwise_loop(monkeypatch, d):
+    ts, given = _built_with_input(monkeypatch, ag3, d)
+    want = pairwise_ag3_triples(d)
+    assert given == want
+    assert ts.triples == tuple(want)
+
+
+def test_constructions_share_point_objects():
+    assert _distinct_points(pg2(9)) == 1023
+    assert _distinct_points(ag3(6)) == 729
 
 
 def test_ag3_lines_are_affine_spans():

@@ -1,5 +1,7 @@
 """Triple-system container, validation, and the text format."""
 
+import tracemalloc
+
 import pytest
 
 import stspread.system as system_module
@@ -27,7 +29,7 @@ from stspread import (
     with_labels,
 )
 
-from oracles import scalar_parse, scalar_triple_system
+from oracles import line_serialize, scalar_parse, scalar_triple_system
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
@@ -188,6 +190,40 @@ def test_serialize_is_sorted_and_lf_terminated():
     assert body == sorted(body)
     assert text.endswith("\n")
     assert "\r" not in text
+
+
+def _serialize_cases():
+    yield "empty partial", build_system(5, (), "partial")
+    yield "tagged fano", pg2(2)
+    for v in (7, 9, 13, 15, 19):
+        for seed in (0, 1):
+            yield "random_sts(%d, %d)" % (v, seed), random_sts(v, seed)
+    yield "perturbed_pg(5, 0)", perturbed_pg(5, 0)
+    yield "section4_partial(4)", section4_partial(4).system
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 8, system_module._SERIALIZE_CHUNK])
+def test_serialize_matches_line_join(monkeypatch, chunk):
+    monkeypatch.setattr(system_module, "_SERIALIZE_CHUNK", chunk)
+    for name, ts in _serialize_cases():
+        assert serialize(ts) == line_serialize(ts), name
+
+
+def test_serialize_pg8_spans_three_chunks():
+    ts = pg2(8)
+    assert 2 * system_module._SERIALIZE_CHUNK < len(ts.triples) <= 3 * system_module._SERIALIZE_CHUNK
+    assert serialize(ts) == line_serialize(ts)
+
+
+def test_serialize_peak_memory_stays_near_the_text_size():
+    ts = pg2(9)
+    tracemalloc.start()
+    try:
+        text = serialize(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 # -- parse: the chunked fast path against the line loop -------------------------
