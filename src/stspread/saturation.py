@@ -84,10 +84,19 @@ def _check_pg_dim(n: int) -> int:
     return (1 << (n + 1)) - 1
 
 
-@lru_cache(maxsize=16)
 def hyperplanes_pg2(n: int) -> HyperplaneFamily:
-    """Enumerate all 2^(n+1) - 1 hyperplanes of PG(n,2)."""
-    count = _check_pg_dim(n)
+    """Enumerate all 2^(n+1) - 1 hyperplanes of PG(n,2).
+
+    The cap is checked on every call, so lowering it refuses a family that
+    is already cached; hyperplanes_pg2.cache_clear() drops the cached ones.
+    """
+    _check_pg_dim(n)
+    return _build_hyperplanes(n)
+
+
+@lru_cache(maxsize=16)
+def _build_hyperplanes(n: int) -> HyperplaneFamily:
+    count = (1 << (n + 1)) - 1
     odd = [0] * (count + 1)  # odd[c]: the points whose label has odd overlap with c
     for c in range(1, count + 1):
         low = c & -c
@@ -97,6 +106,9 @@ def hyperplanes_pg2(n: int) -> HyperplaneFamily:
             odd[c] = odd[c ^ low] ^ odd[low]
     masks = tuple(((1 << count) - 1) ^ m for m in odd[1:])
     return HyperplaneFamily(n, tuple(range(1, count + 1)), masks)
+
+
+hyperplanes_pg2.cache_clear = _build_hyperplanes.cache_clear
 
 
 def _points_mask(n_points: int, points: Iterable[int]) -> int:

@@ -28,6 +28,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
+from operator import add
 from typing import Iterable, Optional
 
 from . import config
@@ -184,12 +187,21 @@ def min_spreading_size(ts: TripleSystem):
 
 @dataclass(frozen=True)
 class SpreadingEnumeration:
-    """All minimal spreading sets up to max_size, canonically sorted; when
-    the level budget stopped the scan early, truncated is True."""
+    """All minimal spreading sets up to max_size, in canonical order.
 
-    sets: tuple
+    points stores each set as the tuple of its points in ascending order,
+    and the tuples are ordered by size, then lexicographically.  sets is the
+    same sequence as frozensets, built on first use.  When the level budget
+    stopped the scan early, truncated is True.
+    """
+
+    points: tuple
     max_size: int
     truncated: bool
+
+    @cached_property
+    def sets(self) -> tuple:
+        return tuple(map(frozenset, self.points))
 
 
 def _scan_level(args):
@@ -197,6 +209,15 @@ def _scan_level(args):
     ts, k, tops = args
     return [_holding_all(_batch_closure(ts.triples, batch), full)
             for full, batch in _subset_batches(ts.order, k, tops)]
+
+
+# turns the digits of format(bits, "b") into itertools.compress selectors
+_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _select(items, bits):
+    """The items[j] with bit j of bits set, lowest j first."""
+    return compress(items, format(bits, "b")[::-1].encode().translate(_SELECTOR))
 
 
 def enumerate_minimal_spreading_sets(
@@ -213,6 +234,10 @@ def enumerate_minimal_spreading_sets(
     the level before.  budget caps the total number of subsets considered; a
     size level that would push past it is skipped entirely and flagged,
     which keeps results independent of jobs.
+
+    The result stores each set as the tuple of its points in ascending
+    order (points), the tuples ordered by size and then lexicographically;
+    its sets attribute gives the same sequence as frozensets.
     """
     if not ts.is_steiner():
         raise NotSteinerError("spreading-set enumeration needs a Steiner system")
@@ -239,23 +264,32 @@ def enumerate_minimal_spreading_sets(
         for part in run_jobs(_scan_level, [(ts, k, c) for c in chunks], jobs):
             hits.extend(part)
         # bit j of a top's batch is the j-th (k-1)-subset in colex order
-        rests = [sum(1 << p for p in rest) for rest in colex_subsets(n - 1, k - 1)]
+        if prev:  # the minimality check below needs the masks alone
+            masks = [sum(1 << p for p in rest) for rest in colex_subsets(n - 1, k - 1)]
+        else:
+            rests = list(colex_subsets(n - 1, k - 1))
+            masks = [sum(1 << p for p in rest) for rest in rests] if k < max_size else None
+        found = []
         spread_bits = 0
         spreading = set()
         for t, spread in zip(tops, hits):
             top = 1 << t
             spread_bits |= spread << math.comb(t, k)
             if k < max_size:
-                spreading.update(rests[j] | top for j in _iter_bits(spread))
+                spreading.update(m | top for m in _select(masks, spread))
             # prev_bits drops the k-sets whose points below t already spread
-            for j in _iter_bits(spread & ~prev_bits):
-                mask = rests[j] | top
-                if prev and any(mask ^ (1 << p) in prev for p in _iter_bits(mask)):
-                    continue
-                results.append(tuple(_iter_bits(mask)))
+            new = spread & ~prev_bits
+            if prev:
+                for m in _select(masks, new):
+                    mask = m | top
+                    if not any(mask ^ (1 << p) in prev for p in _iter_bits(m)):
+                        found.append(tuple(_iter_bits(mask)))
+            else:
+                found.extend(map(add, _select(rests, new), repeat((t,))))
+        found.sort()
+        results += found
         prev_bits, prev = spread_bits, spreading
-    results.sort(key=lambda s: (len(s), s))
-    return SpreadingEnumeration(tuple(map(frozenset, results)), max_size, truncated)
+    return SpreadingEnumeration(tuple(results), max_size, truncated)
 
 
 def _split_tops(tops, k, jobs):

@@ -148,6 +148,17 @@ def f2_span_indices(point_indices, dim):
     return frozenset(lab - 1 for lab in span if lab)
 
 
+def f2_rank(vectors):
+    """Rank over F2 of integer bit vectors, by Gaussian elimination."""
+    basis = []  # reduced rows with distinct leading bits
+    for v in vectors:
+        for row in basis:
+            v = min(v, v ^ row)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
 def pairwise_pg2_triples(dim):
     """Blocks of PG(dim,2) from a double loop over the label pairs a < b,
     kept when c = a xor b > b, as (a-1, b-1, c-1) in loop order."""

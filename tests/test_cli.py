@@ -1,18 +1,23 @@
 """Command line interface: wiring, formats, manifests, exit codes."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from stspread import parse, pg2, serialize
 from stspread.cli import main
+
+from oracles import f2_rank
 
 
 def run(capsys, *argv):
@@ -85,11 +90,12 @@ def test_analyze_spread_modes(tmp_path, capsys):
     code, stdout, _ = run(capsys, "analyze", "--system", str(out),
                           "spread", "enumerate")
     assert code == 0
-    assert stdout.splitlines()[0] == "count=28 truncated=false max_size=3"
+    head, *sets = stdout.splitlines()
+    assert head == "count=28 truncated=false max_size=3"
+    assert sets[0] == "0,1,3"
     code, stdout, _ = run(capsys, "analyze", "--system", str(out),
                           "spread", "enumerate", "--format", "csv")
-    assert stdout.splitlines()[0] == "size,points"
-    assert len(stdout.splitlines()) == 29
+    assert stdout.splitlines() == ["size,points"] + ['3,"%s"' % s for s in sets]
 
 
 def test_analyze_subsystems_and_projective(tmp_path, capsys):
@@ -205,6 +211,7 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (1, ["saturate", "extremes", "--n", "3", "--m", "-1"]),
         (1, ["saturate", "bounds", "--max-n", "0"]),
         (1, ["demo", "bounds", "--max-n", "0"]),
+        (1, ["demo", "bounds", "--seed", "1"]),
         (1, ["demo", "maxofmin", "--orders", ""]),
         (2, ["analyze", "--system", str(binary), "projective"]),
         (2, ["construct", "pg2", "--dim", "2", "--out", str(tmp_path / "no" / "x.txt")]),
@@ -322,6 +329,51 @@ def test_stdout_deterministic_across_repeats_and_jobs(tmp_path, capsys):
         assert code == 0
         outputs.append(stdout)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_demo_bounds_records_no_seed(tmp_path, capsys):
+    mpath = tmp_path / "run.json"
+    code, _, _ = run(capsys, "--manifest", str(mpath), "demo", "bounds", "--max-n", "3")
+    assert code == 0
+    assert json.loads(mpath.read_text())["seed"] is None
+
+
+@pytest.fixture(scope="module")
+def pg4_bases(tmp_path_factory):
+    """stdout and tracemalloc peak of the in-process run of
+    analyze spread enumerate --max-size 5 on PG(4,2)."""
+    src = tmp_path_factory.mktemp("pg4") / "pg4.txt"
+    src.write_text(serialize(pg2(4)))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", "--system", str(src), "spread", "enumerate",
+                         "--max-size", "5"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return out.getvalue(), peak
+
+
+def test_pg4_minimal_spreading_sets_are_the_bases(pg4_bases):
+    # in PG(4,2) (point p has label p + 1) a set spreads when its labels span
+    # F2^5, so the minimal spreading 5-sets are the bases: |GL(5,2)|/5!
+    stdout, _ = pg4_bases
+    head, *lines = stdout.splitlines()
+    assert head == "count=83328 truncated=false max_size=5"
+    assert len(lines) == 83328
+    assert lines[0] == "0,1,3,7,15"
+    assert lines[-1] == "22,26,28,29,30"
+    sets = [tuple(map(int, line.split(","))) for line in lines]
+    assert all(len(s) == 5 and f2_rank(p + 1 for p in s) == 5 for s in sets)
+    assert all(a < b for a, b in zip(sets, sets[1:]))
+
+
+def test_pg4_enumeration_memory_stays_near_its_output(pg4_bases):
+    stdout, peak = pg4_bases
+    assert peak < 20 * len(stdout), (peak, len(stdout))
 
 
 def test_module_invocation_subprocess(tmp_path):

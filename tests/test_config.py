@@ -6,6 +6,8 @@ from stspread import (
     BadOrderError,
     TooLargeError,
     config,
+    deviating_hyperplane,
+    hyperplanes_pg2,
     intersection_extremes,
     lunelli_sce_min,
     pg2,
@@ -85,6 +87,20 @@ def test_extremes_caps_come_from_config(monkeypatch):
     monkeypatch.setenv("STS_MAX_ORDER", "4095")
     with pytest.raises(TooLargeError, match="capped at m = 8"):
         intersection_extremes(3, 9)
+
+
+def test_hyperplane_cap_holds_for_a_cached_family(monkeypatch):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    assert len(hyperplanes_pg2(4)) == 31
+    assert deviating_hyperplane(4, [0, 1, 2]).deviation >= 0
+    monkeypatch.setenv("STS_MAX_ORDER", "7")
+    with pytest.raises(TooLargeError):
+        hyperplanes_pg2(4)
+    with pytest.raises(TooLargeError):
+        deviating_hyperplane(4, [0, 1, 2])
+    assert len(hyperplanes_pg2(2)) == 7
+    hyperplanes_pg2.cache_clear()
+    assert len(hyperplanes_pg2(2)) == 7
 
 
 def test_refined_bound_cap_follows_the_override(monkeypatch):

@@ -1,5 +1,6 @@
 """Spreading-set search: greedy, exact minimum, enumeration, projectivity."""
 
+import pickle
 import random
 from itertools import combinations
 
@@ -194,6 +195,39 @@ def test_enumerate_jobs_equivalence_past_the_order():
     serial = enumerate_minimal_spreading_sets(pg2(3), 20, jobs=1)
     assert enumerate_minimal_spreading_sets(pg2(3), 20, jobs=2) == serial
     assert len(serial.sets) == 840
+
+
+def _oracle_points(ts, max_size):
+    found = all_minimal_spreading(ts.order, ts.triples, max_size)
+    return tuple(tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+@pytest.mark.parametrize("ts, budget, levels", [
+    *(pytest.param(random_sts(v, seed), 2_000_000, None, id="sts%d-seed%d" % (v, seed))
+      for v in (7, 9, 13, 15) for seed in (0, 1)),
+    pytest.param(pg2(3), 100, 1, id="pg3-before-pairs"),
+    pytest.param(random_sts(15, 0), 105 + 455, 3, id="sts15-after-triples"),
+])
+def test_enumerate_points_match_the_oracle_in_order(ts, budget, levels):
+    enum = enumerate_minimal_spreading_sets(ts, budget=budget)
+    assert enum.truncated == (levels is not None)
+    assert enum.points == _oracle_points(ts, levels or enum.max_size)
+    assert enum.sets == tuple(map(frozenset, enum.points))
+    parallel = enumerate_minimal_spreading_sets(ts, budget=budget, jobs=2)
+    assert parallel == enum
+    for result in (enum, parallel):
+        assert pickle.loads(pickle.dumps(result)) == enum
+
+
+def test_enumerate_lists_only_minimal_sets_on_perturbed_pg4():
+    # some 4-sets here hold a spreading triple below their top point and no
+    # spreading triple through it: the previous level's bits must drop them
+    ts = perturbed_pg(4, 0)
+    enum = enumerate_minimal_spreading_sets(ts, max_size=4)
+    assert {len(s) for s in enum.points} == {3, 4}
+    for s in enum.points:
+        assert is_spreading_set(ts, s)
+        assert not any(is_spreading_set(ts, sub) for sub in combinations(s, len(s) - 1))
 
 
 # -- projectivity and dimension ----------------------------------------------
