@@ -8,7 +8,13 @@ geometric systems PG(d,2) and AG(d,3), a perturbed projective construction
 whose minimal spreading sets undercut the projective maximum, a two-sizes
 construction with minimal spreading sets of different cardinalities,
 hill-climbing completion of partial systems, and exact saturation bounds.
+
+Importing the package loads only the core modules (errors, system,
+closure); every other public name loads its submodule on first use, so a
+command line run pays only for the modules its subcommand calls.
 """
+
+import importlib
 
 from .closure import (
     ClosedSetEnumeration,
@@ -20,22 +26,6 @@ from .closure import (
     is_spreading_set,
     is_spreading_system,
     neighbors,
-)
-from .completion import (
-    CompletionReport,
-    complete_partial,
-    next_admissible,
-    random_sts,
-    two_minimal_sizes_sts,
-)
-from .constructions import (
-    Section4Artifacts,
-    ag3,
-    find_triangle,
-    perturbed_pg,
-    pg2,
-    section4_partial,
-    subsystem_free_sts15,
 )
 from .errors import (
     BadOrderError,
@@ -58,31 +48,6 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .saturation import (
-    DeviationReport,
-    ExtremesReport,
-    HyperplaneFamily,
-    SaturationBound,
-    compute_saturation_bound,
-    deviating_hyperplane,
-    hyperplanes_pg2,
-    intersection_extremes,
-    lunelli_sce_min,
-    min_saturating_size,
-    refined_saturating_bound,
-    variance_identity,
-)
-from .spreading import (
-    DimensionCheckReport,
-    SpreadingEnumeration,
-    SpreadingSearchResult,
-    check_projective,
-    enumerate_minimal_spreading_sets,
-    greedy_spreading_set,
-    min_spreading_size,
-    reduce_to_minimal,
-    verify_dimension_theorem,
-)
 from .system import (
     GeometryTag,
     PointSet,
@@ -97,6 +62,68 @@ from .system import (
     steiner_admissible,
     with_labels,
 )
+
+# Public names served on first use, by home submodule (PEP 562).  closure
+# stays eager above: it names both a submodule and a function, and a lazy
+# lookup would find the submodule.
+_LAZY = {name: module for module, names in {
+    "completion": (
+        "CompletionReport",
+        "complete_partial",
+        "next_admissible",
+        "random_sts",
+        "two_minimal_sizes_sts",
+    ),
+    "constructions": (
+        "Section4Artifacts",
+        "ag3",
+        "find_triangle",
+        "perturbed_pg",
+        "pg2",
+        "section4_partial",
+        "subsystem_free_sts15",
+    ),
+    "saturation": (
+        "DeviationReport",
+        "ExtremesReport",
+        "HyperplaneFamily",
+        "SaturationBound",
+        "compute_saturation_bound",
+        "deviating_hyperplane",
+        "hyperplanes_pg2",
+        "intersection_extremes",
+        "lunelli_sce_min",
+        "min_saturating_size",
+        "refined_saturating_bound",
+        "variance_identity",
+    ),
+    "spreading": (
+        "DimensionCheckReport",
+        "SpreadingEnumeration",
+        "SpreadingSearchResult",
+        "check_projective",
+        "enumerate_minimal_spreading_sets",
+        "greedy_spreading_set",
+        "min_spreading_size",
+        "reduce_to_minimal",
+        "verify_dimension_theorem",
+    ),
+}.items() for name in names}
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -31,23 +31,12 @@ from .spreading import (
     min_spreading_size,
     verify_dimension_theorem,
 )
-
-
-def _fmt_set(points):
-    return ",".join(str(p) for p in sorted(points))
+from .system import _fmt_set, render
 
 
 def _log2(order):
     """floor(log2(order + 1)), the greedy bound on a spreading set."""
     return (order + 1).bit_length() - 1
-
-
-def render(record):
-    """A record as one line: a fact's detail, or PASS/FAIL, name and detail."""
-    name, ok, detail = record
-    if ok is None:
-        return detail
-    return " ".join(filter(None, ("PASS" if ok else "FAIL", name, detail)))
 
 
 def report(title, records):

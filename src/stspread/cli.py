@@ -17,50 +17,29 @@ Exit codes: 0 success, 1 usage, 2 invalid input, 3 budget exhausted,
 4 verified property violated.  All stdout is a pure function of the
 arguments (timings live only in the manifest), so identical invocations
 produce byte-identical reports, regardless of --jobs.
+
+At import, this module loads only what the package loads anyway (errors,
+system, closure) and config.  Each command imports the other library
+modules it calls when it runs, and the manifest's modules load only when a
+manifest is written, so a short run pays start-up only for what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
-import platform
 import sys
 import time
 
-from . import __version__, claims, config
-from .claims import _fmt_set
+from . import __version__, config
 from .closure import closure, enumerate_closed_sets
-from .completion import complete_partial, random_sts
-from .constructions import (
-    ag3,
-    perturbed_pg,
-    pg2,
-    section4_partial,
-    subsystem_free_sts15,
-)
 from .errors import (
     BudgetExhaustedError,
     ParseError,
     SearchExhaustedError,
     StsError,
 )
-from .saturation import (
-    compute_saturation_bound,
-    deviating_hyperplane,
-    intersection_extremes,
-    lunelli_sce_min,
-    min_saturating_size,
-    variance_identity,
-)
-from .spreading import (
-    check_projective,
-    enumerate_minimal_spreading_sets,
-    greedy_spreading_set,
-    min_spreading_size,
-)
-from .system import parse, serialize, serialize_labels
+from .system import _fmt_set, parse, render, serialize, serialize_labels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,7 +107,7 @@ class _Report:
         self.lines.append(text)
 
     def check(self, okay, label, detail=""):
-        self.lines.append(claims.render((label, okay, detail)))
+        self.lines.append(render((label, okay, detail)))
         if not okay:
             self.failures += 1
         return okay
@@ -144,19 +123,25 @@ def _cmd_construct(args):
     rep = _Report()
     extra = []
     if args.family == "pg2":
+        from .constructions import pg2
         ts = pg2(args.dim)
     elif args.family == "ag3":
+        from .constructions import ag3
         ts = ag3(args.dim)
     elif args.family == "sts15-free":
+        from .constructions import subsystem_free_sts15
         ts = subsystem_free_sts15(args.seed)
     elif args.family == "perturbed-pg":
+        from .constructions import perturbed_pg
         ts = perturbed_pg(args.dim, args.seed)
     elif args.family == "section4":
+        from .constructions import section4_partial
         art = section4_partial(args.n)
         ts = art.system
         extra.append("base=%s" % _fmt_set(art.base_points))
         extra.append("b_points=%s" % ",".join(str(p) for p in art.b_points))
     else:
+        from .completion import random_sts
         ts = random_sts(args.order, args.seed)
 
     files = {args.out: serialize(ts).encode()}
@@ -175,6 +160,18 @@ def _cmd_construct(args):
 # -- analyze ---------------------------------------------------------------
 
 
+# Rows of a spreading set listing formatted into one string at a time.
+_ROW_CHUNK = 1 << 14
+
+
+def _text_row(points):
+    return ",".join(map(str, points))
+
+
+def _csv_row(points):
+    return '%d,"%s"' % (len(points), ",".join(map(str, points)))
+
+
 def _cmd_analyze(args):
     rep = _Report()
     ts = _load_system(args.system)
@@ -190,28 +187,33 @@ def _cmd_analyze(args):
         return EXIT_OK, rep, {}
     if args.what == "spread":
         if args.mode == "greedy":
+            from .spreading import greedy_spreading_set
             res = greedy_spreading_set(ts, args.seed_pair)
             rep.say("method=greedy")
             rep.say("size=%d" % res.size)
             rep.say("witness=%s" % _fmt_set(res.witness))
             rep.say("closure_sizes=%s" % ",".join(str(s) for s in res.closure_sizes))
         elif args.mode == "min":
+            from .spreading import min_spreading_size
             size, witness = min_spreading_size(ts)
             rep.say("size=%d" % size)
             rep.say("witness=%s" % _fmt_set(witness))
         else:
+            from .spreading import enumerate_minimal_spreading_sets
             enum = enumerate_minimal_spreading_sets(
                 ts, args.max_size, jobs=args.jobs
             )
-            rows = [",".join(map(str, s)) for s in enum.points]
+            points = enum.points
             if args.format == "csv":
                 rep.say("size,points")
-                rep.lines += ['%d,"%s"' % (len(s), row)
-                              for s, row in zip(enum.points, rows)]
+                row = _csv_row
             else:
                 rep.say("count=%d truncated=%s max_size=%d"
-                        % (len(rows), str(enum.truncated).lower(), enum.max_size))
-                rep.lines += rows
+                        % (len(points), str(enum.truncated).lower(), enum.max_size))
+                row = _text_row
+            # one report line per chunk, so no list of one string per set
+            for i in range(0, len(points), _ROW_CHUNK):
+                rep.say("\n".join(map(row, points[i:i + _ROW_CHUNK])))
         return EXIT_OK, rep, {}
     if args.what == "subsystems":
         enum = enumerate_closed_sets(ts, args.max_count)
@@ -225,6 +227,7 @@ def _cmd_analyze(args):
                 rep.say("size=%d points=%s" % (len(s), _fmt_set(s)))
         return EXIT_OK, rep, {}
     # projective
+    from .spreading import check_projective
     rep.say("projective=%s" % str(check_projective(ts)).lower())
     return EXIT_OK, rep, {}
 
@@ -233,6 +236,15 @@ def _cmd_analyze(args):
 
 
 def _cmd_saturate(args):
+    from .saturation import (
+        compute_saturation_bound,
+        deviating_hyperplane,
+        intersection_extremes,
+        lunelli_sce_min,
+        min_saturating_size,
+        variance_identity,
+    )
+
     rep = _Report()
     if args.what == "min":
         ts = _load_system(args.system)
@@ -294,6 +306,8 @@ def _cmd_saturate(args):
 
 
 def _cmd_embed(args):
+    from .completion import complete_partial
+
     rep = _Report()
     ts = _load_system(args.system)
     try:
@@ -318,6 +332,8 @@ def _cmd_embed(args):
 
 
 def _cmd_demo(args):
+    from . import claims
+
     rep = _Report()
     records = {
         "maxofmin": lambda: claims.maxofmin(args.orders, args.seed),
@@ -345,7 +361,7 @@ def _cmd_demo(args):
 
 def _build_parser():
     root = _Parser(prog="stspread", description=__doc__.split("\n\n")[0])
-    root.add_argument("--jobs", type=int, default=1,
+    root.add_argument("--jobs", type=_int_at_least(1), default=1,
                       help="worker processes for subset scans (default 1)")
     root.add_argument("--manifest", default=None,
                       help="write a JSON run manifest to this path")
@@ -410,21 +426,21 @@ def _build_parser():
     emb.add_argument("--target", type=int, required=True)
     emb.add_argument("--seed", type=int, default=0)
     emb.add_argument("--out", default=None)
-    emb.add_argument("--restarts", type=int, default=50)
-    emb.add_argument("--moves", type=int, default=10 ** 6)
+    emb.add_argument("--restarts", type=_int_at_least(1), default=50)
+    emb.add_argument("--moves", type=_int_at_least(1), default=10 ** 6)
 
     dem = sub.add_parser("demo", help="replicate a named result")
     dsub = dem.add_subparsers(dest="which", required=True)
     p = dsub.add_parser("maxofmin")
     p.add_argument("--orders", type=_orders, default=(7, 9, 13, 15))
     p = dsub.add_parser("unicity")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_int_at_least(1), default=500)
     dsub.add_parser("almostmax")
     p = dsub.add_parser("two-sizes")
     p.add_argument("--n", type=int, default=4)
     p = dsub.add_parser("szoras")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p = dsub.add_parser("bounds")
     p.add_argument("--max-n", type=_int_at_least(1), default=10)
     for name, prs in dsub.choices.items():
@@ -468,6 +484,10 @@ def _write_atomic(path, data: bytes):
 
 
 def _write_manifest(path, argv, args, code, rep, files, elapsed):
+    import hashlib
+    import json
+    import platform
+
     inputs = {}
     system_path = getattr(args, "system", None)
     if system_path:

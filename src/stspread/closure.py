@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import NotSteinerError, TrivialOrderError
-from .system import TripleSystem
+from .system import TripleSystem, _fmt_set
 
 DEFAULT_CLOSED_SET_BUDGET = 100000
 
@@ -275,7 +275,7 @@ class ClosureTrace:
 
 
 def _fmt_points(points) -> str:
-    return "{%s}" % ",".join(str(p) for p in sorted(points))
+    return "{%s}" % _fmt_set(points)
 
 
 def closure(ts: TripleSystem, points: Iterable[int]) -> ClosureTrace:

@@ -330,6 +330,20 @@ def serialize_labels(ts: TripleSystem) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _fmt_set(points) -> str:
+    """A point set as its sorted indices, comma-separated: "0,1,3"."""
+    return ",".join(str(p) for p in sorted(points))
+
+
+def render(record) -> str:
+    """A (name, ok, detail) check record as one report line: a fact's
+    detail when ok is None, else PASS or FAIL, the name and the detail."""
+    name, ok, detail = record
+    if ok is None:
+        return detail
+    return " ".join(filter(None, ("PASS" if ok else "FAIL", name, detail)))
+
+
 def _parse_tag_comment(text: str):
     parts = text.split()
     # expected: tag <variant> <param|-> [seed=<int>]

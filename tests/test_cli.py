@@ -213,6 +213,11 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (1, ["demo", "bounds", "--max-n", "0"]),
         (1, ["demo", "bounds", "--seed", "1"]),
         (1, ["demo", "maxofmin", "--orders", ""]),
+        (1, ["demo", "unicity", "--trials", "-1"]),
+        (1, ["demo", "szoras", "--trials", "-1"]),
+        (1, ["embed", "--system", str(system), "--target", "15", "--moves", "-1"]),
+        (1, ["embed", "--system", str(system), "--target", "15", "--restarts", "0"]),
+        (1, ["--jobs", "0"] + spread + ["min"]),
         (2, ["analyze", "--system", str(binary), "projective"]),
         (2, ["construct", "pg2", "--dim", "2", "--out", str(tmp_path / "no" / "x.txt")]),
         (2, ["--manifest", str(tmp_path / "no" / "m.json"), "saturate", "bounds"]),
@@ -373,7 +378,7 @@ def test_pg4_minimal_spreading_sets_are_the_bases(pg4_bases):
 
 def test_pg4_enumeration_memory_stays_near_its_output(pg4_bases):
     stdout, peak = pg4_bases
-    assert peak < 20 * len(stdout), (peak, len(stdout))
+    assert peak < 12 * len(stdout), (peak, len(stdout))
 
 
 def test_module_invocation_subprocess(tmp_path):
@@ -385,6 +390,35 @@ def test_module_invocation_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "order=7" in proc.stdout
+
+
+_LOADED = ("import sys\n"
+           "from stspread.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "print()\n"
+           "print(' '.join(sorted(sys.modules)))\n"
+           "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["analyze", "--system", "{system}", "projective"],
+     ("saturation", "completion", "constructions", "claims")),
+    (["analyze", "--system", "{system}", "spread", "min"],
+     ("saturation", "completion", "constructions", "claims")),
+    (["saturate", "variance", "--n", "3", "--set", "0,1,2,6"],
+     ("completion", "constructions", "claims")),
+    (["construct", "pg2", "--dim", "3", "--out", "{out}"], ("saturation", "claims")),
+])
+def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
+    system = tmp_path / "pg3.txt"
+    system.write_text(serialize(pg2(3)))
+    argv = [a.format(system=system, out=tmp_path / "out.txt") for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "stspread.cli" in loaded
+    unwanted = {"stspread." + name for name in absent} | {"multiprocessing"}
+    assert not unwanted & loaded, sorted(unwanted & loaded)
 
 
 def test_console_script_installed():
