@@ -17,7 +17,7 @@ return frozensets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Iterable
 
@@ -83,6 +83,54 @@ def _grow(third, mask, members, i):
                 members.append(z)
         i += 1
     return mask, members
+
+
+def _coordinates(ts):
+    """GF(2) labels that make the system a binary projective space, or None.
+
+    label[p] is a nonzero vector of GF(2)^(d+1), as an int, for a system of
+    order 2^(d+1) - 1, such that every block is {x, y, z} with label[z] =
+    label[x] ^ label[y]; such labels exist exactly when the system is
+    PG(d,2).  The points are taken in index order and each unlabelled one
+    gets the next basis bit; the labelled set then grows as in _grow, with
+    each new pair (x, y) labelling third[x][y] as label[x] ^ label[y].  A
+    clash with an existing label, a label owned by another point or a basis
+    bit past the order means no labelling exists.  Every pair is looked up
+    once, so the certificate costs O(order^2) lookups and no closure.
+    """
+    n = ts.order
+    if not ts.is_steiner() or (n + 1) & n:
+        return None
+    third = ts._third
+    label = [0] * n
+    owner = [-1] * (n + 1)  # owner[v]: the point labelled v
+    members = []
+    bit = 1
+    for p in range(n):
+        if label[p]:
+            continue
+        if bit > n:
+            return None
+        label[p], owner[bit] = bit, p
+        bit <<= 1
+        i = len(members)
+        members.append(p)
+        while i < len(members):
+            x = members[i]
+            row, lx = third[x], label[x]
+            for j in range(i):
+                y = members[j]
+                z, v = row[y], lx ^ label[y]
+                if label[z]:
+                    if label[z] != v:
+                        return None
+                elif owner[v] >= 0:
+                    return None
+                else:
+                    label[z], owner[v] = v, z
+                    members.append(z)
+            i += 1
+    return label
 
 
 def _cover_mask(third, mask):
@@ -177,7 +225,9 @@ def _triple_closures(ts):
 
     Yields (full, live, closed).  Bit j of a batch is its j-th triple in the
     lexicographic order of combinations(range(n), 3), and the batches follow
-    that order too; live marks the triples that are not blocks.
+    that order too; live marks the triples that are not blocks.  Its callers
+    are is_spreading_system and the seeds of _walk_closed_sets; projective
+    inputs are recognised by _coordinates instead.
     """
     n, third = ts.order, ts._third
     batch, width, blocks = [0] * n, 0, 0
@@ -345,18 +395,82 @@ class ClosedSetEnumeration:
     truncated: bool
 
 
+def _gaussian_binomial(n, k):
+    """The number of k-dimensional subspaces of GF(2)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (k - i)) - 1
+    return num // den
+
+
+def _submasks(mask):
+    """Every int whose bits are a subset of mask's, mask itself first."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _subspaces(n, k):
+    """The k-dimensional subspaces of GF(2)^n, each once, as lists of their
+    nonzero vectors.
+
+    Each subspace has exactly one reduced row-echelon basis: k rows with
+    distinct leading (highest) bits, where a row led by bit p may hold any
+    bits below p that lead no other row.  So the subspaces are the
+    choices of leading bits times the choices of those free bits.
+    """
+    for leads in combinations(range(n), k):
+        lead_mask = sum(1 << p for p in leads)
+        rows = [[1 << p | sub for sub in _submasks(((1 << p) - 1) & ~lead_mask)]
+                for p in leads]
+        for basis in product(*rows):
+            span = [0]
+            for r in basis:
+                span += [v ^ r for v in span]
+            yield span[1:]
+
+
 def enumerate_closed_sets(
     ts: TripleSystem, max_count: int = DEFAULT_CLOSED_SET_BUDGET
 ) -> ClosedSetEnumeration:
     """All proper closed sets of size >= 3 that are not single blocks.
 
-    These are exactly the nontrivial subsystems.  Search is breadth-first on
-    the closure lattice: seed with the closures of all non-block 3-subsets
-    in lexicographic order, then close each found set plus each outside
-    point, in the order the sets were found and by ascending point, one
-    bit-sliced batch per chunk of candidates.  Closures are collected in
-    exactly that order, so the sets kept when collection stops at max_count
-    (with truncated=True) do not depend on the batching.
+    These are exactly the nontrivial subsystems, sorted by size and then
+    by their sorted points.  When _coordinates certifies the system as
+    PG(d,2), they are its subspaces of vector dimension 3 to d, whose count
+    is a sum of Gaussian binomials; if that count is at most max_count they
+    are listed from the labels, with truncated=False, which is what the
+    walk returns.  Any other input, and a certified one with more
+    subspaces than max_count, takes the walk of _walk_closed_sets.
+    """
+    label = _coordinates(ts)
+    if label is not None:
+        n = ts.order.bit_length()  # the order is 2^n - 1
+        dims = range(3, n)
+        if sum(_gaussian_binomial(n, k) for k in dims) <= max_count:
+            owner = [0] * (ts.order + 1)  # owner[v]: the point labelled v
+            for p, v in enumerate(label):
+                owner[v] = p
+            sets = sorted((sorted([owner[v] for v in span])
+                           for k in dims for span in _subspaces(n, k)),
+                          key=lambda s: (len(s), s))
+            return ClosedSetEnumeration(tuple(map(frozenset, sets)), False)
+    return _walk_closed_sets(ts, max_count)
+
+
+def _walk_closed_sets(ts, max_count):
+    """enumerate_closed_sets by a breadth-first walk of the closure lattice.
+
+    Seed with the closures of all non-block 3-subsets in lexicographic
+    order, then close each found set plus each outside point, in the order
+    the sets were found and by ascending point, one bit-sliced batch per
+    chunk of candidates.  Closures are collected in exactly that order, so
+    the sets kept when collection stops at max_count (with truncated=True)
+    do not depend on the batching.
     """
     full = (1 << ts.order) - 1
     found = set()

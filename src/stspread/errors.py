@@ -82,7 +82,7 @@ class NotPrimePowerError(StsError):
 
 
 class NotProjectiveTagError(StsError):
-    """Operation requires a system constructed as PG(d,2)."""
+    """Operation requires a binary projective space PG(d,2)."""
 
 
 class TrivialOrderError(StsError):

@@ -5,13 +5,16 @@ A spreading set generates the whole system under closure.  Greedy growth
 system of order n has a spreading set of at most floor(log2(n+1)) points:
 adjoining an outside point at least doubles the closure plus one, because a
 proper subsystem of an STS(v) has order at most (v-1)/2.  Equality at every
-step forces the closure sizes 3, 7, 15, ... of the binary projective spaces,
-which is what check_projective tests for.
+step forces the closure sizes 3, 7, 15, ... of the binary projective spaces.
+check_projective recognises those spaces by the GF(2) coordinates of
+closure._coordinates, and min_spreading_size answers them from it without a
+search.
 
-min_spreading_size walks the closure lattice breadth-first instead of
-scanning raw subsets: for a spreading set of minimum size every generator
-lies outside the closure of the others (otherwise dropping it keeps the set
-spreading), so minimum witnesses correspond exactly to chains
+On any other input min_spreading_size walks the closure lattice
+breadth-first instead of scanning raw subsets: for a spreading set of
+minimum size every generator lies outside the closure of the others
+(otherwise dropping it keeps the set spreading), so minimum witnesses
+correspond exactly to chains
 cl(p1,p2) < cl(.. p3) < ... that end at the full point set, and distinct
 chains through the same closed set can be merged.  This is the subset scan
 with closed-set pruning taken to its limit and returns the same value.
@@ -37,6 +40,7 @@ from . import config
 from .closure import (
     _batch_closure,
     _closure_mask,
+    _coordinates,
     _extensions,
     _grow,
     _holding_all,
@@ -44,7 +48,6 @@ from .closure import (
     _mask_of,
     _subset_batches,
     _to_set,
-    _triple_closures,
     closure_points,
 )
 from .errors import (
@@ -146,12 +149,16 @@ def reduce_to_minimal(ts: TripleSystem, points: Iterable[int]) -> frozenset:
 def min_spreading_size(ts: TripleSystem):
     """Least size of a spreading set, with a witness.
 
-    Breadth-first search over distinct closures of generator chains; see the
-    module docstring for why this matches the exhaustive subset scan.  The
-    closures of one level are visited in the order they were found, each
-    with its outside points ascending, and several levels share a batch;
-    the witness is the first chain in that order whose closure is every
-    point, the same as in the scalar search.
+    On PG(d,2), certified by closure._coordinates, the answer is d+1 with
+    the greedy witness from {0, 1}, and no walk runs.  The size is minimal
+    because k points close to at most 2^k - 1 points (each adjoined point
+    at most doubles the closure plus one).  The witness is the walk's:
+    there the closed sets are the subspaces, and the first entry of each
+    level is the first entry of the level before plus its least outside
+    point.  Every hyperplane plus any outside point spreads, so the first
+    spreading candidate is the first hyperplane plus its least outside
+    point, which is the greedy chain from {0, 1}.  Every other input takes
+    the walk of _walk_min_spreading.
     """
     if not ts.is_steiner():
         raise NotSteinerError("min_spreading_size needs a Steiner system")
@@ -161,6 +168,22 @@ def min_spreading_size(ts: TripleSystem):
                             % config.order_cap(config.MAX_MIN_SPREAD_ORDER))
     if n == 1:
         return 1, frozenset({0})
+    if _coordinates(ts) is not None:
+        return n.bit_length(), greedy_spreading_set(ts).witness
+    return _walk_min_spreading(ts)
+
+
+def _walk_min_spreading(ts):
+    """min_spreading_size by a breadth-first walk of the closure lattice.
+
+    Breadth-first search over distinct closures of generator chains; see the
+    module docstring for why this matches the exhaustive subset scan.  The
+    closures of one level are visited in the order they were found, each
+    with its outside points ascending, and several levels share a batch;
+    the witness is the first chain in that order whose closure is every
+    point, the same as in the scalar search.
+    """
+    n = ts.order
     third = ts._third
     full = (1 << n) - 1
     seen = set()
@@ -321,23 +344,12 @@ def _split_tops(tops, k, jobs):
 def check_projective(ts: TripleSystem) -> bool:
     """Is the system a binary projective space?
 
-    True exactly when order+1 is a power of two and every non-block 3-subset
-    closes to a 7-point Fano plane.
+    True exactly when closure._coordinates labels the points by the nonzero
+    vectors of GF(2)^(d+1) so that every block is {x, y, x xor y}.
     """
     if not ts.is_steiner():
         raise NotSteinerError("projectivity test needs a Steiner system")
-    n = ts.order
-    if (n + 1) & n:
-        return False
-    # non-block triples of a Steiner system close to 7 or more points
-    for full, live, closed in _triple_closures(ts):
-        at_least = [full] + [0] * 8  # at_least[j]: closures of j or more points
-        for s in closed:
-            for j in range(8, 0, -1):
-                at_least[j] |= at_least[j - 1] & s
-        if live & at_least[8]:
-            return False
-    return True
+    return _coordinates(ts) is not None
 
 
 @dataclass(frozen=True)
@@ -367,12 +379,16 @@ def _dim(size: int):
 def verify_dimension_theorem(
     ts: TripleSystem, trials: int = 500, seed: int = 0
 ) -> DimensionCheckReport:
-    """Randomized check of the dimension identity on a pg2-tagged system."""
-    if ts.tag.variant != "pg2":
-        raise NotProjectiveTagError("dimension checks need a pg2-constructed system")
-    d = ts.tag.param
+    """Randomized check of the dimension identity on PG(d,2).
+
+    Any system that closure._coordinates certifies is accepted, whatever its
+    tag or point order, and d is read from its order.
+    """
+    if _coordinates(ts) is None:
+        raise NotProjectiveTagError("dimension checks need a binary projective space")
+    d = ts.order.bit_length() - 1
     d_cap = config.pg_dim_cap(config.MAX_DIMENSION_CHECK_DIM)
-    if d is None or d > d_cap:
+    if d > d_cap:
         raise TooLargeError("dimension checks capped at d = %d" % d_cap)
     rng = random.Random(seed)
     n = ts.order

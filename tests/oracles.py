@@ -176,6 +176,32 @@ def pg_block_set(dim):
     return set(pairwise_pg2_triples(dim))
 
 
+def pasch_count(order, triples):
+    """Pasch configurations: four blocks on six points, each point on two.
+
+    Any two blocks of a Pasch configuration meet, so it is found from each
+    of its six pairs of blocks {x,a,b}, {x,c,d}: by the pairing a-c, b-d
+    when the blocks on a,c and on b,d share their third point, or by a-d,
+    b-c.  An STS(v) has at most v(v-1)(v-3)/24 of them, with equality
+    exactly on the binary projective spaces (Stinson-Wei 1992).
+    """
+    third = {}
+    through = [[] for _ in range(order)]
+    for block in triples:
+        for x in block:
+            u, v = (p for p in block if p != x)
+            third[u, v] = third[v, u] = x
+            through[x].append((u, v))
+    found = 0
+    for x in range(order):
+        for (a, b), (c, d) in combinations(through[x], 2):
+            for (p, q), (r, s) in (((a, c), (b, d)), ((a, d), (b, c))):
+                y = third.get((p, q))
+                if y is not None and y == third.get((r, s)):
+                    found += 1
+    return found // 6
+
+
 def union_size_by_inclusion_exclusion(sets):
     """|union of sets| via alternating sums over all nonempty subfamilies."""
     total = 0

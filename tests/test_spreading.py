@@ -294,6 +294,19 @@ def test_dimension_theorem_on_projective_spaces():
 def test_dimension_theorem_requires_projective_tag():
     with pytest.raises(NotProjectiveTagError):
         verify_dimension_theorem(subsystem_free_sts15(0), trials=5, seed=0)
+    with pytest.raises(NotProjectiveTagError):
+        verify_dimension_theorem(perturbed_pg(4, 0), trials=5, seed=0)
+
+
+def test_dimension_theorem_accepts_a_relabelled_projective_space():
+    # no pg2 tag and a permuted point order: the coordinates still certify it
+    ts = pg2(4)
+    perm = list(range(ts.order))
+    random.Random(3).shuffle(perm)
+    relabelled = build_system(ts.order, [[perm[p] for p in t] for t in ts.triples], "steiner")
+    assert relabelled.tag.variant == "plain"
+    report = verify_dimension_theorem(relabelled, trials=100, seed=0)
+    assert report.trials == 100 and report.ok
 
 
 def test_dimension_theorem_reproducible():
