@@ -39,7 +39,7 @@ from .errors import (
     SearchExhaustedError,
     StsError,
 )
-from .system import _fmt_set, parse, render, serialize, serialize_labels
+from .system import _fmt_set, _serialize_pieces, parse, render, serialize_labels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,10 +144,10 @@ def _cmd_construct(args):
         from .completion import random_sts
         ts = random_sts(args.order, args.seed)
 
-    files = {args.out: serialize(ts).encode()}
+    files = {args.out: _encoded_pieces(ts)}
     sidecar = serialize_labels(ts)
     if sidecar:
-        files[args.out + ".labels"] = sidecar.encode()
+        files[args.out + ".labels"] = [sidecar.encode()]
     rep.say("wrote %s order=%d blocks=%d kind=%s"
             % (args.out, ts.order, len(ts.triples), ts.kind.value))
     if sidecar:
@@ -323,7 +323,7 @@ def _cmd_embed(args):
     rep.say(report.to_kv().rstrip("\n"))
     files = {}
     if args.out:
-        files[args.out] = serialize(report.system).encode()
+        files[args.out] = _encoded_pieces(report.system)
         rep.say("wrote %s" % args.out)
     return EXIT_OK, rep, files
 
@@ -458,8 +458,15 @@ _DISPATCH = {
 }
 
 
-def _write_atomic(path, data: bytes):
-    """Write data to path through a new temp file next to it and os.replace.
+def _encoded_pieces(ts):
+    """The serialized text of ts as a list of UTF-8 pieces, so the text is
+    never held whole as a str next to its bytes."""
+    return [piece.encode() for piece in _serialize_pieces(ts)]
+
+
+def _write_atomic(path, pieces):
+    """Write a sequence of byte pieces to path through a new temp file next
+    to it and os.replace.
 
     A failed write leaves an existing target as it was and removes the temp
     file; its OSError names path, as a direct open(path, "wb") would.
@@ -471,7 +478,7 @@ def _write_atomic(path, data: bytes):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            fh.write(data)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException as exc:
         try:
@@ -502,7 +509,8 @@ def _write_manifest(path, argv, args, code, rep, files, elapsed):
     h = hashlib.sha256()
     if files:
         for k in sorted(files):
-            h.update(files[k])
+            for piece in files[k]:
+                h.update(piece)
     else:
         h.update(rep.text().encode())
     digest = h.hexdigest()
@@ -518,7 +526,7 @@ def _write_manifest(path, argv, args, code, rep, files, elapsed):
         "exit_code": code,
         "elapsed_seconds": round(elapsed, 3),
     }
-    _write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    _write_atomic(path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def main(argv=None) -> int:

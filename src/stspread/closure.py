@@ -17,8 +17,9 @@ return frozensets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, filterfalse, islice, product, repeat
 from math import comb
+from operator import getitem
 from typing import Iterable
 
 from .errors import NotSteinerError, TrivialOrderError
@@ -73,14 +74,23 @@ def _grow(third, mask, members, i):
     members[:i] must be closed already: pairs inside it cannot fire anything
     new.  So adjoining one point p to a closed set is members.append(p)
     followed by _grow(third, mask | 1 << p, members, len(members) - 1).
+
+    Each member's row is looked up at all earlier members at once, and the
+    thirds already inside are dropped by a flag per point.  The flag past
+    the last point is set, so an uncovered pair's -1 is dropped too.  The
+    thirds of one row are distinct, so taking a row at once adds the same
+    points in the same order as taking its pairs one by one.
     """
+    inside = [False] * (len(third) + 1)
+    inside[-1] = True
+    for p in members:
+        inside[p] = True
     while i < len(members):
-        row = third[members[i]]
-        for j in range(i):
-            z = row[members[j]]
-            if z >= 0 and not (mask >> z) & 1:
-                mask |= 1 << z
-                members.append(z)
+        thirds = map(getitem, repeat(third[members[i]], i), islice(members, i))
+        for z in list(filterfalse(inside.__getitem__, thirds)):
+            inside[z] = True
+            mask |= 1 << z
+            members.append(z)
         i += 1
     return mask, members
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
@@ -127,6 +128,39 @@ def _canonical_triples(triples: Iterable[Sequence[int]], order: int):
     return tuple(out)
 
 
+def _pair_table(order, triples):
+    """The pair table of canonical triples: third[x][y] = z when {x,y,z} is a
+    block, else -1, in one array row per point.
+
+    Rows hold 2-byte ints below order 2^15 and machine longs above.  Each
+    block stores its six entries unchecked.  They are six distinct cells off
+    the diagonal, so the table holds exactly 6b entries other than -1 when no
+    cell was written twice, and fewer when two blocks share a pair.  Only
+    then are the blocks replayed with a check per pair, in the order (a,b),
+    (a,c), (b,c) of each block, so the error names the first shared pair.
+    """
+    row = array("h" if order < 1 << 15 else "l", [-1]) * order
+    third = [row[:] for _ in range(order)]
+    for a, b, c in triples:
+        ta, tb, tc = third[a], third[b], third[c]
+        ta[b] = tb[a] = c
+        ta[c] = tc[a] = b
+        tb[c] = tc[b] = a
+    # -1 is the only entry whose most significant byte is 0xff, so each run
+    # of 0xff bytes is whole -1 entries plus fewer than itemsize bytes of a
+    # neighbour, and its itemsize-byte pieces count its -1 entries
+    empty = b"\xff" * row.itemsize
+    if order * order - sum(r.tobytes().count(empty) for r in third) == 6 * len(triples):
+        return third
+    third = [row[:] for _ in range(order)]
+    for a, b, c in triples:
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if third[x][y] != -1:
+                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (x, y))
+            third[x][y] = third[y][x] = z
+    raise AssertionError("unreachable: the count found a shared pair")
+
+
 class TripleSystem:
     """An immutable, validated (partial) Steiner triple system.
 
@@ -139,11 +173,14 @@ class TripleSystem:
 
     Blocks that already come canonical (a list or tuple of sorted 3-tuples
     in strictly increasing order, see _is_canonical) are kept as they are;
-    any other input is deduplicated and sorted first.  The pair table is
-    then filled block by block, checking the pairs (a,b), (a,c), (b,c) of
-    each block in turn, so DuplicatePairError names the same pair whatever
-    form the blocks came in.  Once no pair lies in two blocks, b blocks
-    cover exactly 3b pairs, so coverage is total when 6b = order(order-1).
+    any other input is deduplicated and sorted first.  The pair table _third
+    is a list of one array row per point, 2 bytes an entry below order 2^15
+    (8.4 MB at PG(10,2)); see _pair_table.  One count over the filled table
+    tells whether two blocks share a pair, and only then are the pairs
+    (a,b), (a,c), (b,c) of each block checked in turn, so DuplicatePairError
+    names the same pair whatever form the blocks came in.  Once no pair lies
+    in two blocks, b blocks cover exactly 3b pairs, so coverage is total
+    when 6b = order(order-1).
     """
 
     __slots__ = ("order", "triples", "kind", "tag", "_third")
@@ -158,21 +195,9 @@ class TripleSystem:
             )
         triples = _canonical_triples(triples, order)
 
-        # third[x][y] = z when {x,y,z} is a block, else -1; doubles as the
-        # pair index and as the linearity check.  Pairs are checked in the
-        # order (a,b), (a,c), (b,c), so an error names the first shared pair.
-        third = [[-1] * order for _ in range(order)]
-        for a, b, c in triples:
-            ta, tb, tc = third[a], third[b], third[c]
-            if ta[b] != -1:
-                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (a, b))
-            ta[b] = tb[a] = c
-            if ta[c] != -1:
-                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (a, c))
-            ta[c] = tc[a] = b
-            if tb[c] != -1:
-                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (b, c))
-            tb[c] = tc[b] = a
+        # third[x][y] = z when {x,y,z} is a block, else -1; one array row per
+        # point, doubling as the pair index and as the linearity check.
+        third = _pair_table(order, triples)
 
         # no pair lies in two blocks, so the blocks cover 3 * len distinct pairs
         total = 6 * len(triples) == order * (order - 1)
@@ -292,25 +317,33 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
 _SERIALIZE_CHUNK = 1 << 14
 
 
-def serialize(ts: TripleSystem) -> str:
-    """Canonical text form of a system (sorted triples, LF line endings).
+def _serialize_pieces(ts: TripleSystem):
+    """The canonical text of serialize, piece by piece: the header lines, then
+    the block lines of each _SERIALIZE_CHUNK blocks joined into one string.
 
-    The block lines are formatted in chunks of _SERIALIZE_CHUNK blocks, each
-    joined into one string, and the chunks are joined at the end.  So no
-    list of one string per block is ever built, and the peak is about twice
-    the text: the chunks plus the result.
+    So no list of one string per block is ever built, and a writer that
+    takes the pieces one at a time never holds the whole text as a str.
     """
     tag = ts.tag
-    out = ["v %d %s\n" % (ts.order, ts.kind.value)]
+    head = "v %d %s\n" % (ts.order, ts.kind.value)
     if tag.variant != "plain":
         extra = "" if tag.seed is None else " seed=%d" % tag.seed
         param = "-" if tag.param is None else str(tag.param)
-        out.append("# tag %s %s%s\n" % (tag.variant, param, extra))
+        head += "# tag %s %s%s\n" % (tag.variant, param, extra)
+    yield head
     line = "b %d %d %d\n".__mod__
     triples = ts.triples
     for i in range(0, len(triples), _SERIALIZE_CHUNK):
-        out.append("".join(map(line, triples[i:i + _SERIALIZE_CHUNK])))
-    return "".join(out)
+        yield "".join(map(line, triples[i:i + _SERIALIZE_CHUNK]))
+
+
+def serialize(ts: TripleSystem) -> str:
+    """Canonical text form of a system (sorted triples, LF line endings).
+
+    The join of _serialize_pieces, so the peak is about twice the text: the
+    pieces plus the result.
+    """
+    return "".join(_serialize_pieces(ts))
 
 
 def serialize_labels(ts: TripleSystem) -> str:
@@ -365,7 +398,7 @@ def _parse_tag_comment(text: str):
 
 _HEADER = re.compile(r"v ([1-9][0-9]{0,17}) (steiner|partial)\n")
 _BODY_BYTES = b"b0123456789 \n"
-_CHUNK = 1 << 20
+_CHUNK = 1 << 17
 
 
 def _parse_fast(text: str):

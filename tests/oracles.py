@@ -511,3 +511,27 @@ def scalar_triple_system(order, triples, kind):
     if total and steiner_admissible(order):
         kind = SystemKind.STEINER
     return tuple(out), kind, third
+
+
+def scalar_grow(third, mask, members, i):
+    """closure._grow as a loop over one pair at a time: members[i:] meet
+    every earlier member in turn, and each third point not yet in mask is
+    appended as it is found.  Returns (mask, members), with members a new
+    list."""
+    members = list(members)
+    while i < len(members):
+        row = third[members[i]]
+        for j in range(i):
+            z = row[members[j]]
+            if z >= 0 and not (mask >> z) & 1:
+                mask |= 1 << z
+                members.append(z)
+        i += 1
+    return mask, members
+
+
+def scalar_closure(third, seeds):
+    """closure._closure_mask by scalar_grow: the distinct seeds in their
+    order, then every pair."""
+    members = list(dict.fromkeys(seeds))
+    return scalar_grow(third, sum(1 << p for p in members), members, 0)

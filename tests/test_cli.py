@@ -14,7 +14,8 @@ import tracemalloc
 
 import pytest
 
-from stspread import parse, pg2, serialize
+import stspread.system as system_module
+from stspread import complete_partial, parse, pg2, serialize
 from stspread.cli import main
 
 from oracles import f2_rank
@@ -47,6 +48,29 @@ def test_construct_manifest_digest_matches_files(tmp_path, capsys):
     assert manifest["command"] == "construct"
     assert manifest["exit_code"] == 0
     assert "elapsed_seconds" in manifest
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_streamed_outputs_are_the_serialized_text(tmp_path, capsys, monkeypatch, chunk):
+    monkeypatch.setattr(system_module, "_SERIALIZE_CHUNK", chunk)
+    out, fano, full = tmp_path / "pg4.txt", tmp_path / "fano.txt", tmp_path / "full.txt"
+    manifest = tmp_path / "embed.json"
+    assert run(capsys, "construct", "pg2", "--dim", "4", "--out", str(out))[0] == 0
+    text = out.read_bytes()
+    assert text == serialize(pg2(4)).encode()
+    digest = json.loads((tmp_path / "pg4.txt.manifest.json").read_text())["result_digest"]
+    labels = (tmp_path / "pg4.txt.labels").read_bytes()
+    assert digest == hashlib.sha256(text + labels).hexdigest()
+    run(capsys, "construct", "pg2", "--dim", "2", "--out", str(fano))
+    code, _, _ = run(capsys, "--manifest", str(manifest), "embed", "--system", str(fano),
+                     "--target", "15", "--out", str(full))
+    assert code == 0
+    text = full.read_bytes()
+    report = complete_partial(parse(fano.read_text()), 15, seed=0,
+                              restarts=50, moves_per_restart=10 ** 6)
+    assert text == serialize(report.system).encode()
+    digest = json.loads(manifest.read_text())["result_digest"]
+    assert digest == hashlib.sha256(text).hexdigest()
 
 
 def test_construct_all_families(tmp_path, capsys):

@@ -19,14 +19,18 @@ from stspread import (
     neighbors,
     pg2,
     random_sts,
+    section4_partial,
     subsystem_free_sts15,
 )
+from stspread.closure import _closure_mask, _grow
 
 from oracles import (
     f2_span_indices,
     f3_affine_span,
     gaussian_binomial,
     naive_closure,
+    scalar_closure,
+    scalar_grow,
 )
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
@@ -180,3 +184,27 @@ def test_closed_sets_of_pg4_full():
     assert len(enum.sets) == gaussian_binomial(5, 3) + gaussian_binomial(5, 4)
     sizes = sorted({len(s) for s in enum.sets})
     assert sizes == [7, 15]
+
+
+# -- _grow against the scalar pair loop: same mask, same discovery order ------
+
+
+GROWTH_SYSTEMS = [("r%d" % v, v) for v in range(7, 64) if v % 6 in (1, 3)] + [("s4", 4)]
+
+
+@pytest.mark.parametrize("name, v", GROWTH_SYSTEMS, ids=[n for n, _ in GROWTH_SYSTEMS])
+def test_closure_growth_matches_scalar_pair_loop(name, v):
+    ts = section4_partial(v).system if name == "s4" else random_sts(v, v % 4)
+    third, n = ts._third, ts.order
+    rng = random.Random(n)
+    for size in (1, 2, 3, 4, n // 3, n):
+        seeds = rng.sample(range(n), size) + rng.sample(range(n), 1)
+        assert _closure_mask(third, seeds) == scalar_closure(third, seeds), seeds
+    # one point at a time, as greedy_spreading_set adjoins them
+    mask, members = _closure_mask(third, rng.sample(range(n), 2))
+    for p in rng.sample(range(n), n):
+        if not (mask >> p) & 1:
+            expected = scalar_grow(third, mask | 1 << p, members + [p], len(members))
+            members.append(p)
+            assert _grow(third, mask | 1 << p, members, len(members) - 1) == expected
+            mask = expected[0]

@@ -1,6 +1,7 @@
 """Triple-system container, validation, and the text format."""
 
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -383,7 +384,7 @@ def _built(order, triples, kind):
         ts = TripleSystem(order, triples, kind)
     except (DuplicatePairError, NotSteinerError, SamePointError, OutOfRangeError) as exc:
         return type(exc).__name__, str(exc)
-    return ts.triples, ts.kind, ts._third
+    return ts.triples, ts.kind, [list(r) for r in ts._third]
 
 
 def _direct(order, triples, kind):
@@ -433,3 +434,40 @@ def test_complete_partial_input_upgrades_to_steiner():
     ts = TripleSystem(15, list(pg2(3).triples), SystemKind.PARTIAL)
     assert ts.kind is SystemKind.STEINER
     assert build_system(7, tuple(sorted(FANO)), "partial").is_steiner()
+
+
+# -- the pair table: array rows, the shared-pair count and its replay -----------
+
+
+def test_pair_table_rows_are_two_byte_arrays():
+    for ts in (build_system(1, (), "partial"), build_system(7, FANO, "steiner"),
+               pg2(8), section4_partial(4).system):
+        assert len(ts._third) == ts.order
+        assert all(type(r) is array and r.itemsize == 2 and len(r) == ts.order
+                   for r in ts._third)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_late_shared_pair_names_the_pair_of_the_checked_loop(d):
+    order, blocks = 2 ** (d + 1) - 1, list(pg2(d).triples)
+    a, b, c = blocks[10 ** 4]
+    assert c + 1 < order
+    clash = (a, b, c + 1)  # sorts right after the block of {a, b}
+    canonical = blocks[:10 ** 4 + 1] + [clash] + blocks[10 ** 4 + 1:]
+    for kind in (SystemKind.PARTIAL, SystemKind.STEINER):
+        for given in (canonical, [tuple(reversed(t)) for t in blocks] + [clash]):
+            got = _built(order, given, kind)
+            assert got == _direct(order, list(given), kind)
+            assert got == ("DuplicatePairError", "pair (%d, %d) lies in two blocks" % (a, b))
+
+
+def test_partial_system_keeps_minus_one_at_uncovered_pairs():
+    blocks = pg2(8).triples
+    kept = [t for i, t in enumerate(blocks) if i % 7]
+    ts = TripleSystem(511, kept)
+    _, kind, third = scalar_triple_system(511, kept, SystemKind.PARTIAL)
+    assert ts.kind is kind is SystemKind.PARTIAL
+    assert [list(r) for r in ts._third] == third
+    for a, b, c in blocks[::7]:
+        assert ts._third[a][b] == ts._third[c][a] == ts._third[b][c] == -1
+        assert ts.third_point(b, a) is None
