@@ -17,17 +17,14 @@ from stspread import (
     hyperplanes_pg2,
     intersection_extremes,
     lunelli_sce_min,
-    refined_saturating_bound,
     variance_identity,
 )
 
 # Counting bound: m points span at most (q-1)C(m,2)+m points in one step,
-# which must cover the whole space.  For q = 2 the variance identity below
-# gives a second bound; it has not improved on the count for any n <= 10.
-print("lower bounds: counting (q=2), variance-based (q=2), counting (q=3)")
+# which must cover the whole space.
+print("lower bounds: counting (q=2), counting (q=3)")
 for n in range(1, 7):
-    print("  n=%d: s >= %2d   s >= %2d   s >= %2d"
-          % (n, lunelli_sce_min(n, 2), refined_saturating_bound(n), lunelli_sce_min(n, 3)))
+    print("  n=%d: s >= %2d   s >= %2d" % (n, lunelli_sce_min(n, 2), lunelli_sce_min(n, 3)))
 
 # The variance identity is exact in rational arithmetic: summed over all
 # hyperplanes, the squared deviation of |S on H| from m/2 is a closed form

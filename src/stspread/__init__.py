@@ -87,14 +87,11 @@ _LAZY = {name: module for module, names in {
         "DeviationReport",
         "ExtremesReport",
         "HyperplaneFamily",
-        "SaturationBound",
-        "compute_saturation_bound",
         "deviating_hyperplane",
         "hyperplanes_pg2",
         "intersection_extremes",
         "lunelli_sce_min",
         "min_saturating_size",
-        "refined_saturating_bound",
         "variance_identity",
     ),
     "spreading": (
@@ -137,7 +134,6 @@ __all__ = [
     "GeometryTag",
     "HyperplaneFamily",
     "PointSet",
-    "SaturationBound",
     "Section4Artifacts",
     "SpreadingEnumeration",
     "SpreadingSearchResult",
@@ -149,7 +145,6 @@ __all__ = [
     "closure",
     "closure_points",
     "complete_partial",
-    "compute_saturation_bound",
     "deviating_hyperplane",
     "enumerate_closed_sets",
     "enumerate_minimal_spreading_sets",
@@ -172,7 +167,6 @@ __all__ = [
     "pg2",
     "random_sts",
     "reduce_to_minimal",
-    "refined_saturating_bound",
     "section4_partial",
     "serialize",
     "serialize_labels",

@@ -19,10 +19,10 @@ from .closure import closure_points, is_saturating_set, is_spreading_set
 from .completion import random_sts, two_minimal_sizes_sts, two_sizes_checks
 from .constructions import ag3, perturbed_pg, pg2, subsystem_free_sts15
 from .saturation import (
+    _check_pg_dim,
     deviating_hyperplane,
     lunelli_sce_min,
     min_saturating_size,
-    refined_saturating_bound,
     variance_identity,
 )
 from .spreading import (
@@ -134,17 +134,15 @@ def szoras(n=3, trials=100, seed=0):
 
 
 def bounds(max_n=10):
-    """The Lunelli-Sce bounds match their closed forms, the variance-based
-    bound never falls below them, and PG(2,2), PG(3,2) need 4 and 5 points."""
+    """The Lunelli-Sce bounds match their closed forms, and PG(2,2), PG(3,2)
+    need 4 and 5 points."""
     dims = range(1, max_n + 1)
-    refined = [refined_saturating_bound(n) for n in dims]
+    for n in dims:
+        _check_pg_dim(n)  # the q = 2 count loops about 2^(n/2+1) times
     lunelli = [lunelli_sce_min(n, 2) for n in dims]
     closed = [next(s for s in count(1) if s * s + s >= (1 << (n + 2)) - 2) for n in dims]
     yield ("lunelli_q2_closed_form", lunelli == closed,
            "least s with s^2+s >= 2^(n+2)-2, n <= %d" % max_n)
-    yield ("refined_at_least_lunelli", all(r >= s for r, s in zip(refined, lunelli)),
-           "n <= %d" % max_n)
-    yield "refined_monotone", refined == sorted(refined), "n <= %d" % max_n
     yield ("lunelli_q3_closed_form",
            all(lunelli_sce_min(n, 3) == math.isqrt((3 ** (n + 1) - 1) // 2 - 1) + 1
                for n in range(1, min(max_n, 6) + 1)),

@@ -16,7 +16,9 @@ Commands:
 Exit codes: 0 success, 1 usage, 2 invalid input, 3 budget exhausted,
 4 verified property violated.  All stdout is a pure function of the
 arguments (timings live only in the manifest), so identical invocations
-produce byte-identical reports, regardless of --jobs.
+produce byte-identical reports, regardless of --jobs.  --jobs N spreads
+only the subset scan of analyze spread enumerate over N worker processes;
+every other command accepts the option and runs in one process.
 
 At import, this module loads only what the package loads anyway (errors,
 system, closure) and config.  Each command imports the other library
@@ -237,7 +239,7 @@ def _cmd_analyze(args):
 
 def _cmd_saturate(args):
     from .saturation import (
-        compute_saturation_bound,
+        _check_pg_dim,
         deviating_hyperplane,
         intersection_extremes,
         lunelli_sce_min,
@@ -248,28 +250,32 @@ def _cmd_saturate(args):
     rep = _Report()
     if args.what == "min":
         ts = _load_system(args.system)
-        size, witness = min_saturating_size(ts, jobs=args.jobs)
+        size, witness = min_saturating_size(ts)
         rep.say("size=%d" % size)
         rep.say("witness=%s" % _fmt_set(witness))
         return EXIT_OK, rep, {}
     if args.what == "bounds":
         rows = []
         for n in range(1, args.max_n + 1):
+            # PG(n,2) stays within the hyperplane cap; lunelli_sce_min alone
+            # would loop about 2^(n/2+1) times on a large n
+            _check_pg_dim(n)
             # the exact minimum is a subset scan of PG(n,2), which has
             # 2^(n+1)-1 points; the column stops at the enumeration cap
-            exact = args.exact and (1 << (n + 1)) - 1 <= config.order_cap(
-                config.MAX_ENUMERATION_ORDER)
-            bound = compute_saturation_bound(n, 2, exact=exact)
-            lun3 = lunelli_sce_min(n, 3)
-            rows.append((n, bound.lunelli, bound.refined, lun3, bound.exact))
+            exact = None
+            if args.exact and (1 << (n + 1)) - 1 <= config.order_cap(
+                    config.MAX_ENUMERATION_ORDER):
+                from .constructions import pg2
+                exact, _ = min_saturating_size(pg2(n))
+            rows.append((n, lunelli_sce_min(n, 2), lunelli_sce_min(n, 3), exact))
         if args.format == "csv":
-            rep.say("n,lunelli_q2,refined_q2,lunelli_q3,exact_q2")
-            for n, l2, r2, l3, ex in rows:
-                rep.say("%d,%d,%d,%d,%s" % (n, l2, r2, l3, "" if ex is None else ex))
+            rep.say("n,lunelli_q2,lunelli_q3,exact_q2")
+            for n, l2, l3, ex in rows:
+                rep.say("%d,%d,%d,%s" % (n, l2, l3, "" if ex is None else ex))
         else:
-            rep.say("%3s %11s %11s %11s %9s" % ("n", "lunelli_q2", "refined_q2", "lunelli_q3", "exact_q2"))
-            for n, l2, r2, l3, ex in rows:
-                rep.say("%3d %11d %11d %11d %9s" % (n, l2, r2, l3, "-" if ex is None else ex))
+            rep.say("%3s %11s %11s %9s" % ("n", "lunelli_q2", "lunelli_q3", "exact_q2"))
+            for n, l2, l3, ex in rows:
+                rep.say("%3d %11d %11d %9s" % (n, l2, l3, "-" if ex is None else ex))
         return EXIT_OK, rep, {}
     if args.what == "variance":
         lhs, rhs = variance_identity(args.n, args.set)
@@ -289,7 +295,7 @@ def _cmd_saturate(args):
         code = EXIT_OK if (identity_ok and strict_ok) else EXIT_VIOLATION
         return code, rep, {}
     # extremes
-    ex = intersection_extremes(args.n, args.m, jobs=args.jobs)
+    ex = intersection_extremes(args.n, args.m)
     if args.format == "csv":
         rep.say("n,m,max_min,max_min_witness,min_max,min_max_witness")
         rep.say('%d,%d,%d,"%s",%d,"%s"'
@@ -362,7 +368,8 @@ def _cmd_demo(args):
 def _build_parser():
     root = _Parser(prog="stspread", description=__doc__.split("\n\n")[0])
     root.add_argument("--jobs", type=_int_at_least(1), default=1,
-                      help="worker processes for subset scans (default 1)")
+                      help="worker processes for analyze spread enumerate; other "
+                           "commands accept and ignore it (default 1)")
     root.add_argument("--manifest", default=None,
                       help="write a JSON run manifest to this path")
     sub = root.add_subparsers(dest="command", required=True)

@@ -159,6 +159,16 @@ def _cover_mask(third, mask):
 # -- bit-sliced batches ----------------------------------------------------
 
 
+def colex_subsets(n: int, k: int):
+    """All k-subsets of range(n) in colexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in colex_subsets(top, k - 1):
+            yield rest + (top,)
+
+
 def _subset_batches(n, k, tops):
     """Batches of the k-subsets of range(n) with each maximum t in tops.
 

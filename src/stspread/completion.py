@@ -38,12 +38,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from . import config
 from .closure import is_spreading_set
 from .constructions import section4_partial
 from .errors import (
     BudgetExhaustedError,
     FrozenConflictError,
     InadmissibleOrderError,
+    TooLargeError,
     TrivialOrderError,
 )
 from .system import (
@@ -202,7 +204,9 @@ def complete_partial(
     The source keeps its point indices; new points are appended.  Raises
     BudgetExhaustedError, carrying the failed report as .partial, when no
     restart converges.  Targets below 2*order+1 are accepted (the caller may
-    know better) but are not guaranteed to admit any completion.
+    know better) but are not guaranteed to admit any completion.  Targets
+    above the construction cap raise TooLargeError before the climb
+    allocates its order x order cover table.
     """
     if not steiner_admissible(target_order):
         raise InadmissibleOrderError(
@@ -212,6 +216,9 @@ def complete_partial(
         raise InadmissibleOrderError(
             "target order %d below source order %d" % (target_order, ts.order)
         )
+    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    if target_order > cap:
+        raise TooLargeError("completion capped at order %d" % cap)
     rng = random.Random(seed)
     total_moves = 0
     for attempt in range(1, restarts + 1):

@@ -3,21 +3,19 @@
 A subset S of a triple system saturates when S u N(S) is the whole point
 set.  For the binary projective spaces this is the classical notion of a
 saturating set: every point lies in S or on a secant of S.  The module
-provides the hyperplane machinery behind two lower bounds:
+provides the Lunelli-Sce counting bound
 
-* the Lunelli-Sce counting bound (q-1) C(s,2) + s >= (q^(n+1)-1)/(q-1),
-  valid in PG(n,q) because s points and their secants must reach everything;
+    (q-1) C(s,2) + s >= (q^(n+1)-1)/(q-1),
 
-* a bound for q = 2 built on an exact variance identity: summing
-  (u(H) - m/2)^2 over all hyperplanes H, where u(H) = |S n H| and m = |S|,
-  gives exactly m 2^(n-1) - m^2/4.  There are fewer than 2^(n+1)
-  hyperplanes, so some hyperplane lies outside the deviation window: it
-  deviates from m/2 by more than sqrt(m/4 - m^2 / 2^(n+3)).  A hyperplane
-  has 2^n points off it, and a saturating set reaches them only through
-  its m - m1 points off H and the m1 (m - m1) secants crossing H, so
-  m - m1 + m1 (m - m1) >= 2^n with m1 = |S n H|.  A candidate size m
-  survives only if some intersection count m1 outside the deviation window
-  meets that necessary condition (and m passes the counting bound).
+valid in PG(n,q) because s points and their secants must reach everything;
+the exact minimum saturating set, by one serial colex scan; and the
+hyperplanes of PG(n,2), with the intersection extremes over m-subsets.
+
+For q = 2 the hyperplanes obey an exact variance identity: summing
+(u(H) - m/2)^2 over all hyperplanes H, where u(H) = |S n H| and m = |S|,
+gives exactly m 2^(n-1) - m^2/4.  There are fewer than 2^(n+1)
+hyperplanes, so some hyperplane lies outside the deviation window: it
+deviates from m/2 by more than sqrt(m/4 - m^2 / 2^(n+3)).
 
 All hyperplane arithmetic is exact: counts are integers and the identity is
 compared through fractions, never floats.
@@ -29,10 +27,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import config
-from .closure import _holding_all, _subset_batches, _sweep, _to_set
+from .closure import (
+    _holding_all,
+    _subset_batches,
+    _sweep,
+    _to_set,
+    colex_subsets,
+)
 from .errors import (
     BudgetExhaustedError,
     NotPrimePowerError,
@@ -40,8 +44,6 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .parallel import run_jobs
-from .spreading import colex_subsets
 from .system import TripleSystem
 
 PRIME_POWERS = frozenset(
@@ -206,70 +208,7 @@ def lunelli_sce_min(n: int, q: int) -> int:
     return s
 
 
-def refined_saturating_bound(n: int) -> int:
-    """Least m not ruled out for a saturating set of PG(n,2).
-
-    A size m survives when it passes the Lunelli-Sce count and some integer
-    intersection count m1 outside the deviation window
-    |m1 - m/2| <= sqrt(m/4 - m^2/2^(n+3)) satisfies the off-hyperplane
-    covering condition m - m1 + m1(m - m1) >= 2^n.  All comparisons are
-    exact (squared and scaled to integers).  For n <= 10 the values equal
-    the Lunelli-Sce bound.
-    """
-    if n < 1:
-        raise TrivialOrderError("refined_saturating_bound needs n >= 1")
-    points = _check_pg_dim(n)
-    off = 1 << n  # points off a hyperplane
-    scale = 1 << (n + 1)  # window test: 2^(n+1) (2 m1 - m)^2 <= m (2^(n+1) - m)
-    for m in range(1, points + 1):
-        if m * (m - 1) // 2 + m < points:
-            continue
-        for m1 in range(max(0, m - off), min(m, off - 1) + 1):
-            if scale * (2 * m1 - m) ** 2 <= m * (scale - m):
-                continue
-            if m - m1 + m1 * (m - m1) >= off:
-                return m
-    raise TooLargeError("no surviving size up to the point count")  # unreachable
-
-
-@dataclass(frozen=True)
-class SaturationBound:
-    """Bundle of lower bounds (and optionally the exact value) for the
-    smallest saturating set of PG(n,q)."""
-
-    n: int
-    q: int
-    lunelli: int
-    refined: Optional[int] = None
-    exact: Optional[int] = None
-
-
-def compute_saturation_bound(n: int, q: int = 2, exact: bool = False) -> SaturationBound:
-    """Assemble lunelli/refined(/exact) bounds for PG(n,q)."""
-    lun = lunelli_sce_min(n, q)
-    refined = refined_saturating_bound(n) if q == 2 else None
-    exact_val = None
-    if exact:
-        if q != 2:
-            raise NotPrimePowerError("exact search implemented for q = 2 only")
-        from .constructions import pg2
-
-        exact_val, _ = min_saturating_size(pg2(n))
-    return SaturationBound(n, q, lun, refined, exact_val)
-
-
-def _saturating_level(args):
-    """Colex-first saturating k-subset with its maximum in tops, or None."""
-    ts, k, tops = args
-    for full, batch in _subset_batches(ts.order, k, tops):
-        hits = _holding_all(_sweep(ts.triples, batch, list(batch)), full)
-        if hits:
-            j = (hits & -hits).bit_length() - 1
-            return [p for p, s in enumerate(batch) if s >> j & 1]
-    return None
-
-
-def min_saturating_size(ts: TripleSystem, jobs: int = 1):
+def min_saturating_size(ts: TripleSystem):
     """Least size of a saturating set, with the colex-first witness.
 
     Exhaustive scan over subset sizes 1, 2, ...; the whole point set always
@@ -280,14 +219,12 @@ def min_saturating_size(ts: TripleSystem, jobs: int = 1):
     cap = config.order_cap(config.MAX_ENUMERATION_ORDER)
     if n > cap:
         raise TooLargeError("min_saturating_size capped at order %d" % cap)
-    from .spreading import _split_tops
-
     for k in range(1, n + 1):
-        tops = list(range(k - 1, n))
-        chunks = _split_tops(tops, k, jobs)
-        for hit in run_jobs(_saturating_level, [(ts, k, c) for c in chunks], jobs):
-            if hit is not None:
-                return k, frozenset(hit)
+        for full, batch in _subset_batches(n, k, range(k - 1, n)):
+            hits = _holding_all(_sweep(ts.triples, batch, list(batch)), full)
+            if hits:
+                j = (hits & -hits).bit_length() - 1
+                return k, frozenset(p for p, s in enumerate(batch) if s >> j & 1)
     raise TooLargeError("unreachable: the full point set saturates")
 
 
@@ -305,30 +242,8 @@ class ExtremesReport:
     min_max_witness: frozenset
 
 
-def _extremes_level(args):
-    hmasks, m, tops = args
-    best_maxmin = -1
-    best_minmax = None
-    wit_maxmin = wit_minmax = None
-    for top in tops:
-        for rest in colex_subsets(top, m - 1):
-            subset = rest + (top,)
-            mask = 0
-            for p in subset:
-                mask |= 1 << p
-            lo = min((mask & h).bit_count() for h in hmasks)
-            hi = max((mask & h).bit_count() for h in hmasks)
-            if lo > best_maxmin:
-                best_maxmin = lo
-                wit_maxmin = subset
-            if best_minmax is None or hi < best_minmax:
-                best_minmax = hi
-                wit_minmax = subset
-    return best_maxmin, wit_maxmin, best_minmax, wit_minmax
-
-
 def intersection_extremes(
-    n: int, m: int, budget: int = DEFAULT_EXTREMES_BUDGET, jobs: int = 1
+    n: int, m: int, budget: int = DEFAULT_EXTREMES_BUDGET
 ) -> ExtremesReport:
     """Extremes of |U n H| over m-subsets U and hyperplanes H of PG(n,2).
 
@@ -355,21 +270,23 @@ def intersection_extremes(
         )
     if m == 0:
         return ExtremesReport(n, m, 0, frozenset(), 0, frozenset())
-    from .spreading import _split_tops
-
-    tops = list(range(m - 1, count))
-    chunks = _split_tops(tops, m, jobs)
-    parts = run_jobs(_extremes_level, [(fam.masks, m, c) for c in chunks], jobs)
+    masks = fam.masks
     best_maxmin = -1
-    best_minmax = None
-    wit_maxmin = wit_minmax = None
-    for lo, wlo, hi, whi in parts:
-        if wlo is not None and lo > best_maxmin:
-            best_maxmin = lo
-            wit_maxmin = wlo
-        if whi is not None and (best_minmax is None or hi < best_minmax):
-            best_minmax = hi
-            wit_minmax = whi
+    best_minmax = count + 1
+    for top in range(m - 1, count):
+        for rest in colex_subsets(top, m - 1):
+            subset = rest + (top,)
+            mask = 0
+            for p in subset:
+                mask |= 1 << p
+            lo = min((mask & h).bit_count() for h in masks)
+            hi = max((mask & h).bit_count() for h in masks)
+            if lo > best_maxmin:
+                best_maxmin = lo
+                wit_maxmin = subset
+            if hi < best_minmax:
+                best_minmax = hi
+                wit_minmax = subset
     return ExtremesReport(
         n, m, best_maxmin, frozenset(wit_maxmin), best_minmax, frozenset(wit_minmax)
     )

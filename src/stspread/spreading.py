@@ -49,6 +49,7 @@ from .closure import (
     _subset_batches,
     _to_set,
     closure_points,
+    colex_subsets,
 )
 from .errors import (
     NotProjectiveTagError,
@@ -74,16 +75,6 @@ class SpreadingSearchResult:
     size: int
     method: str
     closure_sizes: tuple = ()
-
-
-def colex_subsets(n: int, k: int):
-    """All k-subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        for rest in colex_subsets(top, k - 1):
-            yield rest + (top,)
 
 
 def greedy_spreading_set(

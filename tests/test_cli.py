@@ -151,12 +151,29 @@ def test_saturate_min_and_bounds(tmp_path, capsys):
                           "--exact", "--format", "csv")
     assert code == 0
     rows = stdout.splitlines()
-    assert rows[0] == "n,lunelli_q2,refined_q2,lunelli_q3,exact_q2"
-    assert rows[2] == "2,4,4,4,4"
-    assert rows[3] == "3,5,5,7,5"
-    assert rows[4] == "4,8,8,11,9"
+    assert rows[0] == "n,lunelli_q2,lunelli_q3,exact_q2"
+    assert rows[2] == "2,4,4,4"
+    assert rows[3] == "3,5,7,5"
+    assert rows[4] == "4,8,11,9"
     # PG(5,2) has 63 points, past the subset-scan cap: no exact value
     assert rows[5].endswith(",")
+
+
+def test_bounds_outputs_are_pinned(capsys):
+    code, stdout, _ = run(capsys, "saturate", "bounds", "--max-n", "4", "--exact")
+    assert code == 0
+    assert stdout == ("  n  lunelli_q2  lunelli_q3  exact_q2\n"
+                      "  1           2           2         2\n"
+                      "  2           4           4         4\n"
+                      "  3           5           7         5\n"
+                      "  4           8          11         9\n")
+    code, stdout, _ = run(capsys, "demo", "bounds", "--max-n", "4")
+    assert code == 0
+    assert stdout == ("PASS lunelli_q2_closed_form least s with s^2+s >= 2^(n+2)-2, n <= 4\n"
+                      "PASS lunelli_q3_closed_form least s with s^2 >= (3^(n+1)-1)/2\n"
+                      "PASS exact_pg2(2) size=4 witness=0,1,2,3\n"
+                      "PASS exact_pg2(3) size=5 witness=2,3,5,7,8\n"
+                      "result=ok\n")
 
 
 def test_saturate_variance_and_extremes(capsys):
@@ -432,6 +449,8 @@ _LOADED = ("import sys\n"
     (["saturate", "variance", "--n", "3", "--set", "0,1,2,6"],
      ("completion", "constructions", "claims")),
     (["construct", "pg2", "--dim", "3", "--out", "{out}"], ("saturation", "claims")),
+    (["--jobs", "2", "saturate", "min", "--system", "{system}"],
+     ("parallel", "completion", "claims")),
 ])
 def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
     system = tmp_path / "pg3.txt"

@@ -11,7 +11,7 @@ from stspread import (
     intersection_extremes,
     lunelli_sce_min,
     pg2,
-    refined_saturating_bound,
+    random_sts,
     section4_partial,
     verify_dimension_theorem,
 )
@@ -103,18 +103,42 @@ def test_hyperplane_cap_holds_for_a_cached_family(monkeypatch):
     assert len(hyperplanes_pg2(2)) == 7
 
 
-def test_refined_bound_cap_follows_the_override(monkeypatch):
+def test_bounds_cap_follows_the_override(monkeypatch, capsys):
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
-    with pytest.raises(TooLargeError):
-        refined_saturating_bound(11)
-    with pytest.raises(TooLargeError):
-        refined_saturating_bound(10 ** 9)
+    for command in ("saturate", "demo"):
+        for max_n in ("11", str(10 ** 9)):
+            assert main([command, "bounds", "--max-n", max_n]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: PG(11,2) hyperplane family above the cap\n"
     monkeypatch.setenv("STS_MAX_ORDER", "63")
-    assert refined_saturating_bound(5) == lunelli_sce_min(5, 2)
-    with pytest.raises(TooLargeError):
-        refined_saturating_bound(6)
+    assert main(["saturate", "bounds", "--max-n", "5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "5,11,20,"
+    assert main(["demo", "bounds", "--max-n", "6"]) == 2
+    assert capsys.readouterr().err == "error: PG(6,2) hyperplane family above the cap\n"
     monkeypatch.setenv("STS_MAX_ORDER", "4095")
-    assert refined_saturating_bound(11) >= lunelli_sce_min(11, 2)
+    assert main(["saturate", "bounds", "--max-n", "11", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "11,%d,%d," % (
+        lunelli_sce_min(11, 2), lunelli_sce_min(11, 3))
+
+
+def test_completion_is_capped(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    fano = tmp_path / "fano.txt"
+    assert main(["construct", "pg2", "--dim", "2", "--out", str(fano)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "big.txt"
+    for argv in (["construct", "random", "--order", "2053", "--out", str(out)],
+                 ["embed", "--system", str(fano), "--target", "2053", "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: completion capped at order 2047\n"
+        assert not out.exists()
+    monkeypatch.setenv("STS_MAX_ORDER", "15")
+    assert random_sts(15, 0).order == 15
+    with pytest.raises(TooLargeError, match="capped at order 15"):
+        random_sts(19, 0)
 
 
 def test_dimension_check_cap_follows_the_override(monkeypatch):

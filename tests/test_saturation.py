@@ -11,7 +11,6 @@ from stspread import (
     NotPrimePowerError,
     ag3,
     build_system,
-    compute_saturation_bound,
     deviating_hyperplane,
     hyperplanes_pg2,
     intersection_extremes,
@@ -21,7 +20,6 @@ from stspread import (
     min_saturating_size,
     pg2,
     random_sts,
-    refined_saturating_bound,
     variance_identity,
 )
 
@@ -144,15 +142,10 @@ def test_lunelli_sce_rejects_non_prime_power():
         lunelli_sce_min(3, 6)
 
 
-def test_refined_bound_golden_values():
-    assert [refined_saturating_bound(n) for n in range(1, 11)] == [
+def test_lunelli_sce_q2_golden_values():
+    assert [lunelli_sce_min(n, 2) for n in range(1, 11)] == [
         2, 4, 5, 8, 11, 16, 23, 32, 45, 64,
     ]
-
-
-def test_refined_bound_dominates_lunelli():
-    for n in range(1, 11):
-        assert refined_saturating_bound(n) >= lunelli_sce_min(n, 2)
 
 
 def test_lower_bounds_at_most_exact_minimum():
@@ -160,17 +153,6 @@ def test_lower_bounds_at_most_exact_minimum():
         size, _ = min_saturating_size(pg2(n))
         assert size == exact
         assert lunelli_sce_min(n, 2) <= size
-        assert refined_saturating_bound(n) <= size
-
-
-def test_compute_saturation_bound_structure():
-    bound = compute_saturation_bound(3, 2, exact=True)
-    assert bound.n == 3 and bound.q == 2
-    assert bound.lunelli == 5
-    assert bound.refined >= bound.lunelli
-    assert bound.exact == 5
-    no_exact = compute_saturation_bound(5, 2)
-    assert no_exact.exact is None
 
 
 # -- exhaustive minima -------------------------------------------------------
@@ -228,14 +210,10 @@ def test_min_saturating_trivial_line():
     assert min_saturating_size(line) == (2, frozenset({0, 1}))
 
 
-def test_min_saturating_jobs_equivalence():
-    serial = min_saturating_size(pg2(3), jobs=1)
-    parallel = min_saturating_size(pg2(3), jobs=4)
-    assert serial == parallel
-    space = pg2(4)
+def test_min_saturating_pg3_pg4_witnesses():
+    assert min_saturating_size(pg2(3)) == (5, frozenset({2, 3, 5, 7, 8}))
     witness = frozenset({2, 3, 5, 7, 9, 11, 13, 15, 16})
-    assert min_saturating_size(space, jobs=1) == (9, witness)
-    assert min_saturating_size(space, jobs=4) == (9, witness)
+    assert min_saturating_size(pg2(4)) == (9, witness)
 
 
 def test_xor_saturation_agrees_with_incidence_definition():
@@ -257,27 +235,21 @@ def test_extremes_known_small_case():
 
 
 def test_extremes_match_direct_scan():
-    n, m = 2, 4
-    fam = hyperplanes_pg2(n)
-    sets = [frozenset(h) for h in fam.hyperplanes]
-    best_min = -1
-    best_max = None
-    for subset in combinations(range(7), m):
-        s = set(subset)
-        counts = [len(s & h) for h in sets]
-        best_min = max(best_min, min(counts))
-        best_max = min(best_max, max(counts)) if best_max is not None else max(counts)
-    report = intersection_extremes(n, m)
-    assert report.max_min == best_min
-    assert report.min_max == best_max
+    # both witnesses are the colex-first subsets attaining the extremes;
+    # colex order compares the largest points first
+    for n, m in ((2, 3), (2, 4), (3, 4), (3, 5)):
+        sets = [frozenset(h) for h in hyperplanes_pg2(n).hyperplanes]
+        subsets = sorted(combinations(range((1 << (n + 1)) - 1), m),
+                         key=lambda c: c[::-1])
+        lows = [min(len(h.intersection(c)) for h in sets) for c in subsets]
+        highs = [max(len(h.intersection(c)) for h in sets) for c in subsets]
+        report = intersection_extremes(n, m)
+        assert report.max_min == max(lows)
+        assert report.min_max == min(highs)
+        assert report.max_min_witness == frozenset(subsets[lows.index(max(lows))])
+        assert report.min_max_witness == frozenset(subsets[highs.index(min(highs))])
 
 
 def test_extremes_budget_refusal():
     with pytest.raises(BudgetExhaustedError):
         intersection_extremes(3, 8, budget=1000)
-
-
-def test_extremes_jobs_equivalence():
-    serial = intersection_extremes(3, 4, jobs=1)
-    parallel = intersection_extremes(3, 4, jobs=4)
-    assert serial == parallel
