@@ -12,12 +12,17 @@ spreads; equivalently, it has no nontrivial proper subsystem.
 Point sets are handled as int bitmasks internally; bit i set means point i
 is a member.  The public functions accept any iterable of point indices and
 return frozensets.
+
+The lattice searches (is_spreading_system, enumerate_closed_sets and
+spreading.min_spreading_size) scan no subsets: they extend the distinct
+pair closures, read from the pair table, by one point at a time in the
+bit-sliced chunks of _extensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, filterfalse, islice, product, repeat
+from itertools import combinations, compress, count, filterfalse, islice, product, repeat
 from math import comb
 from operator import getitem
 from typing import Iterable
@@ -31,13 +36,18 @@ DEFAULT_CLOSED_SET_BUDGET = 100000
 # -- bitmask plumbing ------------------------------------------------------
 
 
+# turns the digits of format(bits, "b") into itertools.compress selectors
+_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _select(items, bits):
+    """The items[j] with bit j of bits set, lowest j first."""
+    return compress(items, format(bits, "b")[::-1].encode().translate(_SELECTOR))
+
+
 def _iter_bits(mask: int):
     """Positions of the set bits, lowest first."""
-    digits = format(mask, "b")[::-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
+    return _select(count(), mask)
 
 
 def _mask_of(ts: TripleSystem, points: Iterable[int]) -> int:
@@ -219,84 +229,81 @@ def _holding_all(batch, full):
     return full
 
 
-# candidates per transposition and per frontier chunk: a transposition
-# string holds order * 2^12 characters
-_CHUNK_CAP = 1 << 12
+# slots per frontier chunk of _extensions
+_CHUNK_CAP = 1 << 14
+# candidates per transposition: its string holds order * 2^12 characters
+_COLUMN_CAP = 1 << 12
 
 
 def _columns(batch, width):
     """The candidates of a batch as masks, candidate j at index j.
 
-    Transposes up to _CHUNK_CAP candidates at a time: their bits of every
+    Transposes up to _COLUMN_CAP candidates at a time: their bits of every
     row, top point first, go into one string, and the slice of it with step
     w that starts at w-1-j reads candidate j's mask, top point first.
     """
     masks = []
-    for low in range(0, width, _CHUNK_CAP):
-        w = min(_CHUNK_CAP, width - low)
+    for low in range(0, width, _COLUMN_CAP):
+        w = min(_COLUMN_CAP, width - low)
         rows = "".join([format(s >> low & ((1 << w) - 1), "0%db" % w)
                         for s in reversed(batch)])
         masks += [int(rows[j::w], 2) for j in range(w - 1, -1, -1)]
     return masks
 
 
-def _triple_closures(ts):
-    """Closures of all 3-subsets, in batches of about 2^14.
+def _pair_closures(ts):
+    """The distinct closures of pairs, as (a, b, mask) at their least pair
+    (a, b), in lexicographic order.
 
-    Yields (full, live, closed).  Bit j of a batch is its j-th triple in the
-    lexicographic order of combinations(range(n), 3), and the batches follow
-    that order too; live marks the triples that are not blocks.  Its callers
-    are is_spreading_system and the seeds of _walk_closed_sets; projective
-    inputs are recognised by _coordinates instead.
+    A covered pair closes to its block, whose least pair is the one with
+    its third point above b.  An uncovered pair, which only a partial system
+    has, is closed already.  Every lattice search starts from these seeds.
     """
-    n, third = ts.order, ts._third
-    batch, width, blocks = [0] * n, 0, 0
-    for a, b in combinations(range(n - 1), 2):
-        run = ((1 << (n - 1 - b)) - 1) << width
-        batch[a] |= run
-        batch[b] |= run
-        if third[a][b] > b:
-            blocks |= 1 << (width + third[a][b] - b - 1)
-        for c in range(b + 1, n):
-            batch[c] |= 1 << width
-            width += 1
-        # wide enough to share each pass over the blocks among many triples,
-        # narrow enough to bound memory and let the callers stop early
-        if width >= 1 << 14 or (a, b) == (n - 3, n - 2):
-            full = (1 << width) - 1
-            yield full, full & ~blocks, _batch_closure(ts.triples, batch)
-            batch, width, blocks = [0] * n, 0, 0
+    third = ts._third
+    seeds = []
+    for a in range(ts.order):
+        for b, c in enumerate(third[a][a + 1:], a + 1):
+            if c > b:
+                seeds.append((a, b, 1 << a | 1 << b | 1 << c))
+            elif c < 0:
+                seeds.append((a, b, 1 << a | 1 << b))
+    return seeds
 
 
 def _extensions(ts, frontier):
-    """Closures of each closed set in frontier plus one outside point.
+    """Closures of each closed set in frontier plus one point.
 
-    Candidate (i, p) is frontier[i] plus point p, taken in order of i and
-    then of ascending p; frontier may grow while the generator runs, and the
-    new entries are extended in their turn.  Yields (cands, masks, hits) per
-    chunk: the candidates, their closures as masks, and bit j set when
-    candidate j closes to every point.  Chunks hold whole frontier entries;
-    they start near 64 candidates, so an early hit stays cheap, and double
-    up to _CHUNK_CAP, which bounds memory.
+    Bit j of a chunk's batch stands for frontier[i + j // n] plus point
+    j % n, so the candidates come in order of entry, then of point.  Slots
+    whose point lies in the entry repeat the entry; live marks the others.
+    With C the entries' masks side by side and R one bit per entry, the
+    entries holding point q are (C >> q) & R, so a chunk takes a few big-int
+    operations per point and none per candidate.  frontier may grow while
+    the generator runs.  Yields (i, closed, live, hits) per chunk; hits
+    marks the live candidates that close to every point, and
+    _columns(closed, live.bit_length()) gives the closures as masks.
+    Chunks start with one entry, so an early hit stays cheap, and double up
+    to about _CHUNK_CAP slots, which bounds memory.
     """
     n = ts.order
-    full = (1 << n) - 1
-    limit, i = 64, 0
+    size, i = 1, 0
     while i < len(frontier):
-        batch, cands = [0] * n, []
-        while i < len(frontier) and len(cands) < limit:
-            mask, start = frontier[i], len(cands)
-            for p in _iter_bits(full & ~mask):
-                batch[p] |= 1 << len(cands)
-                cands.append((i, p))
-            run = ((1 << (len(cands) - start)) - 1) << start
-            for q in _iter_bits(mask):
-                batch[q] |= run
-            i += 1
-        width = len(cands)
+        entries = frontier[i:i + size]
+        width = len(entries) * n
+        ones = (1 << width) - 1
+        rep = ones // ((1 << n) - 1)  # bit e * n for every entry e
+        side = 0
+        for e, mask in enumerate(entries):
+            side |= mask << e * n
+        batch = []
+        for q in range(n):
+            inside = side >> q & rep
+            batch.append(((inside << n) - inside) | (rep ^ inside) << q)
+        live = ones & ~side
         _batch_closure(ts.triples, batch)
-        yield cands, _columns(batch, width), _holding_all(batch, (1 << width) - 1)
-        limit = min(2 * limit, _CHUNK_CAP)
+        yield i, batch, live, _holding_all(batch, live)
+        i += len(entries)
+        size = min(2 * size, max(1, _CHUNK_CAP // n))
 
 
 # -- public operators ------------------------------------------------------
@@ -393,14 +400,17 @@ def is_spreading_system(ts: TripleSystem) -> bool:
 
     Equivalent to the absence of nontrivial proper subsystems.  Requires a
     Steiner system of order above 3; smaller orders have no nontrivial
-    3-subsets to test.
+    3-subsets to test.  A non-block triple {x, y, z} closes like the block
+    through x and y plus z, so this holds exactly when every block plus
+    every outside point spreads.
     """
     if not ts.is_steiner():
         raise NotSteinerError("spreading-system test needs a Steiner system")
     if ts.order <= 3:
         raise TrivialOrderError("spreading-system test needs order > 3")
-    for full, live, closed in _triple_closures(ts):
-        if live & ~_holding_all(closed, full):
+    frontier = [mask for _, _, mask in _pair_closures(ts)]
+    for _, _, live, hits in _extensions(ts, frontier):
+        if hits != live:
             return False
     return True
 
@@ -485,16 +495,19 @@ def enumerate_closed_sets(
 def _walk_closed_sets(ts, max_count):
     """enumerate_closed_sets by a breadth-first walk of the closure lattice.
 
-    Seed with the closures of all non-block 3-subsets in lexicographic
-    order, then close each found set plus each outside point, in the order
-    the sets were found and by ascending point, one bit-sliced batch per
-    chunk of candidates.  Closures are collected in exactly that order, so
-    the sets kept when collection stops at max_count (with truncated=True)
-    do not depend on the batching.
+    Close each pair closure of _pair_closures, then each found set, plus
+    each outside point, in the order the sets were found and by ascending
+    point.  Closures are collected in exactly that order, so the sets kept
+    when collection stops at max_count (with truncated=True) do not depend
+    on the batching.  They are first found in the order that closing the
+    non-block 3-subsets in lexicographic order finds them: {x, y, z} with
+    x < y < z closes like cl(x, y) plus z, and both a subset whose (x, y)
+    is no seed and a seed (a, b) plus a point below b repeat the closure of
+    a lexicographically earlier subset.
     """
     full = (1 << ts.order) - 1
     found = set()
-    frontier = []
+    frontier = [mask for _, _, mask in _pair_closures(ts)]
     truncated = False
 
     def offer(mask):
@@ -507,19 +520,10 @@ def _walk_closed_sets(ts, max_count):
         found.add(mask)
         frontier.append(mask)
 
-    for ones, live, closed in _triple_closures(ts):
-        live &= ~_holding_all(closed, ones)  # whole closures are not proper
-        if live:
-            seeds = _columns(closed, ones.bit_length())
-            for j in _iter_bits(live):
-                offer(seeds[j])  # once truncated, offers add nothing
-        if truncated:
-            break
-
-    if not truncated:
-        for _, masks, _ in _extensions(ts, frontier):  # offer() appends
-            for mask in masks:
-                offer(mask)
+    for _, closed, live, hits in _extensions(ts, frontier):  # offer() appends
+        if hits != live:
+            for mask in _select(_columns(closed, live.bit_length()), live):
+                offer(mask)  # once truncated, offers add nothing
             if truncated:
                 break
 

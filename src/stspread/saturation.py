@@ -149,8 +149,8 @@ class DeviationReport:
     ties).  strict tells whether deviation exceeds the variance-derived
     lower bound sqrt(m/4 - m^2/2^(n+3)); the comparison is carried out on
     squares so it stays exact.  degenerate marks m = 0, where the bound
-    assertion is vacuous; radicand_negative marks m > 2^(n+1), which cannot
-    happen for genuine point subsets and is only reported defensively.
+    assertion is vacuous.  The radicand bound_squared = m(2^(n+1) - m) /
+    2^(n+3) is never negative, because a point subset has m < 2^(n+1).
     """
 
     functional: int
@@ -159,7 +159,6 @@ class DeviationReport:
     bound_squared: Fraction
     strict: bool
     degenerate: bool
-    radicand_negative: bool
 
 
 def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
@@ -178,8 +177,7 @@ def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
     deviation = Fraction(best_abs, 2)
     bound_sq = Fraction(m, 4) - Fraction(m * m, 1 << (n + 3))
     degenerate = m == 0
-    radicand_negative = bound_sq < 0
-    strict = (not degenerate) and (not radicand_negative) and deviation ** 2 > bound_sq
+    strict = (not degenerate) and deviation ** 2 > bound_sq
     return DeviationReport(
         functional=fam.functionals[best_idx],
         hyperplane=_to_set(fam.masks[best_idx]),
@@ -187,7 +185,6 @@ def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
         bound_squared=bound_sq,
         strict=strict,
         degenerate=degenerate,
-        radicand_negative=radicand_negative,
     )
 
 

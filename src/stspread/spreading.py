@@ -18,12 +18,13 @@ correspond exactly to chains
 cl(p1,p2) < cl(.. p3) < ... that end at the full point set, and distinct
 chains through the same closed set can be merged.  This is the subset scan
 with closed-set pruning taken to its limit and returns the same value.
-The walk closes pairs one by one in colex order, then hands the distinct
-closures to the chunked walker of closure.py (which enumerate_closed_sets
-shares): it closes each closed set plus each outside point as one
-bit-sliced batch per chunk, in the order of a scalar breadth-first search,
-so the first spreading candidate it reports is the one that search meets
-first.
+The walk reads the distinct pair closures, the blocks, from the pair table
+and takes them in colex order of their least pairs, which is the order in
+which closing the pairs in colex order first meets them.  The chunked
+walker of closure.py (which enumerate_closed_sets shares) then closes each
+closed set plus each outside point as one bit-sliced batch per chunk, in
+the order of a scalar breadth-first search, so the first spreading
+candidate it reports is the one that search meets first.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add
 from typing import Iterable, Optional
 
@@ -40,12 +41,15 @@ from . import config
 from .closure import (
     _batch_closure,
     _closure_mask,
+    _columns,
     _coordinates,
     _extensions,
     _grow,
     _holding_all,
     _iter_bits,
     _mask_of,
+    _pair_closures,
+    _select,
     _subset_batches,
     _to_set,
     closure_points,
@@ -175,27 +179,25 @@ def _walk_min_spreading(ts):
     point, the same as in the scalar search.
     """
     n = ts.order
-    third = ts._third
     full = (1 << n) - 1
-    seen = set()
     frontier, gens = [], []  # distinct closures and the chains that reach them
-    for x, y in colex_subsets(n, 2):
-        mask, _ = _closure_mask(third, (x, y))
+    for a, b, mask in sorted(_pair_closures(ts), key=lambda s: (s[1], s[0])):
         if mask == full:
-            return 2, frozenset({x, y})
-        if mask not in seen:
-            seen.add(mask)
-            frontier.append(mask)
-            gens.append((x, y))
-    for cands, masks, hits in _extensions(ts, frontier):
+            return 2, frozenset({a, b})
+        frontier.append(mask)
+        gens.append((a, b))
+    seen = set(frontier)
+    for i, closed, live, hits in _extensions(ts, frontier):
         if hits:
-            i, p = cands[(hits & -hits).bit_length() - 1]
-            return len(gens[i]) + 1, frozenset(gens[i] + (p,))
-        for (i, p), mask in zip(cands, masks):
-            if mask not in seen:
-                seen.add(mask)
-                frontier.append(mask)
-                gens.append(gens[i] + (p,))
+            e, p = divmod((hits & -hits).bit_length() - 1, n)
+            return len(gens[i + e]) + 1, frozenset(gens[i + e] + (p,))
+        masks = _columns(closed, live.bit_length())
+        for j in _iter_bits(live):
+            if masks[j] not in seen:
+                seen.add(masks[j])
+                frontier.append(masks[j])
+                e, p = divmod(j, n)
+                gens.append(gens[i + e] + (p,))
     raise NotSteinerError("no spreading set found; system is not connected")
 
 
@@ -225,15 +227,6 @@ def _scan_level(args):
             for full, batch in _subset_batches(ts.order, k, tops)]
 
 
-# turns the digits of format(bits, "b") into itertools.compress selectors
-_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _select(items, bits):
-    """The items[j] with bit j of bits set, lowest j first."""
-    return compress(items, format(bits, "b")[::-1].encode().translate(_SELECTOR))
-
-
 def enumerate_minimal_spreading_sets(
     ts: TripleSystem,
     max_size: Optional[int] = None,
@@ -242,7 +235,8 @@ def enumerate_minimal_spreading_sets(
 ) -> SpreadingEnumeration:
     """Every minimal spreading set of size at most max_size.
 
-    Closes every k-subset for k = 2, 3, ..., one colex batch per maximum
+    Closes every k-subset for k = 2, 3, ... (from k = 1 at order 1, where
+    the one point spreads), one colex batch per maximum
     point.  By monotonicity a spreading k-set is minimal exactly when none of
     its (k-1)-subsets spreads, which is looked up in the spreading sets of
     the level before.  budget caps the total number of subsets considered; a
@@ -266,7 +260,7 @@ def enumerate_minimal_spreading_sets(
     spent = 0
     prev_bits = 0  # bit r: the r-th (k-1)-subset in colex order spreads
     prev = set()  # the spreading (k-1)-subsets, as masks
-    for k in range(2, max_size + 1):
+    for k in range(1 if n == 1 else 2, max_size + 1):
         level = math.comb(n, k)
         if spent + level > budget:
             truncated = True

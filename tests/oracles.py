@@ -107,14 +107,15 @@ def bfs_min_spreading(order, triples):
     raise AssertionError("no spreading set found")
 
 
-def bfs_closed_sets(order, triples):
+def bfs_closed_sets(order, triples, limit=None):
     """Proper closed sets of size >= 3 that are not blocks, in the order
     they are first found.
 
     Closures of the non-block 3-subsets are offered in lexicographic order,
     then the closures of each found set plus one outside point.  A search
     that keeps at most m sets keeps the first m of this list, and is cut
-    short exactly when the list is longer.
+    short exactly when the list is longer.  With a limit, the list stops
+    once it holds that many sets.
     """
     everything = frozenset(range(order))
     blocks = {frozenset(t) for t in triples}
@@ -126,13 +127,19 @@ def bfs_closed_sets(order, triples):
             seen.add(closed)
             found.append(closed)
 
-    for t in combinations(range(order), 3):
-        if frozenset(t) not in blocks:
-            offer(naive_closure(triples, t))
-    for closed in found:
-        for p in range(order):
-            if p not in closed:
-                offer(naive_closure(triples, closed | {p}))
+    def closures():
+        for t in combinations(range(order), 3):
+            if frozenset(t) not in blocks:
+                yield naive_closure(triples, t)
+        for closed in found:
+            for p in range(order):
+                if p not in closed:
+                    yield naive_closure(triples, closed | {p})
+
+    for closed in closures():
+        if len(found) == limit:
+            break
+        offer(closed)
     return found
 
 

@@ -159,7 +159,7 @@ def test_criterion_5_variance_identity_and_deviation():
             if lhs != rhs:
                 identity_failures += 1
             report = deviating_hyperplane(n, subset)
-            if report.degenerate or report.radicand_negative:
+            if report.degenerate:
                 continue
             tested += 1
             if not report.strict:

@@ -122,6 +122,18 @@ def test_analyze_spread_modes(tmp_path, capsys):
     assert stdout.splitlines() == ["size,points"] + ['3,"%s"' % s for s in sets]
 
 
+def test_analyze_spread_on_order_one(tmp_path, capsys):
+    point = tmp_path / "point.txt"
+    point.write_text("v 1 steiner\n")
+    spread = ["analyze", "--system", str(point), "spread"]
+    code, stdout, _ = run(capsys, *spread, "min")
+    assert (code, stdout) == (0, "size=1\nwitness=0\n")
+    code, stdout, _ = run(capsys, *spread, "enumerate")
+    assert (code, stdout) == (0, "count=1 truncated=false max_size=1\n0\n")
+    code, stdout, _ = run(capsys, *spread, "enumerate", "--format", "csv")
+    assert (code, stdout) == (0, 'size,points\n1,"0"\n')
+
+
 def test_analyze_subsystems_and_projective(tmp_path, capsys):
     out = tmp_path / "p3.txt"
     run(capsys, "construct", "pg2", "--dim", "3", "--out", str(out))

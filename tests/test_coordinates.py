@@ -156,12 +156,13 @@ def test_closed_set_shortcut_equals_the_walk(make):
 
 
 def test_certified_inputs_take_no_triple_scan(monkeypatch):
-    def refuse(ts):
-        raise AssertionError("triple scan on a certified input")
+    def refuse(ts, frontier):
+        raise AssertionError("lattice walk on a certified input")
 
-    # the package's name closure is the function, so fetch the module itself
-    closure_module = importlib.import_module("stspread.closure")
-    monkeypatch.setattr(closure_module, "_triple_closures", refuse)
+    # the package's name closure is the function, so fetch the module itself;
+    # the spreading module holds its own reference to the walker
+    for name in ("stspread.closure", "stspread.spreading"):
+        monkeypatch.setattr(importlib.import_module(name), "_extensions", refuse)
     ts = _relabelled(pg2(5), 1)
     assert check_projective(ts)
     assert min_spreading_size(ts)[0] == 6

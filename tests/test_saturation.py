@@ -106,7 +106,7 @@ def test_deviating_hyperplane_random_strictness():
         for _ in range(50):
             subset = rng.sample(range(count), rng.randint(1, count))
             report = deviating_hyperplane(n, subset)
-            assert not report.radicand_negative
+            assert report.bound_squared > 0
             assert report.strict
             assert report.deviation ** 2 > report.bound_squared
 

@@ -219,6 +219,22 @@ def test_enumerate_points_match_the_oracle_in_order(ts, budget, levels):
         assert pickle.loads(pickle.dumps(result)) == enum
 
 
+def test_enumerate_order_one_lists_its_point():
+    # only at order 1 does a single point spread; every other order starts
+    # at the pair level, with the budget it always had
+    ts = build_system(1, [], "steiner")
+    assert min_spreading_size(ts) == (1, frozenset({0}))
+    for max_size in (None, 1, 3):
+        enum = enumerate_minimal_spreading_sets(ts, max_size)
+        assert enum.points == _oracle_points(ts, enum.max_size) == ((0,),)
+        assert not enum.truncated
+    assert enumerate_minimal_spreading_sets(ts).max_size == 1
+    line = build_system(3, [(0, 1, 2)], "steiner")
+    assert enumerate_minimal_spreading_sets(line).points == ((0, 1), (0, 2), (1, 2))
+    assert enumerate_minimal_spreading_sets(line, budget=3).points == ((0, 1), (0, 2), (1, 2))
+    assert enumerate_minimal_spreading_sets(line, budget=2).truncated
+
+
 def test_enumerate_lists_only_minimal_sets_on_perturbed_pg4():
     # some 4-sets here hold a spreading triple below their top point and no
     # spreading triple through it: the previous level's bits must drop them
