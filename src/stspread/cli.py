@@ -34,7 +34,7 @@ import sys
 import time
 
 from . import __version__, config
-from .closure import closure, enumerate_closed_sets
+from .closure import DEFAULT_CLOSED_SET_BUDGET, closure, enumerate_closed_sets
 from .errors import (
     BudgetExhaustedError,
     ParseError,
@@ -402,13 +402,15 @@ def _build_parser():
     p = asub.add_parser("closure")
     p.add_argument("--set", type=_csv_ints, required=True)
     p.add_argument("--trace", action="store_true")
-    p = asub.add_parser("spread")
-    p.add_argument("mode", choices=("greedy", "min", "enumerate"))
+    msub = asub.add_parser("spread").add_subparsers(dest="mode", required=True)
+    p = msub.add_parser("greedy")
     p.add_argument("--seed-pair", type=_point_pair, default=None)
+    msub.add_parser("min")
+    p = msub.add_parser("enumerate")
     p.add_argument("--max-size", type=_int_at_least(1), default=None)
     _format_opt(p)
     p = asub.add_parser("subsystems")
-    p.add_argument("--max-count", type=_int_at_least(1), default=100000)
+    p.add_argument("--max-count", type=_int_at_least(1), default=DEFAULT_CLOSED_SET_BUDGET)
     _format_opt(p)
     asub.add_parser("projective")
 
@@ -433,8 +435,8 @@ def _build_parser():
     emb.add_argument("--target", type=int, required=True)
     emb.add_argument("--seed", type=int, default=0)
     emb.add_argument("--out", default=None)
-    emb.add_argument("--restarts", type=_int_at_least(1), default=50)
-    emb.add_argument("--moves", type=_int_at_least(1), default=10 ** 6)
+    emb.add_argument("--restarts", type=_int_at_least(1), default=config.DEFAULT_RESTARTS)
+    emb.add_argument("--moves", type=_int_at_least(1), default=config.DEFAULT_MOVES)
 
     dem = sub.add_parser("demo", help="replicate a named result")
     dsub = dem.add_subparsers(dest="which", required=True)

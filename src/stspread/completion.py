@@ -10,6 +10,10 @@ frozen blocks survive.  Any target order v >= 2u+1 (u = source order) is
 safe territory: embeddings exist there, and u <= (v-1)/2 also guarantees
 that an uncovered pair always has conflict-free third points available.
 
+The climber keeps the pair table of TripleSystem, third[x][y] = z or -1,
+finds there the block a move displaces, and reads its finished blocks back
+from it in lexicographic order (system._blocks_of).
+
 Each move finds its third points with a few big-int operations instead of a
 scan over all n points.  The climber keeps one bitmask per point: cov[x] has
 bit z set when the pair {x,z} is covered, frz[x] when a frozen block covers
@@ -20,8 +24,8 @@ it.  The admissible third points of {x,y} are then the set bits of
 and the move draws rng.randrange(popcount) and takes the set bit of that
 rank in ascending order (_nth_bit).  A scan that lists the candidates in
 ascending order and draws an index into that list makes the same calls on
-the generator and picks the same z, so blocks, move counts and restarts are
-those of the scalar climb (tests/oracles.py, scalar_climb).
+the generator and picks the same z, so the blocks (sorted), move counts and
+restarts are those of the scalar climb (tests/oracles.py, scalar_climb).
 
 two_minimal_sizes_sts drives the whole pipeline of the two-sizes
 construction: build the partial system whose spreading structure is rigged,
@@ -52,11 +56,10 @@ from .system import (
     GeometryTag,
     SystemKind,
     TripleSystem,
+    _blocks_of,
+    _empty_pair_table,
     steiner_admissible,
 )
-
-DEFAULT_RESTARTS = 50
-DEFAULT_MOVES = 10 ** 6
 
 _WORD = (1 << 64) - 1
 
@@ -110,39 +113,33 @@ def _nth_bit(m, r):
 
 
 def _climb(order, frozen_blocks, rng, max_moves):
-    """One hill-climbing attempt; returns (blocks or None, moves used)."""
+    """One hill-climbing attempt; returns (sorted blocks or None, moves used)."""
     n = order
-    cover = [[-1] * n for _ in range(n)]
+    third = _empty_pair_table(n)
     # frz[x] / cov[x]: bit z set when {x,z} is covered by a frozen block / covered
     frz = [0] * n
-    blocks = {}
-    nfrozen = len(frozen_blocks)
-    for bid, (x, y, z) in enumerate(frozen_blocks):
-        blocks[bid] = (x, y, z)
-        for u, v in ((x, y), (x, z), (y, z)):
-            if cover[u][v] != -1:
+    for x, y, z in frozen_blocks:
+        for u, v, w in ((x, y, z), (x, z, y), (y, z, x)):
+            if third[u][v] != -1:
                 raise FrozenConflictError("frozen blocks share the pair (%d,%d)" % (u, v))
-            cover[u][v] = bid
-            cover[v][u] = bid
+            third[u][v] = third[v][u] = w
             frz[u] |= 1 << v
             frz[v] |= 1 << u
     cov = frz[:]
-    next_id = nfrozen
     full = (1 << n) - 1
 
     uncov = []
     pos = {}
     for x in range(n):
         for y in range(x + 1, n):
-            if cover[x][y] == -1:
+            if third[x][y] == -1:
                 pos[x * n + y] = len(uncov)
                 uncov.append(x * n + y)
 
-    def cover_pair(x, y, bid):
+    def cover_pair(x, y, z):
         if x > y:
             x, y = y, x
-        cover[x][y] = bid
-        cover[y][x] = bid
+        third[x][y] = third[y][x] = z
         cov[x] |= 1 << y
         cov[y] |= 1 << x
         code = x * n + y
@@ -153,10 +150,7 @@ def _climb(order, frozen_blocks, rng, max_moves):
             pos[last] = i
 
     def uncover_pair(x, y):
-        if x > y:
-            x, y = y, x
-        cover[x][y] = -1
-        cover[y][x] = -1
+        third[x][y] = third[y][x] = -1
         cov[x] &= ~(1 << y)
         cov[y] &= ~(1 << x)
         code = x * n + y
@@ -174,30 +168,29 @@ def _climb(order, frozen_blocks, rng, max_moves):
         if not cands:
             continue
         z = _nth_bit(cands, rng.randrange(cands.bit_count()))
-        conflict = cover[x][z] if cover[x][z] >= 0 else cover[y][z]
-        if conflict >= 0:
-            a, b, c = blocks.pop(conflict)
+        # the block {u,z,w} that covers {x,z} or else {y,z}, if any
+        u = x if third[x][z] != -1 else y
+        w = third[u][z]
+        if w != -1:
+            a, b, c = sorted((u, z, w))
             uncover_pair(a, b)
             uncover_pair(a, c)
             uncover_pair(b, c)
-        bid = next_id
-        next_id += 1
-        blocks[bid] = tuple(sorted((x, y, z)))
-        cover_pair(x, y, bid)
-        cover_pair(x, z, bid)
-        cover_pair(y, z, bid)
+        cover_pair(x, y, z)
+        cover_pair(x, z, y)
+        cover_pair(y, z, x)
 
     if uncov:
         return None, moves
-    return list(blocks.values()), moves
+    return _blocks_of(third), moves
 
 
 def complete_partial(
     ts: TripleSystem,
     target_order: int,
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    moves_per_restart: int = DEFAULT_MOVES,
+    restarts: int = config.DEFAULT_RESTARTS,
+    moves_per_restart: int = config.DEFAULT_MOVES,
 ) -> CompletionReport:
     """Embed ts into a Steiner system of the given order.
 
@@ -206,7 +199,7 @@ def complete_partial(
     restart converges.  Targets below 2*order+1 are accepted (the caller may
     know better) but are not guaranteed to admit any completion.  Targets
     above the construction cap raise TooLargeError before the climb
-    allocates its order x order cover table.
+    allocates its order x order pair table.
     """
     if not steiner_admissible(target_order):
         raise InadmissibleOrderError(
@@ -231,7 +224,7 @@ def complete_partial(
         system = TripleSystem(target_order, result, SystemKind.STEINER, tag)
         checks = (
             ("steiner", system.is_steiner()),
-            ("contains_source", set(ts.triples) <= set(system.triples)),
+            ("contains_source", all(system._third[a][b] == c for a, b, c in ts.triples)),
         )
         return CompletionReport(
             ts.order, target_order, seed, attempt, total_moves,
@@ -287,8 +280,8 @@ def two_sizes_checks(ts: TripleSystem, base, b_triple):
 def two_minimal_sizes_sts(
     n: int = 4,
     seed: int = 0,
-    restarts_per_target: int = DEFAULT_RESTARTS,
-    moves_per_restart: int = DEFAULT_MOVES,
+    restarts_per_target: int = config.DEFAULT_RESTARTS,
+    moves_per_restart: int = config.DEFAULT_MOVES,
 ):
     """A Steiner system with minimal spreading sets of sizes 3 and n.
 

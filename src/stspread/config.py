@@ -38,6 +38,10 @@ MAX_DIMENSION_CHECK_DIM = 5
 # Two-sizes construction input n (AG(n-1,3) must stay desk-scale).
 MAX_SECTION_N = 6
 
+# Hill-climbing completion budget: restarts, and moves per restart.
+DEFAULT_RESTARTS = 50
+DEFAULT_MOVES = 10 ** 6
+
 
 def order_cap(default: int) -> int:
     """Return the effective order cap: STS_MAX_ORDER when set, else default.

@@ -49,7 +49,7 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .system import GeometryTag, SystemKind, TripleSystem
+from .system import GeometryTag, SystemKind, TripleSystem, _blocks_of, _empty_pair_table
 
 STS15_NODE_BUDGET = 10 ** 6
 STS15_MAX_RESTARTS = 100
@@ -143,9 +143,8 @@ class _NodesExhausted(Exception):
 
 
 def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
-    """One randomized pair-covering backtracking run; blocks or None."""
-    third = [[-1] * order for _ in range(order)]
-    blocks = []
+    """One randomized pair-covering backtracking run; sorted blocks or None."""
+    third = _empty_pair_table(order)
     nodes = 0
 
     def least_uncovered():
@@ -158,15 +157,11 @@ def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
 
     def place(x, y, z):
         for u, v, w in ((x, y, z), (x, z, y), (y, z, x)):
-            third[u][v] = w
-            third[v][u] = w
-        blocks.append((x, y, z))
+            third[u][v] = third[v][u] = w
 
     def unplace(x, y, z):
         for u, v in ((x, y), (x, z), (y, z)):
-            third[u][v] = -1
-            third[v][u] = -1
-        blocks.pop()
+            third[u][v] = third[v][u] = -1
 
     def extend():
         nonlocal nodes
@@ -192,7 +187,7 @@ def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
         return False
 
     try:
-        return list(blocks) if extend() else None
+        return _blocks_of(third) if extend() else None
     except _NodesExhausted:
         return None
 
@@ -254,9 +249,9 @@ def perturbed_pg(d: int, seed: int = 0) -> TripleSystem:
     tag = GeometryTag("perturbed_pg", d, seed, base.tag.labels)
     ts = TripleSystem(base.order, outer + inner, SystemKind.STEINER, tag)
 
-    for block in wanted:
-        if block not in ts.triples:
-            raise NoTriangleAlignmentError("aligned block %r missing" % (block,))
+    for a, b, c in wanted:
+        if ts._third[a][b] != c:
+            raise NoTriangleAlignmentError("aligned block %r missing" % ((a, b, c),))
     w_mask, _ = _closure_mask(ts._third, (v1, v2, v3))
     if w_mask != (1 << 15) - 1:
         raise NoTriangleAlignmentError("replacement subsystem does not fill W")

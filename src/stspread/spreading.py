@@ -259,7 +259,7 @@ def enumerate_minimal_spreading_sets(
     truncated = False
     spent = 0
     prev_bits = 0  # bit r: the r-th (k-1)-subset in colex order spreads
-    prev = set()  # the spreading (k-1)-subsets, as masks
+    prev = set()  # the spreading (k-1)-subsets, as point tuples
     for k in range(1 if n == 1 else 2, max_size + 1):
         level = math.comb(n, k)
         if spent + level > budget:
@@ -272,28 +272,21 @@ def enumerate_minimal_spreading_sets(
         for part in run_jobs(_scan_level, [(ts, k, c) for c in chunks], jobs):
             hits.extend(part)
         # bit j of a top's batch is the j-th (k-1)-subset in colex order
-        if prev:  # the minimality check below needs the masks alone
-            masks = [sum(1 << p for p in rest) for rest in colex_subsets(n - 1, k - 1)]
-        else:
-            rests = list(colex_subsets(n - 1, k - 1))
-            masks = [sum(1 << p for p in rest) for rest in rests] if k < max_size else None
+        rests = list(colex_subsets(n - 1, k - 1))
         found = []
         spread_bits = 0
         spreading = set()
         for t, spread in zip(tops, hits):
-            top = 1 << t
             spread_bits |= spread << math.comb(t, k)
             if k < max_size:
-                spreading.update(m | top for m in _select(masks, spread))
-            # prev_bits drops the k-sets whose points below t already spread
-            new = spread & ~prev_bits
+                spreading.update(map(add, _select(rests, spread), repeat((t,))))
+            # prev_bits drops the k-sets whose points below t already spread;
+            # a k-set is minimal when none of its other (k-1)-subsets does
+            new = map(add, _select(rests, spread & ~prev_bits), repeat((t,)))
             if prev:
-                for m in _select(masks, new):
-                    mask = m | top
-                    if not any(mask ^ (1 << p) in prev for p in _iter_bits(m)):
-                        found.append(tuple(_iter_bits(mask)))
-            else:
-                found.extend(map(add, _select(rests, new), repeat((t,))))
+                new = [s for s in new
+                       if not any(s[:i] + s[i + 1:] in prev for i in range(k - 1))]
+            found.extend(new)
         found.sort()
         results += found
         prev_bits, prev = spread_bits, spreading

@@ -107,8 +107,6 @@ def _is_canonical(triples, order) -> bool:
 
 
 def _canonical_triples(triples: Iterable[Sequence[int]], order: int):
-    if _is_canonical(triples, order):
-        return tuple(triples)
     seen = set()
     out = []
     for t in triples:
@@ -128,19 +126,32 @@ def _canonical_triples(triples: Iterable[Sequence[int]], order: int):
     return tuple(out)
 
 
+def _empty_pair_table(order):
+    """The pair table with no block: order array rows of order entries -1,
+    2-byte ints below order 2^15 and machine longs above."""
+    row = array("h" if order < 1 << 15 else "l", [-1]) * order
+    return [row[:] for _ in range(order)]
+
+
+def _blocks_of(third):
+    """The blocks (a, b, c) of a pair table, a < b < c = third[a][b], in the
+    lexicographic order that _is_canonical accepts."""
+    return [(a, b, c) for a, row in enumerate(third)
+            for b, c in enumerate(row[a + 1:], a + 1) if c > b]
+
+
 def _pair_table(order, triples):
     """The pair table of canonical triples: third[x][y] = z when {x,y,z} is a
-    block, else -1, in one array row per point.
+    block, else -1, in one array row per point (_empty_pair_table).
 
-    Rows hold 2-byte ints below order 2^15 and machine longs above.  Each
-    block stores its six entries unchecked.  They are six distinct cells off
-    the diagonal, so the table holds exactly 6b entries other than -1 when no
-    cell was written twice, and fewer when two blocks share a pair.  Only
-    then are the blocks replayed with a check per pair, in the order (a,b),
-    (a,c), (b,c) of each block, so the error names the first shared pair.
+    Each block stores its six entries unchecked.  They are six distinct
+    cells off the diagonal, so the table holds exactly 6b entries other than
+    -1 when no cell was written twice, and fewer when two blocks share a
+    pair.  Only then are the blocks replayed with a check per pair, in the
+    order (a,b), (a,c), (b,c) of each block, so the error names the first
+    shared pair.
     """
-    row = array("h" if order < 1 << 15 else "l", [-1]) * order
-    third = [row[:] for _ in range(order)]
+    third = _empty_pair_table(order)
     for a, b, c in triples:
         ta, tb, tc = third[a], third[b], third[c]
         ta[b] = tb[a] = c
@@ -149,10 +160,10 @@ def _pair_table(order, triples):
     # -1 is the only entry whose most significant byte is 0xff, so each run
     # of 0xff bytes is whole -1 entries plus fewer than itemsize bytes of a
     # neighbour, and its itemsize-byte pieces count its -1 entries
-    empty = b"\xff" * row.itemsize
+    empty = b"\xff" * third[0].itemsize
     if order * order - sum(r.tobytes().count(empty) for r in third) == 6 * len(triples):
         return third
-    third = [row[:] for _ in range(order)]
+    third = _empty_pair_table(order)
     for a, b, c in triples:
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
             if third[x][y] != -1:
@@ -193,7 +204,8 @@ class TripleSystem:
                 "no Steiner triple system of order %d exists (order mod 6 must be 1 or 3)"
                 % order
             )
-        triples = _canonical_triples(triples, order)
+        canonical = _is_canonical(triples, order)
+        triples = tuple(triples) if canonical else _canonical_triples(triples, order)
 
         # third[x][y] = z when {x,y,z} is a block, else -1; one array row per
         # point, doubling as the pair index and as the linearity check.

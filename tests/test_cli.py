@@ -260,6 +260,8 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (1, spread + ["greedy", "--seed-pair", "1"]),
         (1, spread + ["greedy", "--seed-pair", "1,2,3"]),
         (1, spread + ["enumerate", "--max-size", "-3"]),
+        (1, spread + ["min", "--format", "csv"]),
+        (1, spread + ["greedy", "--max-size", "3"]),
         (1, ["analyze", "--system", str(system), "subsystems", "--max-count", "-1"]),
         (1, ["saturate", "extremes", "--n", "3", "--m", "-1"]),
         (1, ["saturate", "bounds", "--max-n", "0"]),
