@@ -89,7 +89,7 @@ def almostmax(seed=0):
     spreading set of size 4, below the projective size 5."""
     ts = perturbed_pg(4, seed)
     yield ("perturbed_steiner", ts.order == 31 and ts.is_steiner(),
-           "order=%d blocks=%d" % (ts.order, len(ts.triples)))
+           "order=%d blocks=%d" % (ts.order, ts.block_count))
     replaced = closure_points(ts, [1, 3, 7])
     yield ("replacement_subspace_closed", replaced == frozenset(range(15)),
            "size=%d" % len(replaced))
@@ -108,7 +108,7 @@ def two_sizes(n=4, seed=0):
     """A Steiner system with minimal spreading sets of sizes 3 and n; the
     order, base and b_triple come first, as facts."""
     ts, base, b_triple = two_minimal_sizes_sts(n, seed)
-    yield "order", None, "order=%d blocks=%d seed=%d" % (ts.order, len(ts.triples), seed)
+    yield "order", None, "order=%d blocks=%d seed=%d" % (ts.order, ts.block_count, seed)
     yield "base", None, "base=%s" % _fmt_set(base)
     yield "b_triple", None, "b_triple=%s" % _fmt_set(b_triple)
     yield from two_sizes_checks(ts, base, b_triple)

@@ -151,7 +151,7 @@ def _cmd_construct(args):
     if sidecar:
         files[args.out + ".labels"] = [sidecar.encode()]
     rep.say("wrote %s order=%d blocks=%d kind=%s"
-            % (args.out, ts.order, len(ts.triples), ts.kind.value))
+            % (args.out, ts.order, ts.block_count, ts.kind.value))
     if sidecar:
         rep.say("wrote %s.labels" % args.out)
     for line in extra:

@@ -11,8 +11,8 @@ safe territory: embeddings exist there, and u <= (v-1)/2 also guarantees
 that an uncovered pair always has conflict-free third points available.
 
 The climber keeps the pair table of TripleSystem, third[x][y] = z or -1,
-finds there the block a move displaces, and reads its finished blocks back
-from it in lexicographic order (system._blocks_of).
+finds there the block a move displaces, and hands the finished table to
+TripleSystem as it is.
 
 Each move finds its third points with a few big-int operations instead of a
 scan over all n points.  The climber keeps one bitmask per point: cov[x] has
@@ -56,7 +56,6 @@ from .system import (
     GeometryTag,
     SystemKind,
     TripleSystem,
-    _blocks_of,
     _empty_pair_table,
     steiner_admissible,
 )
@@ -113,7 +112,8 @@ def _nth_bit(m, r):
 
 
 def _climb(order, frozen_blocks, rng, max_moves):
-    """One hill-climbing attempt; returns (sorted blocks or None, moves used)."""
+    """One hill-climbing attempt; returns (the pair table of a Steiner system
+    or None, moves used)."""
     n = order
     third = _empty_pair_table(n)
     # frz[x] / cov[x]: bit z set when {x,z} is covered by a frozen block / covered
@@ -182,7 +182,7 @@ def _climb(order, frozen_blocks, rng, max_moves):
 
     if uncov:
         return None, moves
-    return _blocks_of(third), moves
+    return third, moves
 
 
 def complete_partial(
@@ -215,13 +215,15 @@ def complete_partial(
     rng = random.Random(seed)
     total_moves = 0
     for attempt in range(1, restarts + 1):
-        result, moves = _climb(target_order, ts.triples, rng, moves_per_restart)
+        third, moves = _climb(target_order, ts.triples, rng, moves_per_restart)
         total_moves += moves
-        if result is None:
+        if third is None:
             continue
-        variant = "random" if not ts.triples else "completed"
+        variant = "random" if not ts.block_count else "completed"
         tag = GeometryTag(variant, None, seed)
-        system = TripleSystem(target_order, result, SystemKind.STEINER, tag)
+        system = TripleSystem._of_table(target_order, third,
+                                        target_order * (target_order - 1) // 6,
+                                        SystemKind.STEINER, tag)
         checks = (
             ("steiner", system.is_steiner()),
             ("contains_source", all(system._third[a][b] == c for a, b, c in ts.triples)),

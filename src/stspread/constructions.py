@@ -35,6 +35,7 @@ Provided families:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -49,40 +50,60 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .system import GeometryTag, SystemKind, TripleSystem, _blocks_of, _empty_pair_table
+from .system import GeometryTag, SystemKind, TripleSystem, _empty_pair_table, _typecode
 
 STS15_NODE_BUDGET = 10 ** 6
 STS15_MAX_RESTARTS = 100
 
 
+def _cayley_rows(q, n, first, code):
+    """The rows L_a[v] = first[a + v] for a, v in range(q^n), where + adds
+    the base-q digits of a and v mod q, as arrays of the given typecode.
+
+    Let a have its top digit t at place k, and a' = a - t q^k.  Then L_a[v]
+    is L_a'[v + t q^k]: each block of q^(k+1) entries of L_a is the same
+    block of L_a' with its q pieces of q^k entries rotated by t.  So every
+    row is a few slices of an earlier one, with no work per entry.
+    """
+    size = q ** n
+    rows = [array(code, first)]
+    step = 1  # q^k
+    for a in range(1, size):
+        if a == q * step:
+            step *= q
+        top = a // step
+        src = rows[a - top * step]
+        row = src[:]
+        for base in range(0, size, q * step):
+            for j in range(q):
+                start = base + (j + top) % q * step
+                row[base + j * step:base + (j + 1) * step] = src[start:start + step]
+        rows.append(row)
+    return rows
+
+
 def pg2(d: int) -> TripleSystem:
     """The projective Steiner triple system PG(d,2) of order 2^(d+1) - 1.
 
-    The blocks come out in lexicographic order, as (a-1, b-1, c-1) for labels
-    a < b < c = a xor b.  Every block takes its points from one list of
-    order ints, so all blocks share order int objects instead of holding
-    three fresh ones each (PG(10,2) has 698,027 blocks).
+    The blocks are {a-1, b-1, c-1} for labels c = a xor b, and the pair
+    table is built without them: row a-1 is [(a ^ b) - 1 for b in 1..order],
+    whose diagonal comes out as -1 by itself.  These are the rows of
+    _cayley_rows with q = 2 and first[v] = v - 1, less label 0.
     """
     if d < 1:
         raise TrivialOrderError("pg2 needs dimension >= 1")
     order = (1 << (d + 1)) - 1
     if order > config.order_cap(config.MAX_CONSTRUCTION_ORDER):
         raise TooLargeError("PG(%d,2) has order %d, above the cap" % (d, order))
-    pt = list(range(-1, order))  # pt[v]: the point with label v
-    triples = []
-    for a in range(1, order + 1):
-        # with top the highest bit of a, c = a ^ b > b > a exactly when b has
-        # bit top clear and a higher bit set: b in [base, base + top) for
-        # base = 2 top, 4 top, 6 top, ... (order + 1 is a multiple of 2 top)
-        top = 1 << (a.bit_length() - 1)
-        pa = pt[a]
-        for base in range(2 * top, order + 1, 2 * top):
-            triples.extend([(pa, pt[b], pt[a ^ b]) for b in range(base, base + top)])
+    rows = _cayley_rows(2, d + 1, range(-1, order), _typecode(order))
+    for row in rows:
+        del row[0]
     labels = tuple(
         tuple((v >> i) & 1 for i in range(d + 1)) for v in range(1, order + 1)
     )
     tag = GeometryTag("pg2", d, None, labels)
-    return TripleSystem(order, triples, SystemKind.STEINER, tag)
+    return TripleSystem._of_table(order, rows[1:], order * (order - 1) // 6,
+                                  SystemKind.STEINER, tag)
 
 
 def _f3_digits(value: int, width: int) -> tuple:
@@ -92,9 +113,10 @@ def _f3_digits(value: int, width: int) -> tuple:
 def ag3(d: int) -> TripleSystem:
     """The affine Steiner triple system AG(d,3) of order 3^d.
 
-    The blocks come out in lexicographic order.  As in pg2, every block takes
-    its points from one list of order ints, so all blocks share order int
-    objects.
+    The blocks are {a, b, c} with c = -(a + b) digit by digit mod 3, and the
+    pair table is built without them: its rows are those of _cayley_rows
+    with q = 3 and first[v] = -v, with -1 put on the diagonal, where the
+    rule gives -2a = a.
     """
     if d < 1:
         raise TrivialOrderError("ag3 needs dimension >= 1")
@@ -103,19 +125,14 @@ def ag3(d: int) -> TripleSystem:
         raise TooLargeError("AG(%d,3) has order %d, above the cap" % (d, order))
     powers = [3 ** i for i in range(d)]
     digits = [_f3_digits(v, d) for v in range(order)]
-    pt = list(range(order))
-    triples = []
-    for a in range(order):
-        da = digits[a]
-        pa = pt[a]
-        for b in range(a + 1, order):
-            db = digits[b]
-            c = sum(((-da[i] - db[i]) % 3) * powers[i] for i in range(d))
-            if c > b:
-                triples.append((pa, pt[b], pt[c]))
+    negated = [sum(-x % 3 * p for x, p in zip(dv, powers)) for dv in digits]
+    rows = _cayley_rows(3, d, negated, _typecode(order))
+    for a, row in enumerate(rows):
+        row[a] = -1
     labels = tuple(digits)
     tag = GeometryTag("ag3", d, None, labels)
-    return TripleSystem(order, triples, SystemKind.STEINER, tag)
+    return TripleSystem._of_table(order, rows, order * (order - 1) // 6,
+                                  SystemKind.STEINER, tag)
 
 
 def find_triangle(ts: TripleSystem):
@@ -143,7 +160,8 @@ class _NodesExhausted(Exception):
 
 
 def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
-    """One randomized pair-covering backtracking run; sorted blocks or None."""
+    """One randomized pair-covering backtracking run; the pair table of a
+    Steiner system, or None."""
     third = _empty_pair_table(order)
     nodes = 0
 
@@ -187,7 +205,7 @@ def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
         return False
 
     try:
-        return _blocks_of(third) if extend() else None
+        return third if extend() else None
     except _NodesExhausted:
         return None
 
@@ -205,11 +223,11 @@ def subsystem_free_sts15(
     """
     rng = random.Random(seed)
     for _ in range(max_restarts):
-        blocks = _backtrack_sts(15, rng, node_budget)
-        if blocks is None:
+        third = _backtrack_sts(15, rng, node_budget)
+        if third is None:
             continue
-        ts = TripleSystem(
-            15, blocks, SystemKind.STEINER, GeometryTag("random", None, seed)
+        ts = TripleSystem._of_table(
+            15, third, 35, SystemKind.STEINER, GeometryTag("random", None, seed)
         )
         if is_spreading_system(ts):
             return ts
@@ -242,12 +260,16 @@ def perturbed_pg(d: int, seed: int = 0) -> TripleSystem:
     rest_dst = [p for p in range(15) if p not in set(relabel.values())]
     relabel.update(zip(rest_src, rest_dst))
 
-    inner = [
-        tuple(sorted((relabel[a], relabel[b], relabel[c]))) for a, b, c in sts.triples
-    ]
-    outer = [t for t in base.triples if t[2] >= 15]
+    # W, points 0..14, is closed, so the blocks with two points in W are the
+    # blocks inside it: those are the entries of W x W, which take the
+    # relabelled STS(15) in place of PG(3,2)
+    third = [row[:] for row in base._third]
+    for x in range(15):
+        row, into = sts._third[x], third[relabel[x]]
+        for y in range(15):
+            into[relabel[y]] = -1 if x == y else relabel[row[y]]
     tag = GeometryTag("perturbed_pg", d, seed, base.tag.labels)
-    ts = TripleSystem(base.order, outer + inner, SystemKind.STEINER, tag)
+    ts = TripleSystem._of_table(base.order, third, base.block_count, SystemKind.STEINER, tag)
 
     for a, b, c in wanted:
         if ts._third[a][b] != c:

@@ -30,6 +30,7 @@ from itertools import islice
 from operator import lt
 from typing import Iterable, Optional, Sequence
 
+from . import config
 from .errors import (
     BadOrderError,
     DuplicatePairError,
@@ -37,6 +38,7 @@ from .errors import (
     OutOfRangeError,
     ParseError,
     SamePointError,
+    TooLargeError,
 )
 
 # A point set is just a frozenset of point indices.
@@ -90,8 +92,8 @@ def _is_canonical(triples, order) -> bool:
     0 <= a < b < c < order, in strictly increasing order.
 
     These are exactly the inputs whose canonical form is tuple(triples): the
-    loop of _canonical_triples would keep every entry, in the same order and
-    with the same point objects, so it can be skipped.
+    loop of _canonical_triples would keep every entry, in the same order, so
+    it can be skipped.
     """
     if not isinstance(triples, (list, tuple)):
         return False
@@ -126,10 +128,15 @@ def _canonical_triples(triples: Iterable[Sequence[int]], order: int):
     return tuple(out)
 
 
+def _typecode(order):
+    """The array typecode of a pair table row: 2-byte ints below order 2^15,
+    machine longs above."""
+    return "h" if order < 1 << 15 else "l"
+
+
 def _empty_pair_table(order):
-    """The pair table with no block: order array rows of order entries -1,
-    2-byte ints below order 2^15 and machine longs above."""
-    row = array("h" if order < 1 << 15 else "l", [-1]) * order
+    """The pair table with no block: order array rows of order entries -1."""
+    row = array(_typecode(order), [-1]) * order
     return [row[:] for _ in range(order)]
 
 
@@ -140,36 +147,45 @@ def _blocks_of(third):
             for b, c in enumerate(row[a + 1:], a + 1) if c > b]
 
 
-def _pair_table(order, triples):
-    """The pair table of canonical triples: third[x][y] = z when {x,y,z} is a
-    block, else -1, in one array row per point (_empty_pair_table).
-
-    Each block stores its six entries unchecked.  They are six distinct
-    cells off the diagonal, so the table holds exactly 6b entries other than
-    -1 when no cell was written twice, and fewer when two blocks share a
-    pair.  Only then are the blocks replayed with a check per pair, in the
-    order (a,b), (a,c), (b,c) of each block, so the error names the first
-    shared pair.
-    """
-    third = _empty_pair_table(order)
+def _fill(third, triples):
+    """Store the six entries of each block, with no test per pair."""
     for a, b, c in triples:
         ta, tb, tc = third[a], third[b], third[c]
         ta[b] = tb[a] = c
         ta[c] = tc[a] = b
         tb[c] = tc[b] = a
+
+
+def _entries(third):
+    """The number of entries other than -1 in a pair table."""
     # -1 is the only entry whose most significant byte is 0xff, so each run
     # of 0xff bytes is whole -1 entries plus fewer than itemsize bytes of a
     # neighbour, and its itemsize-byte pieces count its -1 entries
     empty = b"\xff" * third[0].itemsize
-    if order * order - sum(r.tobytes().count(empty) for r in third) == 6 * len(triples):
-        return third
+    return len(third) ** 2 - sum(r.tobytes().count(empty) for r in third)
+
+
+def _shared_pair(order, triples):
+    """The DuplicatePairError of canonical triples that share a pair: the
+    pairs (a,b), (a,c), (b,c) of each block are checked in turn, so the
+    error names the first shared pair."""
     third = _empty_pair_table(order)
     for a, b, c in triples:
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
             if third[x][y] != -1:
-                raise DuplicatePairError("pair (%d, %d) lies in two blocks" % (x, y))
+                return DuplicatePairError("pair (%d, %d) lies in two blocks" % (x, y))
             third[x][y] = third[y][x] = z
     raise AssertionError("unreachable: the count found a shared pair")
+
+
+def _check_order(order, kind):
+    if not isinstance(order, int) or order < 1:
+        raise BadOrderError("order must be a positive integer, got %r" % (order,))
+    if kind is SystemKind.STEINER and order > 3 and order % 6 not in (1, 3):
+        raise BadOrderError(
+            "no Steiner triple system of order %d exists (order mod 6 must be 1 or 3)"
+            % order
+        )
 
 
 class TripleSystem:
@@ -182,47 +198,77 @@ class TripleSystem:
     whose pair coverage turns out to be total is upgraded to Steiner so that
     "kind is Steiner" and "every pair is covered" always agree.
 
-    Blocks that already come canonical (a list or tuple of sorted 3-tuples
-    in strictly increasing order, see _is_canonical) are kept as they are;
-    any other input is deduplicated and sorted first.  The pair table _third
-    is a list of one array row per point, 2 bytes an entry below order 2^15
-    (8.4 MB at PG(10,2)); see _pair_table.  One count over the filled table
-    tells whether two blocks share a pair, and only then are the pairs
-    (a,b), (a,c), (b,c) of each block checked in turn, so DuplicatePairError
-    names the same pair whatever form the blocks came in.  Once no pair lies
-    in two blocks, b blocks cover exactly 3b pairs, so coverage is total
-    when 6b = order(order-1).
+    The pair table _third is the only store of the blocks: third[x][y] = z
+    when {x,y,z} is a block, else -1, in one array row per point, 2 bytes an
+    entry below order 2^15 (8.4 MB at PG(10,2)).  block_count is the number
+    of blocks, and triples, the blocks as sorted 3-tuples in lexicographic
+    order, is read back from the table on first use (_blocks_of) and kept.
+
+    Every table goes through the same checks, in this order: the order
+    (BadOrderError), then one count of the entries other than -1,
+    which is 6 * block_count exactly when no cell was written twice
+    (DuplicatePairError), then full coverage when the kind is Steiner
+    (NotSteinerError).  Once no pair lies in two blocks, b blocks cover
+    exactly 3b pairs, so coverage is total when 6b = order(order-1).
+    Builders that fill a table themselves (pg2, ag3, perturbed_pg, the
+    STS(15) backtracker, the hill climb, parse and with_labels) hand it to
+    _of_table.  The constructor takes
+    blocks instead: any form that is not canonical (a list or tuple of
+    sorted 3-tuples in strictly increasing order, see _is_canonical) is
+    deduplicated and sorted first, and when the count finds a shared pair
+    the blocks are checked again one pair at a time (_shared_pair), so
+    DuplicatePairError names the same pair whatever form they came in.
     """
 
-    __slots__ = ("order", "triples", "kind", "tag", "_third")
+    __slots__ = ("order", "kind", "tag", "block_count", "_triples", "_third")
 
     def __init__(self, order, triples, kind=SystemKind.PARTIAL, tag=PLAIN_TAG):
-        if not isinstance(order, int) or order < 1:
-            raise BadOrderError("order must be a positive integer, got %r" % (order,))
-        if kind is SystemKind.STEINER and order > 3 and order % 6 not in (1, 3):
-            raise BadOrderError(
-                "no Steiner triple system of order %d exists (order mod 6 must be 1 or 3)"
-                % order
-            )
-        canonical = _is_canonical(triples, order)
-        triples = tuple(triples) if canonical else _canonical_triples(triples, order)
+        _check_order(order, kind)
+        if not _is_canonical(triples, order):
+            triples = _canonical_triples(triples, order)
+        third = _empty_pair_table(order)
+        _fill(third, triples)
+        self._settle(order, third, len(triples), kind, tag, triples)
 
-        # third[x][y] = z when {x,y,z} is a block, else -1; one array row per
-        # point, doubling as the pair index and as the linearity check.
-        third = _pair_table(order, triples)
+    @classmethod
+    def _of_table(cls, order, third, size, kind, tag):
+        """The system of a filled pair table, third, of size blocks.
 
-        # no pair lies in two blocks, so the blocks cover 3 * len distinct pairs
-        total = 6 * len(triples) == order * (order - 1)
+        The table is taken over, not copied.  A shared pair raises
+        DuplicatePairError without naming the pair; a reader that must
+        name it builds from its blocks through the constructor instead.
+        """
+        _check_order(order, kind)
+        self = cls.__new__(cls)
+        self._settle(order, third, size, kind, tag)
+        return self
+
+    def _settle(self, order, third, size, kind, tag, blocks=None):
+        """The checks that follow the order's, then the attributes."""
+        if _entries(third) != 6 * size:
+            if blocks is None:
+                raise DuplicatePairError("two of the %d blocks share a pair" % size)
+            raise _shared_pair(order, blocks)
+        # no pair lies in two blocks, so the blocks cover 3 * size distinct pairs
+        total = 6 * size == order * (order - 1)
         if kind is SystemKind.STEINER and not total:
             raise NotSteinerError("some pair is not covered by any block")
         if total and steiner_admissible(order):
             kind = SystemKind.STEINER
 
         self.order = order
-        self.triples = triples
         self.kind = kind
         self.tag = tag if tag is not None else PLAIN_TAG
+        self.block_count = size
+        self._triples = None
         self._third = third
+
+    @property
+    def triples(self):
+        """The blocks as sorted 3-tuples in lexicographic order."""
+        if self._triples is None:
+            object.__setattr__(self, "_triples", tuple(_blocks_of(self._third)))
+        return self._triples
 
     def __setattr__(self, name, value):
         if hasattr(self, "_third"):
@@ -259,8 +305,9 @@ class TripleSystem:
         return tuple(sorted((x, y, z)))
 
     def __reduce__(self):
-        # revalidating on unpickle is cheap and keeps the slots+guard scheme
-        return (TripleSystem, (self.order, self.triples, self.kind, self.tag))
+        # rechecking the table on unpickle is cheap and keeps the slots+guard scheme
+        return (TripleSystem._of_table,
+                (self.order, self._third, self.block_count, self.kind, self.tag))
 
     def __eq__(self, other):
         if not isinstance(other, TripleSystem):
@@ -268,16 +315,16 @@ class TripleSystem:
         return (
             self.order == other.order
             and self.kind == other.kind
-            and self.triples == other.triples
+            and self._third == other._third
         )
 
     def __hash__(self):
-        return hash((self.order, self.kind, self.triples))
+        return hash((self.order, self.kind, tuple(map(hash, map(bytes, self._third)))))
 
     def __repr__(self):
         return "TripleSystem(order=%d, blocks=%d, kind=%s, tag=%s)" % (
             self.order,
-            len(self.triples),
+            self.block_count,
             self.kind.value,
             self.tag.variant,
         )
@@ -312,12 +359,14 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
     if not kept:
         raise OutOfRangeError("induced subsystem needs at least one point")
     rank = {p: i for i, p in enumerate(kept)}
-    inside = set(kept)
-    sub_triples = [
-        (rank[a], rank[b], rank[c])
-        for a, b, c in ts.triples
-        if a in inside and b in inside and c in inside
-    ]
+    # the blocks (a, b, c) with a < b < c = third[a][b] inside, in lexicographic order
+    sub_triples = []
+    for i, a in enumerate(kept):
+        row = ts._third[a]
+        for b in kept[i + 1:]:
+            c = row[b]
+            if c > b and c in rank:
+                sub_triples.append((i, rank[b], rank[c]))
     sub = TripleSystem(len(kept), sub_triples, SystemKind.PARTIAL, PLAIN_TAG)
     return sub, tuple(kept)
 
@@ -325,16 +374,20 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
 # -- text format ---------------------------------------------------------
 
 
-# Blocks per piece of text that serialize formats at once.
+# Blocks per piece of text that serialize formats at once, at the least.
 _SERIALIZE_CHUNK = 1 << 14
 
 
 def _serialize_pieces(ts: TripleSystem):
     """The canonical text of serialize, piece by piece: the header lines, then
-    the block lines of each _SERIALIZE_CHUNK blocks joined into one string.
+    the block lines of whole table rows joined into one string once they
+    hold _SERIALIZE_CHUNK blocks, and the rest.
 
-    So no list of one string per block is ever built, and a writer that
-    takes the pieces one at a time never holds the whole text as a str.
+    Row a gives the lines of the blocks (a, b, c) with a < b < c =
+    third[a][b], in order of b, so the blocks come in lexicographic order
+    straight from the pair table and triples is never built.  No list of one
+    string per block is built either, and a writer that takes the pieces
+    one at a time never holds the whole text as a str.
     """
     tag = ts.tag
     head = "v %d %s\n" % (ts.order, ts.kind.value)
@@ -343,10 +396,16 @@ def _serialize_pieces(ts: TripleSystem):
         param = "-" if tag.param is None else str(tag.param)
         head += "# tag %s %s%s\n" % (tag.variant, param, extra)
     yield head
-    line = "b %d %d %d\n".__mod__
-    triples = ts.triples
-    for i in range(0, len(triples), _SERIALIZE_CHUNK):
-        yield "".join(map(line, triples[i:i + _SERIALIZE_CHUNK]))
+    rows, blocks = [], 0
+    for a, row in enumerate(ts._third):
+        pairs = [(b, c) for b, c in enumerate(row[a + 1:], a + 1) if c > b]
+        rows.append("".join(map(("b %d %%d %%d\n" % a).__mod__, pairs)))
+        blocks += len(pairs)
+        if blocks >= _SERIALIZE_CHUNK:
+            yield "".join(rows)
+            rows, blocks = [], 0
+    if blocks:
+        yield "".join(rows)
 
 
 def serialize(ts: TripleSystem) -> str:
@@ -413,9 +472,10 @@ _BODY_BYTES = b"b0123456789 \n"
 _CHUNK = 1 << 17
 
 
-def _parse_fast(text: str):
-    """(order, triples, kind, tag) of a file in the form serialize writes,
-    or None when any line might be read differently by _parse_lines.
+def _parse_fast(text: str, cap: int):
+    """The system of a file in the form serialize writes, or None when any
+    line might be read differently by _parse_lines, when two lines share a
+    pair (so that the error can name it) or when the order is above cap.
 
     Accepts the header "v <order> <kind>", an optional comment on line 2 and
     then only lines "b <i> <j> <k>" with i < j < k in [0, order), in chunks of
@@ -426,7 +486,9 @@ def _parse_fast(text: str):
     that rejects signs, leading zeros and non-ASCII digits.  Digit tokens
     hold no b, so the n line starts fall on the n "b" tokens and each line
     is "b i j k".  With i < j < k, whatever passes is exactly what
-    _parse_lines accepts, with the same triples in the same order.
+    _parse_lines accepts, with the same triples in the same order.  Each
+    chunk's blocks go straight into the pair table, and the table then
+    takes the checks of TripleSystem in the same order (_of_table).
     """
     head = _HEADER.match(text)
     if head is None:
@@ -444,10 +506,10 @@ def _parse_fast(text: str):
         if maybe is not None:
             tag = maybe
         pos = nl + 1
-    if order > len(text):
-        return None  # keeps the index table no larger than the text
-    triples = []
+    if order > len(text) or order > cap:
+        return None  # the index table stays within the text, the pair table within the cap
     index = {str(i): i for i in range(order)}
+    table, size = _empty_pair_table(order), 0
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK)
         end = len(text) if end < 0 else end + 1
@@ -473,8 +535,12 @@ def _parse_fast(text: str):
         first, second, third = values[0::3], values[1::3], values[2::3]
         if not (all(map(lt, first, second)) and all(map(lt, second, third))):
             return None
-        triples.extend(zip(first, second, third))
-    return order, triples, kind, tag
+        _fill(table, zip(first, second, third))
+        size += lines
+    try:
+        return TripleSystem._of_table(order, table, size, kind, tag)
+    except DuplicatePairError:
+        return None
 
 
 def _parse_lines(text: str):
@@ -540,14 +606,25 @@ def parse(text: str) -> TripleSystem:
     with parse_labels / with_labels.
 
     Files in the form serialize writes take a fast path (_parse_fast) that
-    tokenises the block lines in chunks.  On any doubt about a chunk it gives
-    up and the whole text is read again line by line from the start
-    (_parse_lines), so every input yields the same system, or the same
-    ParseError message and line number, on either path.
+    tokenises the block lines in chunks.  On any doubt about a chunk, and
+    when two blocks share a pair, it gives up and the whole text is read
+    again line by line from the start (_parse_lines), so every input yields
+    the same system, or the same ParseError message and line number, on
+    either path.
+
+    A header order above the construction cap raises TooLargeError once
+    the lines are read, before any table is allocated: a file of a few
+    bytes could otherwise ask for order^2 entries.
     """
-    parts = _parse_fast(text) or _parse_lines(text)
+    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
     try:
-        return TripleSystem(*parts)
+        ts = _parse_fast(text, cap)
+        if ts is not None:
+            return ts
+        order, triples, kind, tag = _parse_lines(text)
+        if order > cap:
+            raise TooLargeError("system of order %d above the cap %d" % (order, cap))
+        return TripleSystem(order, triples, kind, tag)
     except (DuplicatePairError, NotSteinerError, BadOrderError) as exc:
         raise ParseError("invalid system: %s" % exc) from exc
 
@@ -572,7 +649,8 @@ def parse_labels(text: str) -> dict:
 
 
 def with_labels(ts: TripleSystem, labels: dict) -> TripleSystem:
-    """Return a copy of ts whose tag carries the given point labels."""
+    """Return ts with a tag that carries the given point labels; the two
+    systems share one pair table."""
     full = tuple(labels.get(i) for i in range(ts.order))
     tag = GeometryTag(ts.tag.variant, ts.tag.param, ts.tag.seed, full)
-    return TripleSystem(ts.order, ts.triples, ts.kind, tag)
+    return TripleSystem._of_table(ts.order, ts._third, ts.block_count, ts.kind, tag)

@@ -1,13 +1,15 @@
 """Geometric and search-based constructions."""
 
+import sys
+import tracemalloc
+
 import pytest
 
-import stspread.constructions as constructions
+import stspread.system as system_module
 from stspread import (
     NoTriangleError,
     SystemKind,
     TooLargeError,
-    TripleSystem,
     TrivialOrderError,
     ag3,
     closure_points,
@@ -26,6 +28,7 @@ from oracles import (
     pairwise_ag3_triples,
     pairwise_pg2_triples,
     pg_block_set,
+    scalar_triple_system,
     union_size_by_inclusion_exclusion,
 )
 
@@ -71,41 +74,44 @@ def test_ag3_block_sets_match_oracle():
         assert set(ts.triples) == ag_block_set(d)
 
 
-def _built_with_input(monkeypatch, build, d):
-    """build(d) and the block list it handed to TripleSystem."""
-    given = []
-
-    def record(order, triples, kind, tag):
-        given.append(triples)
-        return TripleSystem(order, triples, kind, tag)
-
-    monkeypatch.setattr(constructions, "TripleSystem", record)
-    return build(d), given[0]
-
-
-def _distinct_points(ts):
-    return len({id(p) for t in ts.triples for p in t})
+def _matches_pairwise_loop(ts, want):
+    """ts holds the blocks of the pairwise loop, in its pair table as the
+    direct route fills it and in triples, in the loop's order."""
+    triples, kind, third = scalar_triple_system(ts.order, want, SystemKind.STEINER)
+    assert [list(r) for r in ts._third] == third
+    assert all(r.typecode == "h" for r in ts._third)
+    assert ts.triples == tuple(want) == triples
+    assert ts.kind is kind is SystemKind.STEINER
+    assert ts.block_count == len(want)
 
 
 @pytest.mark.parametrize("d", range(1, 10))
-def test_pg2_triples_match_pairwise_loop(monkeypatch, d):
-    ts, given = _built_with_input(monkeypatch, pg2, d)
-    want = pairwise_pg2_triples(d)
-    assert given == want
-    assert ts.triples == tuple(want)
+def test_pg2_triples_match_pairwise_loop(d):
+    _matches_pairwise_loop(pg2(d), pairwise_pg2_triples(d))
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_ag3_triples_match_pairwise_loop(monkeypatch, d):
-    ts, given = _built_with_input(monkeypatch, ag3, d)
-    want = pairwise_ag3_triples(d)
-    assert given == want
-    assert ts.triples == tuple(want)
+def test_ag3_triples_match_pairwise_loop(d):
+    _matches_pairwise_loop(ag3(d), pairwise_ag3_triples(d))
 
 
-def test_constructions_share_point_objects():
-    assert _distinct_points(pg2(9)) == 1023
-    assert _distinct_points(ag3(6)) == 729
+def _no_tuples(third):
+    raise AssertionError("block tuples built")
+
+
+def test_constructions_build_no_block_tuples(monkeypatch):
+    # the pair table is filled row by row, with no block tuple, and a build
+    # allocates little beyond the table it returns
+    monkeypatch.setattr(system_module, "_blocks_of", _no_tuples)
+    for build, d in ((pg2, 9), (ag3, 6)):
+        tracemalloc.start()
+        try:
+            ts = build(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = sum(map(sys.getsizeof, ts._third))
+        assert peak <= 1.25 * table, (build.__name__, peak, table)
 
 
 def test_ag3_lines_are_affine_spans():

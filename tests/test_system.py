@@ -1,5 +1,7 @@
 """Triple-system container, validation, and the text format."""
 
+import pickle
+import random
 import tracemalloc
 from array import array
 
@@ -13,10 +15,15 @@ from stspread import (
     OutOfRangeError,
     ParseError,
     SamePointError,
+    StsError,
     SystemKind,
+    TooLargeError,
     TripleSystem,
     ag3,
     build_system,
+    closure_points,
+    config,
+    greedy_spreading_set,
     induced_subsystem,
     parse,
     parse_labels,
@@ -29,6 +36,8 @@ from stspread import (
     steiner_admissible,
     with_labels,
 )
+from stspread.cli import main
+from stspread.closure import _coordinates
 
 from oracles import line_serialize, scalar_parse, scalar_triple_system
 
@@ -136,6 +145,17 @@ def test_induced_subsystem_relabels():
     assert kept == (2, 7, 14)
 
 
+def test_induced_subsystem_keeps_the_blocks_inside():
+    rng = random.Random(0)
+    for ts in (pg2(4), random_sts(31, 1), section4_partial(4).system):
+        for size in (3, 7, 15, ts.order // 2, ts.order):
+            points = rng.sample(range(ts.order), size)
+            sub, kept = induced_subsystem(ts, points)
+            rank = {p: i for i, p in enumerate(kept)}
+            want = [tuple(rank[p] for p in t) for t in ts.triples if set(t) <= set(kept)]
+            assert sub.triples == tuple(want) and sub.order == len(kept) == size
+
+
 def test_serialize_parse_round_trip():
     ts = pg2(3)
     text = serialize(ts)
@@ -214,6 +234,38 @@ def test_serialize_pg8_spans_three_chunks():
     ts = pg2(8)
     assert 2 * system_module._SERIALIZE_CHUNK < len(ts.triples) <= 3 * system_module._SERIALIZE_CHUNK
     assert serialize(ts) == line_serialize(ts)
+
+
+def _no_tuples(third):
+    raise AssertionError("block tuples built")
+
+
+def test_large_paths_never_build_triples(monkeypatch):
+    monkeypatch.setattr(system_module, "_blocks_of", _no_tuples)
+    ts = pg2(9)
+    text = serialize(ts)
+    back = parse(text)
+    assert back == ts and hash(back) == hash(ts) and back.block_count == 174251
+    assert closure_points(back, [0, 1, 3]) == frozenset(range(7))
+    assert greedy_spreading_set(back).size == 10
+    assert len(set(_coordinates(back))) == 1023
+    assert induced_subsystem(back, range(15))[0].is_steiner()
+    labelled = with_labels(back, parse_labels(serialize_labels(ts)))
+    assert labelled._third is back._third
+    assert pickle.loads(pickle.dumps(labelled)) == ts
+    assert repr(ts) == "TripleSystem(order=1023, blocks=174251, kind=steiner, tag=pg2)"
+
+
+def test_parse_peak_memory_stays_near_the_text_size():
+    text = serialize(pg2(9))
+    tracemalloc.start()
+    try:
+        ts = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.block_count == 174251
+    assert peak <= 4 * len(text)
 
 
 def test_serialize_peak_memory_stays_near_the_text_size():
@@ -348,26 +400,84 @@ def test_parse_fast_path_takes_serialized_systems():
               section4_partial(4).system, build_system(9, (), "partial")]
     for ts in corpus:
         text = serialize(ts)
-        assert system_module._parse_fast(text) is not None
+        assert system_module._parse_fast(text, config.MAX_CONSTRUCTION_ORDER) is not None
         back = parse(text)
         assert _outcome(parse, text) == _outcome(scalar_parse, text)
         assert back == ts and back.tag.variant == ts.tag.variant
         assert back._third == ts._third
 
 
+def _built_by(build, *args):
+    """The system build(*args) returns, as its order, blocks, kind, tag,
+    block count and table, or the name and message of the error it raises;
+    None when it returns None."""
+    try:
+        ts = build(*args)
+    except StsError as exc:
+        return type(exc).__name__, str(exc)
+    if ts is None:
+        return None
+    return ts.order, ts.triples, ts.kind, ts.tag, ts.block_count, [list(r) for r in ts._third]
+
+
+def _line_built(text):
+    return TripleSystem(*system_module._parse_lines(text))
+
+
 @pytest.mark.parametrize("chunk", [1 << 20, 9, 40])
 def test_parse_fast_path_accepts_only_what_the_loop_reads_alike(monkeypatch, chunk):
     monkeypatch.setattr(system_module, "_CHUNK", chunk)
+    cap = config.MAX_CONSTRUCTION_ORDER
     for text in MALFORMED + EDGES:
-        fast = system_module._parse_fast(text)
+        fast = _built_by(system_module._parse_fast, text, cap)
         if fast is None:
             continue
-        assert fast == system_module._parse_lines(text), repr(text)
+        assert fast == _built_by(_line_built, text), repr(text)
+    # the checks of the table come in the constructor's order
+    assert _built_by(system_module._parse_fast, "v 8 steiner\n", cap) == (
+        "BadOrderError",
+        "no Steiner triple system of order 8 exists (order mod 6 must be 1 or 3)")
+    assert _built_by(system_module._parse_fast, "v 7 steiner\nb 0 1 2\n", cap) == (
+        "NotSteinerError", "some pair is not covered by any block")
     # indices the loop reads as 2, and lines it splits elsewhere, fall back
     for line in ("b 0 1 +2", "b 0 1 002", "b 0 1 \u0662", "b 0 1\x0c2", "b 0 1\t2"):
-        assert system_module._parse_fast(_edit(FANO_TEXT, 2, line)) is None
-    # an order above the text length builds no index table
-    assert system_module._parse_fast("v 100 partial\nb 0 1 2\n") is None
+        assert system_module._parse_fast(_edit(FANO_TEXT, 2, line), cap) is None
+    # so do blocks that share a pair, or repeat, for the loop to name the pair
+    for line in ("b 0 3 5", "b 0 3 4"):
+        assert system_module._parse_fast(_edit(FANO_TEXT, 4, line), cap) is None
+    # an order above the text length builds no index table, one above the
+    # cap no pair table
+    assert system_module._parse_fast("v 100 partial\nb 0 1 2\n", cap) is None
+    assert system_module._parse_fast(FANO_TEXT, 6) is None
+    assert system_module._parse_fast(FANO_TEXT, 7) is not None
+
+
+def _no_table(order):
+    raise AssertionError("pair table of order %d allocated" % order)
+
+
+def test_parse_refuses_an_order_above_the_cap_before_any_table(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    monkeypatch.setattr(system_module, "_empty_pair_table", _no_table)
+    for text in ("v 100000 partial\n", "v 2048 partial\n" + "b 0 1 2\n" * 2048):
+        with pytest.raises(TooLargeError) as exc:
+            parse(text)
+        order = int(text.split()[1])
+        assert str(exc.value) == "system of order %d above the cap 2047" % order
+    # a malformed line still names its line number first
+    with pytest.raises(ParseError, match="line 2: non-integer point index"):
+        parse("v 100000 partial\nb 0 1 x\n")
+    monkeypatch.setenv("STS_MAX_ORDER", "5")
+    with pytest.raises(TooLargeError, match="system of order 7 above the cap 5"):
+        parse(FANO_TEXT)
+
+    path = tmp_path / "huge.txt"
+    path.write_text("v 100000 partial\n")
+    monkeypatch.delenv("STS_MAX_ORDER")
+    assert main(["analyze", "--system", str(path), "closure", "--set", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: system of order 100000 above the cap 2047\n"
 
 
 def test_malformed_tag_comment_is_an_ordinary_comment():
