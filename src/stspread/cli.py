@@ -41,7 +41,7 @@ from .errors import (
     SearchExhaustedError,
     StsError,
 )
-from .system import _fmt_set, _serialize_pieces, parse, render, serialize_labels
+from .system import _fmt_set, _parse_file, _serialize_pieces, render, serialize_labels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,9 +91,12 @@ def _point_pair(text):
 
 
 def _load_system(path):
+    """The system stored in the file at path (system._parse_file): the
+    pair table and one line-aligned piece of the text are all it holds at
+    once, never the whole text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+            return _parse_file(fh)
     except UnicodeDecodeError:
         raise ParseError("%s is not UTF-8 text" % path) from None
 
@@ -468,14 +471,22 @@ _DISPATCH = {
 
 
 def _encoded_pieces(ts):
-    """The serialized text of ts as a list of UTF-8 pieces, so the text is
-    never held whole as a str next to its bytes."""
-    return [piece.encode() for piece in _serialize_pieces(ts)]
+    """The serialized text of ts as UTF-8 pieces, encoded one at a time as
+    they are taken, so neither the text nor its bytes are ever held
+    whole."""
+    return map(str.encode, _serialize_pieces(ts))
+
+
+def _hashed(pieces, digest):
+    """pieces, each added to digest as it is taken."""
+    for piece in pieces:
+        digest.update(piece)
+        yield piece
 
 
 def _write_atomic(path, pieces):
-    """Write a sequence of byte pieces to path through a new temp file next
-    to it and os.replace.
+    """Write an iterable of byte pieces to path through a new temp file next
+    to it and os.replace, one piece at a time as they are taken.
 
     A failed write leaves an existing target as it was and removes the temp
     file; its OSError names path, as a direct open(path, "wb") would.
@@ -499,7 +510,10 @@ def _write_atomic(path, pieces):
         raise
 
 
-def _write_manifest(path, argv, args, code, rep, files, elapsed):
+def _write_manifest(path, argv, args, code, rep, result, elapsed):
+    """Write the run manifest; result is the sha256 of the files written,
+    in order of their paths, or None when the run wrote none, and then the
+    digest is that of stdout."""
     import hashlib
     import json
     import platform
@@ -515,14 +529,8 @@ def _write_manifest(path, argv, args, code, rep, files, elapsed):
             inputs[system_path] = h.hexdigest()
         except OSError:
             inputs[system_path] = None
-    h = hashlib.sha256()
-    if files:
-        for k in sorted(files):
-            for piece in files[k]:
-                h.update(piece)
-    else:
-        h.update(rep.text().encode())
-    digest = h.hexdigest()
+    if result is None:
+        result = hashlib.sha256(rep.text().encode())
     manifest = {
         "argv": argv,
         "command": args.command,
@@ -531,7 +539,7 @@ def _write_manifest(path, argv, args, code, rep, files, elapsed):
         "seed": getattr(args, "seed", None),
         "jobs": getattr(args, "jobs", 1),
         "inputs": inputs,
-        "result_digest": digest,
+        "result_digest": result.hexdigest(),
         "exit_code": code,
         "elapsed_seconds": round(elapsed, 3),
     }
@@ -549,13 +557,21 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, rep, files = _DISPATCH[args.command](args)
-        for path in sorted(files):
-            _write_atomic(path, files[path])
         manifest_path = args.manifest
         if manifest_path is None and args.command == "construct":
             manifest_path = args.out + ".manifest.json"
+        result = None
+        if manifest_path and files:
+            import hashlib
+            result = hashlib.sha256()
+        # each file's pieces go to its temp file, and to the one digest of
+        # all of them in order of path, as they are made
+        for path in sorted(files):
+            pieces = files[path]
+            _write_atomic(path, pieces if result is None else _hashed(pieces, result))
         if manifest_path:
-            _write_manifest(manifest_path, argv, args, code, rep, files, time.perf_counter() - start)
+            _write_manifest(manifest_path, argv, args, code, rep, result,
+                            time.perf_counter() - start)
     except (BudgetExhaustedError, SearchExhaustedError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_BUDGET

@@ -23,6 +23,7 @@ file of "l <index> <vector>" lines rather than in the main format.
 from __future__ import annotations
 
 import enum
+import os
 import re
 from array import array
 from dataclasses import dataclass
@@ -56,8 +57,9 @@ class SystemKind(enum.Enum):
 class GeometryTag:
     """Construction provenance carried by a TripleSystem.
 
-    variant is one of "plain", "pg2", "ag3", "perturbed_pg", "section4" or
-    "random"; param holds the dimension d (pg2, ag3, perturbed_pg) or the
+    variant is one of "plain", "pg2", "ag3", "perturbed_pg", "section4",
+    "random" or "completed" (a hill-climbing completion, complete_partial);
+    param holds the dimension d (pg2, ag3, perturbed_pg) or the
     parameter n (section4); seed records the RNG seed for randomized
     constructions.  labels, when present, maps each point index to its
     coordinate vector (a tuple of small ints), with None entries for points
@@ -402,8 +404,12 @@ def _serialize_pieces(ts: TripleSystem):
         rows.append("".join(map(("b %d %%d %%d\n" % a).__mod__, pairs)))
         blocks += len(pairs)
         if blocks >= _SERIALIZE_CHUNK:
-            yield "".join(rows)
+            # the row strings are freed before the piece is taken, and the
+            # piece once it is written, so a writer holds one piece at a time
+            piece = "".join(rows)
             rows, blocks = [], 0
+            yield piece
+            del piece
     if blocks:
         yield "".join(rows)
 
@@ -454,7 +460,8 @@ def _parse_tag_comment(text: str):
     if len(parts) < 3 or parts[0] != "tag":
         return None
     variant = parts[1]
-    if variant not in ("plain", "pg2", "ag3", "perturbed_pg", "section4", "random"):
+    if variant not in ("plain", "pg2", "ag3", "perturbed_pg", "section4", "random",
+                       "completed"):
         return None
     try:
         param = None if parts[2] == "-" else int(parts[2])
@@ -469,76 +476,113 @@ def _parse_tag_comment(text: str):
 
 _HEADER = re.compile(r"v ([1-9][0-9]{0,17}) (steiner|partial)\n")
 _BODY_BYTES = b"b0123456789 \n"
-_CHUNK = 1 << 17
+# Characters per chunk of a text that parse reads at once, at the least.  The
+# tokens of a chunk take about 17 bytes a character while they are checked,
+# so a small chunk keeps the peak of a file read near its pair table.
+_CHUNK = 1 << 11
 
 
-def _parse_fast(text: str, cap: int):
-    """The system of a file in the form serialize writes, or None when any
-    line might be read differently by _parse_lines, when two lines share a
-    pair (so that the error can name it) or when the order is above cap.
+def _text_chunks(text):
+    """text in line-aligned slices of at least _CHUNK characters, but for
+    the last."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK)
+        end = len(text) if end < 0 else end + 1
+        yield text[pos:end]
+        pos = end
+
+
+def _file_chunks(fh):
+    """A text file in line-aligned chunks: read(_CHUNK), then the rest of
+    the line it ends in."""
+    for chunk in iter(lambda: fh.read(_CHUNK), ""):
+        yield chunk if chunk.endswith("\n") else chunk + fh.readline()
+
+
+def _fill_chunk(table, chunk, index):
+    """Store the blocks of the lines of a chunk in the pair table and
+    return their number, or return None, storing nothing, when a line is not
+    "b i j k" with i < j < k, each the key of its int in index.  The tokens
+    of the chunk are freed on return."""
+    if not chunk.isascii():
+        return None
+    data = chunk.encode("ascii")
+    lines = data.count(b"\n")
+    if (
+        data.translate(None, _BODY_BYTES)
+        or data[-1:] != b"\n"
+        or data[:1] != b"b"
+        or data.count(b"\nb") != lines - 1
+    ):
+        return None
+    tokens = data.split()
+    if len(tokens) != 4 * lines or tokens[::4].count(b"b") != lines:
+        return None
+    del tokens[::4]
+    try:
+        values = list(map(index.__getitem__, tokens))
+    except KeyError:
+        return None
+    del tokens
+    first, second, third = values[0::3], values[1::3], values[2::3]
+    if not (all(map(lt, first, second)) and all(map(lt, second, third))):
+        return None
+    _fill(table, zip(first, second, third))
+    return lines
+
+
+def _parse_fast(chunks, size, cap):
+    """The system of a text in the form serialize writes, given as an
+    iterable of line-aligned chunks and size, a bound on its length, or
+    None when any line might be read differently by _parse_lines, when two
+    lines share a pair (so that the error can name it) or when the order is
+    above cap.
 
     Accepts the header "v <order> <kind>", an optional comment on line 2 and
-    then only lines "b <i> <j> <k>" with i < j < k in [0, order), in chunks of
-    about _CHUNK characters.  A chunk passes only when it holds nothing but
-    the characters b, 0-9, space and LF, every line starts with b, it splits
-    into four tokens per line with "b" at every fourth, and every other
-    token is the decimal form of an int below order, looked up in a table
-    that rejects signs, leading zeros and non-ASCII digits.  Digit tokens
+    then only lines "b <i> <j> <k>" with i < j < k in [0, order).  A chunk
+    passes (_fill_chunk) only when it holds nothing but the characters b,
+    0-9, space and LF, every line starts with b, it splits into four tokens
+    per line with "b" at every fourth, and every other token is the decimal
+    form of an int below order, looked up in a table that rejects signs,
+    leading zeros and non-ASCII digits.  Digit tokens
     hold no b, so the n line starts fall on the n "b" tokens and each line
     is "b i j k".  With i < j < k, whatever passes is exactly what
     _parse_lines accepts, with the same triples in the same order.  Each
     chunk's blocks go straight into the pair table, and the table then
     takes the checks of TripleSystem in the same order (_of_table).
     """
-    head = _HEADER.match(text)
+    chunks = iter(chunks)
+    chunk = next(chunks, "")
+    head = _HEADER.match(chunk)
     if head is None:
         return None
     order = int(head.group(1))
     kind = SystemKind(head.group(2))
     tag = PLAIN_TAG
-    pos = head.end()
-    if text.startswith("#", pos):
-        nl = text.find("\n", pos)
-        line = text[pos:nl]
+    # line 2 starts the rest of the first chunk, or else the next chunk
+    chunk = chunk[head.end():] or next(chunks, "")
+    if chunk.startswith("#"):
+        nl = chunk.find("\n")
+        line = chunk[:nl]
         if nl < 0 or not (line.isascii() and line.isprintable()):
             return None
         maybe = _parse_tag_comment(line[1:].strip())
         if maybe is not None:
             tag = maybe
-        pos = nl + 1
-    if order > len(text) or order > cap:
+        chunk = chunk[nl + 1:] or next(chunks, "")
+    if order > size or order > cap:
         return None  # the index table stays within the text, the pair table within the cap
-    index = {str(i): i for i in range(order)}
-    table, size = _empty_pair_table(order), 0
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK)
-        end = len(text) if end < 0 else end + 1
-        chunk = text[pos:end]
-        pos = end
-        lines = chunk.count("\n")
-        if (
-            not chunk.isascii()
-            or chunk.encode("ascii").translate(None, _BODY_BYTES)
-            or chunk[-1] != "\n"
-            or chunk[0] != "b"
-            or chunk.count("\nb") != lines - 1
-        ):
+    index = {b"%d" % i: i for i in range(order)}
+    table, blocks = _empty_pair_table(order), 0
+    while chunk:
+        lines = _fill_chunk(table, chunk, index)
+        if lines is None:
             return None
-        tokens = chunk.split()
-        if len(tokens) != 4 * lines or tokens[::4].count("b") != lines:
-            return None
-        del tokens[::4]
-        try:
-            values = list(map(index.__getitem__, tokens))
-        except KeyError:
-            return None
-        first, second, third = values[0::3], values[1::3], values[2::3]
-        if not (all(map(lt, first, second)) and all(map(lt, second, third))):
-            return None
-        _fill(table, zip(first, second, third))
-        size += lines
+        blocks += lines
+        chunk = next(chunks, "")
     try:
-        return TripleSystem._of_table(order, table, size, kind, tag)
+        return TripleSystem._of_table(order, table, blocks, kind, tag)
     except DuplicatePairError:
         return None
 
@@ -597,6 +641,23 @@ def _parse_lines(text: str):
     return order, triples, kind, tag
 
 
+def _read(chunks, size, whole):
+    """The system _parse_fast builds from chunks, or else the one that the
+    line loop reads from whole(), which returns the whole text; the errors
+    are those of parse."""
+    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    try:
+        ts = _parse_fast(chunks, size, cap)
+        if ts is not None:
+            return ts
+        order, triples, kind, tag = _parse_lines(whole())
+        if order > cap:
+            raise TooLargeError("system of order %d above the cap %d" % (order, cap))
+        return TripleSystem(order, triples, kind, tag)
+    except (DuplicatePairError, NotSteinerError, BadOrderError) as exc:
+        raise ParseError("invalid system: %s" % exc) from exc
+
+
 def parse(text: str) -> TripleSystem:
     """Parse the text interchange format back into a validated system.
 
@@ -606,27 +667,40 @@ def parse(text: str) -> TripleSystem:
     with parse_labels / with_labels.
 
     Files in the form serialize writes take a fast path (_parse_fast) that
-    tokenises the block lines in chunks.  On any doubt about a chunk, and
-    when two blocks share a pair, it gives up and the whole text is read
-    again line by line from the start (_parse_lines), so every input yields
-    the same system, or the same ParseError message and line number, on
-    either path.
+    tokenises the block lines in line-aligned slices of about _CHUNK
+    characters.  On any doubt about a slice, and when two blocks share a
+    pair, it gives up and the whole text is read again line by line from the
+    start (_parse_lines), so every input yields the same system, or the same
+    ParseError message and line number, on either path.  Besides the text
+    and the pair table, the fast path holds the tokens of one slice at a
+    time.  _parse_file reads a file the same way without holding its
+    text.
 
     A header order above the construction cap raises TooLargeError once
     the lines are read, before any table is allocated: a file of a few
     bytes could otherwise ask for order^2 entries.
     """
-    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
-    try:
-        ts = _parse_fast(text, cap)
-        if ts is not None:
-            return ts
-        order, triples, kind, tag = _parse_lines(text)
-        if order > cap:
-            raise TooLargeError("system of order %d above the cap %d" % (order, cap))
-        return TripleSystem(order, triples, kind, tag)
-    except (DuplicatePairError, NotSteinerError, BadOrderError) as exc:
-        raise ParseError("invalid system: %s" % exc) from exc
+    return _read(_text_chunks(text), len(text), lambda: text)
+
+
+def _parse_file(fh) -> TripleSystem:
+    """parse of the text of fh, a file just opened for reading text.
+
+    The fast path reads the file in line-aligned chunks (_file_chunks), so
+    the pair table and one chunk are all it holds, never the whole text;
+    the file's size bounds the index table where parse uses the text's
+    length.  When the fast path gives up, the whole file is read again for
+    the line loop.  A file that cannot seek, such as a pipe, is read whole
+    first, since it cannot be read twice.
+    """
+    if not fh.seekable():
+        return parse(fh.read())
+
+    def whole():
+        fh.seek(0)
+        return fh.read()
+
+    return _read(_file_chunks(fh), os.fstat(fh.fileno()).st_size, whole)
 
 
 def parse_labels(text: str) -> dict:

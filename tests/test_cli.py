@@ -10,13 +10,14 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
 
 import stspread.system as system_module
 from stspread import complete_partial, parse, pg2, serialize
-from stspread.cli import main
+from stspread.cli import _load_system, main
 
 from oracles import f2_rank
 
@@ -308,6 +309,65 @@ def test_manifest_digests_an_input_above_one_block(tmp_path, capsys):
     assert code == 0
     manifest = json.loads(mpath.read_text())
     assert manifest["inputs"][str(src)] == hashlib.sha256(src.read_bytes()).hexdigest()
+
+
+def test_system_from_a_fifo_reads_as_from_a_file(tmp_path, capsys):
+    path, fifo = tmp_path / "s.txt", tmp_path / "fifo"
+    good = serialize(pg2(4)).encode()
+    outcomes = []
+    for data in (good, good + b"b 0 1 x\n", good.replace(b"\n", b"\r\n")):
+        path.write_bytes(data)
+        want = run(capsys, "analyze", "--system", str(path), "closure", "--set", "0,1,3")
+        outcomes.append(want)
+        os.mkfifo(fifo)
+        # a pipe cannot be read twice, so the reader takes it whole
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        got = run(capsys, "analyze", "--system", str(fifo), "closure", "--set", "0,1,3")
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert got == want
+        fifo.unlink()
+    assert outcomes[0] == outcomes[2] and outcomes[0][0] == 0
+    assert outcomes[1] == (2, "", "error: line %d: non-integer point index\n"
+                           % (good.count(b"\n") + 1))
+
+
+def test_a_bad_byte_after_the_first_chunk_is_not_utf8(tmp_path, capsys):
+    text = serialize(pg2(5))
+    assert len(text) > 2 * system_module._CHUNK
+    path = tmp_path / "s.txt"
+    for head in (text, text.replace("b 0 1 2", "b 0 1 x")):  # the fast path, and its fallback
+        path.write_bytes(head.encode()[:-2] + b"\xff\n")
+        code, stdout, err = run(capsys, "analyze", "--system", str(path), "projective")
+        assert (code, stdout, err) == (2, "", "error: %s is not UTF-8 text\n" % path)
+
+
+def _traced_peak(call, *args):
+    """call(*args) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_a_system_never_holds_its_text(tmp_path):
+    path = tmp_path / "pg9.txt"
+    path.write_text(serialize(pg2(9)))
+    ts, peak = _traced_peak(_load_system, str(path))
+    assert ts.block_count == 174251
+    # the pair table alone takes 0.91 of the file's 2.4 MB
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_construct_never_holds_the_text_beside_the_table(tmp_path, capsys):
+    out = tmp_path / "pg9.txt"
+    table = sum(map(sys.getsizeof, pg2(9)._third))
+    code, peak = _traced_peak(main, ["construct", "pg2", "--dim", "9", "--out", str(out)])
+    assert code == 0
+    assert peak < table + out.stat().st_size, (peak, table, out.stat().st_size)
 
 
 def _names(directory):

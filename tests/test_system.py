@@ -22,6 +22,7 @@ from stspread import (
     ag3,
     build_system,
     closure_points,
+    complete_partial,
     config,
     greedy_spreading_set,
     induced_subsystem,
@@ -395,12 +396,17 @@ def test_parse_errors_name_each_branch():
     assert all(m.startswith("invalid system: ") for m in messages[13:-2])
 
 
+def _fast(text, cap):
+    """What _parse_fast builds from text in the slices that parse feeds it."""
+    return system_module._parse_fast(system_module._text_chunks(text), len(text), cap)
+
+
 def test_parse_fast_path_takes_serialized_systems():
     corpus = [pg2(4), ag3(3), perturbed_pg(4, 0), random_sts(31, 1),
               section4_partial(4).system, build_system(9, (), "partial")]
     for ts in corpus:
         text = serialize(ts)
-        assert system_module._parse_fast(text, config.MAX_CONSTRUCTION_ORDER) is not None
+        assert _fast(text, config.MAX_CONSTRUCTION_ORDER) is not None
         back = parse(text)
         assert _outcome(parse, text) == _outcome(scalar_parse, text)
         assert back == ts and back.tag.variant == ts.tag.variant
@@ -429,27 +435,33 @@ def test_parse_fast_path_accepts_only_what_the_loop_reads_alike(monkeypatch, chu
     monkeypatch.setattr(system_module, "_CHUNK", chunk)
     cap = config.MAX_CONSTRUCTION_ORDER
     for text in MALFORMED + EDGES:
-        fast = _built_by(system_module._parse_fast, text, cap)
+        fast = _built_by(_fast, text, cap)
         if fast is None:
             continue
         assert fast == _built_by(_line_built, text), repr(text)
     # the checks of the table come in the constructor's order
-    assert _built_by(system_module._parse_fast, "v 8 steiner\n", cap) == (
+    assert _built_by(_fast, "v 8 steiner\n", cap) == (
         "BadOrderError",
         "no Steiner triple system of order 8 exists (order mod 6 must be 1 or 3)")
-    assert _built_by(system_module._parse_fast, "v 7 steiner\nb 0 1 2\n", cap) == (
+    assert _built_by(_fast, "v 7 steiner\nb 0 1 2\n", cap) == (
         "NotSteinerError", "some pair is not covered by any block")
     # indices the loop reads as 2, and lines it splits elsewhere, fall back
     for line in ("b 0 1 +2", "b 0 1 002", "b 0 1 \u0662", "b 0 1\x0c2", "b 0 1\t2"):
-        assert system_module._parse_fast(_edit(FANO_TEXT, 2, line), cap) is None
+        assert _fast(_edit(FANO_TEXT, 2, line), cap) is None
     # so do blocks that share a pair, or repeat, for the loop to name the pair
     for line in ("b 0 3 5", "b 0 3 4"):
-        assert system_module._parse_fast(_edit(FANO_TEXT, 4, line), cap) is None
+        assert _fast(_edit(FANO_TEXT, 4, line), cap) is None
     # an order above the text length builds no index table, one above the
     # cap no pair table
-    assert system_module._parse_fast("v 100 partial\nb 0 1 2\n", cap) is None
-    assert system_module._parse_fast(FANO_TEXT, 6) is None
-    assert system_module._parse_fast(FANO_TEXT, 7) is not None
+    assert _fast("v 100 partial\nb 0 1 2\n", cap) is None
+    assert _fast(FANO_TEXT, 6) is None
+    assert _fast(FANO_TEXT, 7) is not None
+
+
+def _parse_path(path):
+    """The system the file reader reads from the file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return system_module._parse_file(fh)
 
 
 def _no_table(order):
@@ -459,11 +471,15 @@ def _no_table(order):
 def test_parse_refuses_an_order_above_the_cap_before_any_table(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
     monkeypatch.setattr(system_module, "_empty_pair_table", _no_table)
+    monkeypatch.setattr(system_module, "_CHUNK", 7)
+    path = tmp_path / "huge.txt"
     for text in ("v 100000 partial\n", "v 2048 partial\n" + "b 0 1 2\n" * 2048):
-        with pytest.raises(TooLargeError) as exc:
-            parse(text)
+        path.write_text(text)
         order = int(text.split()[1])
-        assert str(exc.value) == "system of order %d above the cap 2047" % order
+        for read, source in ((parse, text), (_parse_path, path)):
+            with pytest.raises(TooLargeError) as exc:
+                read(source)
+            assert str(exc.value) == "system of order %d above the cap 2047" % order
     # a malformed line still names its line number first
     with pytest.raises(ParseError, match="line 2: non-integer point index"):
         parse("v 100000 partial\nb 0 1 x\n")
@@ -471,7 +487,6 @@ def test_parse_refuses_an_order_above_the_cap_before_any_table(monkeypatch, tmp_
     with pytest.raises(TooLargeError, match="system of order 7 above the cap 5"):
         parse(FANO_TEXT)
 
-    path = tmp_path / "huge.txt"
     path.write_text("v 100000 partial\n")
     monkeypatch.delenv("STS_MAX_ORDER")
     assert main(["analyze", "--system", str(path), "closure", "--set", "0"]) == 2
@@ -484,6 +499,48 @@ def test_malformed_tag_comment_is_an_ordinary_comment():
     ts = parse(_edit(TAGGED, 2, "# tag pg2 x"))
     assert ts.tag.variant == "plain"
     assert ts == parse(FANO_TEXT)
+
+
+def test_completed_tag_round_trips():
+    ts = complete_partial(section4_partial(4).system, 61, seed=0).system
+    text = serialize(ts)
+    assert text.split("\n")[1] == "# tag completed - seed=0"
+    back = parse(text)
+    assert back.tag == ts.tag == system_module.GeometryTag("completed", None, 0)
+    assert serialize(back) == text
+
+
+# -- the file reader: parse of a file's text, one piece of it at a time --------
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+def test_file_reader_matches_parse_across_chunk_boundaries(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(system_module, "_CHUNK", chunk)
+    path = tmp_path / "s.txt"
+    cases = [serialize(pg2(d)) for d in (2, 3, 4, 5)] + [
+        serialize(perturbed_pg(4, 0)),
+        serialize(random_sts(31, 1)),
+        serialize(section4_partial(4).system),
+        _edit(TAGGED, 2, "# tag random 3 seed=7"),
+        serialize(pg2(4)).replace("\n", "\r\n"),
+    ]
+    for text in cases + MALFORMED + EDGES:
+        path.write_bytes(text.encode())
+        want = _outcome(parse, path.read_text())
+        assert _outcome(_parse_path, path) == want, repr(text[:80])
+        if want[0] != "ParseError":
+            assert _parse_path(path)._third == parse(path.read_text())._third
+    # a bad line, a shared pair and a repeated block in the last chunk
+    pg4 = serialize(pg2(4))
+    last = pg4.count("\n")
+    for text, want in (
+        (_edit(pg4, last, "b 0 1 x"), ("ParseError", "line %d: non-integer point index" % last)),
+        (_edit(pg4, last, "b 0 1 30"),
+         ("ParseError", "invalid system: pair (0, 1) lies in two blocks")),
+        (pg4 + pg4.split("\n")[2] + "\n", _outcome(parse, pg4)),  # the copy collapses
+    ):
+        path.write_text(text)
+        assert _outcome(_parse_path, path) == want == _outcome(parse, text)
 
 
 # -- TripleSystem: the canonical-input fast path against the direct route -------
