@@ -16,9 +16,8 @@ Commands:
 Exit codes: 0 success, 1 usage, 2 invalid input, 3 budget exhausted,
 4 verified property violated.  All stdout is a pure function of the
 arguments (timings live only in the manifest), so identical invocations
-produce byte-identical reports, regardless of --jobs.  --jobs N spreads
-only the subset scan of analyze spread enumerate over N worker processes;
-every other command accepts the option and runs in one process.
+produce byte-identical reports.  Every command runs in one process:
+--jobs N is validated and recorded in the manifest, and otherwise ignored.
 
 At import, this module loads only what the package loads anyway (errors,
 system, closure) and config.  Each command imports the other library
@@ -205,9 +204,7 @@ def _cmd_analyze(args):
             rep.say("witness=%s" % _fmt_set(witness))
         else:
             from .spreading import enumerate_minimal_spreading_sets
-            enum = enumerate_minimal_spreading_sets(
-                ts, args.max_size, jobs=args.jobs
-            )
+            enum = enumerate_minimal_spreading_sets(ts, args.max_size)
             points = enum.points
             if args.format == "csv":
                 rep.say("size,points")
@@ -371,8 +368,9 @@ def _cmd_demo(args):
 def _build_parser():
     root = _Parser(prog="stspread", description=__doc__.split("\n\n")[0])
     root.add_argument("--jobs", type=_int_at_least(1), default=1,
-                      help="worker processes for analyze spread enumerate; other "
-                           "commands accept and ignore it (default 1)")
+                      help="accepted for compatibility and recorded in the "
+                           "manifest; every command runs in one process "
+                           "(default 1)")
     root.add_argument("--manifest", default=None,
                       help="write a JSON run manifest to this path")
     sub = root.add_subparsers(dest="command", required=True)
@@ -517,18 +515,24 @@ def _write_manifest(path, argv, args, code, rep, result, elapsed):
     import hashlib
     import json
     import platform
+    import stat
 
     inputs = {}
     system_path = getattr(args, "system", None)
     if system_path:
-        h = hashlib.sha256()
+        # only a regular file is hashed: the load consumed a FIFO's text,
+        # and opening it again would wait for a writer that never comes
+        digest = None
         try:
-            with open(system_path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    h.update(block)
-            inputs[system_path] = h.hexdigest()
+            if stat.S_ISREG(os.stat(system_path).st_mode):
+                h = hashlib.sha256()
+                with open(system_path, "rb") as fh:
+                    for block in iter(lambda: fh.read(1 << 20), b""):
+                        h.update(block)
+                digest = h.hexdigest()
         except OSError:
-            inputs[system_path] = None
+            pass
+        inputs[system_path] = digest
     if result is None:
         result = hashlib.sha256(rep.text().encode())
     manifest = {

@@ -179,17 +179,17 @@ def colex_subsets(n: int, k: int):
             yield rest + (top,)
 
 
-def _subset_batches(n, k, tops):
-    """Batches of the k-subsets of range(n) with each maximum t in tops.
+def _subset_batches(n, k):
+    """Batches of the k-subsets of range(n), one per maximum point t.
 
     A batch holds one int per point, bit j set when candidate j holds the
-    point.  Yields (full, batch) for t in tops, ascending, in colex order, by
+    point.  Yields (full, batch) for t = k-1, ..., n-1, in colex order, by
     Pascal's rule: the i-subsets of range(t+1) are those of range(t), then
     the (i-1)-subsets of range(t) plus t.
     """
     rows = [[] for _ in range(k)]  # rows[i][p]: the i-subsets of range(t) holding p
     t = 0
-    for top in tops:
+    for top in range(k - 1, n):
         while t < top:
             for i in range(k - 1, 0, -1):
                 row, below, shift = rows[i], rows[i - 1], comb(t, i)

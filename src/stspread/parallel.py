@@ -1,10 +1,12 @@
-"""Optional process fan-out for the embarrassingly parallel subset scans.
+"""A fork pool that the package no longer calls.
 
-Workers receive contiguous slices of a colexicographic scan and results are
-merged in slice order, so any jobs value produces byte-identical output to a
-single-process run.  Falls back to serial execution when fork is not
-available.  multiprocessing is imported only when a pool is about to fork,
-so serial runs never load it.
+Every scan of the package runs in one process; at the orders the subset
+scans are capped at, forking and merging cost more than they save.  This
+module stays only because bench/layers.py still times run_jobs in its
+traced probe, and goes when that probe does.  It maps fn over args_list in
+order, so any jobs value gives the serial result, falls back to serial
+execution when fork is not available, and imports multiprocessing only
+when a pool is about to fork.
 """
 
 

@@ -217,7 +217,7 @@ def min_saturating_size(ts: TripleSystem):
     if n > cap:
         raise TooLargeError("min_saturating_size capped at order %d" % cap)
     for k in range(1, n + 1):
-        for full, batch in _subset_batches(n, k, range(k - 1, n)):
+        for full, batch in _subset_batches(n, k):
             hits = _holding_all(_sweep(ts.triples, batch, list(batch)), full)
             if hits:
                 j = (hits & -hits).bit_length() - 1

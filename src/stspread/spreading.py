@@ -63,7 +63,6 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .parallel import run_jobs
 from .system import TripleSystem
 
 
@@ -71,8 +70,8 @@ from .system import TripleSystem
 class SpreadingSearchResult:
     """A spreading set plus how it was found.
 
-    closure_sizes records |cl(U_i)| as the witness grew (greedy method) or
-    is left empty for exhaustive searches.
+    closure_sizes records |cl(U_i)| as the witness grew; only
+    greedy_spreading_set builds one.
     """
 
     witness: frozenset
@@ -220,13 +219,6 @@ class SpreadingEnumeration:
         return tuple(map(frozenset, self.points))
 
 
-def _scan_level(args):
-    """Per top in tops, the bits of its colex batch whose subset spreads."""
-    ts, k, tops = args
-    return [_holding_all(_batch_closure(ts.triples, batch), full)
-            for full, batch in _subset_batches(ts.order, k, tops)]
-
-
 def enumerate_minimal_spreading_sets(
     ts: TripleSystem,
     max_size: Optional[int] = None,
@@ -236,12 +228,13 @@ def enumerate_minimal_spreading_sets(
     """Every minimal spreading set of size at most max_size.
 
     Closes every k-subset for k = 2, 3, ... (from k = 1 at order 1, where
-    the one point spreads), one colex batch per maximum
-    point.  By monotonicity a spreading k-set is minimal exactly when none of
-    its (k-1)-subsets spreads, which is looked up in the spreading sets of
-    the level before.  budget caps the total number of subsets considered; a
-    size level that would push past it is skipped entirely and flagged,
-    which keeps results independent of jobs.
+    the one point spreads), one colex batch per maximum point, each batch
+    decoded as soon as it is closed.  By monotonicity a spreading k-set is
+    minimal exactly when none of its (k-1)-subsets spreads, which is looked
+    up in the spreading sets of the level before.  budget caps the total
+    number of subsets considered; a size level that would push past it is
+    skipped entirely and flagged.  The scan runs in the calling process:
+    jobs is accepted for compatibility and ignored.
 
     The result stores each set as the tuple of its points in ascending
     order (points), the tuples ordered by size and then lexicographically;
@@ -266,17 +259,13 @@ def enumerate_minimal_spreading_sets(
             truncated = True
             break
         spent += level
-        tops = list(range(k - 1, n))
-        chunks = _split_tops(tops, k, jobs)
-        hits = []
-        for part in run_jobs(_scan_level, [(ts, k, c) for c in chunks], jobs):
-            hits.extend(part)
         # bit j of a top's batch is the j-th (k-1)-subset in colex order
         rests = list(colex_subsets(n - 1, k - 1))
         found = []
         spread_bits = 0
         spreading = set()
-        for t, spread in zip(tops, hits):
+        for t, (full, batch) in enumerate(_subset_batches(n, k), k - 1):
+            spread = _holding_all(_batch_closure(ts.triples, batch), full)
             spread_bits |= spread << math.comb(t, k)
             if k < max_size:
                 spreading.update(map(add, _select(rests, spread), repeat((t,))))
@@ -291,32 +280,6 @@ def enumerate_minimal_spreading_sets(
         results += found
         prev_bits, prev = spread_bits, spreading
     return SpreadingEnumeration(tuple(results), max_size, truncated)
-
-
-def _split_tops(tops, k, jobs):
-    """Partition the top-element ranges of a colex scan into job chunks.
-
-    Subsets with the same maximum are contiguous in colex order, so chunking
-    by maximum keeps each worker's slice contiguous and the merge ordered.
-    """
-    if jobs <= 1 or not tops:
-        return [tops]
-    weights = [math.comb(t, k - 1) for t in tops]
-    total = sum(weights) or 1
-    target = total / min(jobs, len(tops))
-    chunks = []
-    cur = []
-    acc = 0
-    for t, w in zip(tops, weights):
-        cur.append(t)
-        acc += w
-        if acc >= target and len(chunks) < jobs - 1:
-            chunks.append(cur)
-            cur = []
-            acc = 0
-    if cur:
-        chunks.append(cur)
-    return chunks
 
 
 def check_projective(ts: TripleSystem) -> bool:

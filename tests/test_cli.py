@@ -333,6 +333,25 @@ def test_system_from_a_fifo_reads_as_from_a_file(tmp_path, capsys):
                            % (good.count(b"\n") + 1))
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_manifest_of_a_fifo_input_records_no_digest(tmp_path):
+    # the manifest must not open the FIFO again: no writer would come
+    fifo, mpath = tmp_path / "fifo", tmp_path / "m.json"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(serialize(pg2(2)),),
+                              daemon=True)
+    writer.start()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stspread.cli", "--manifest", str(mpath),
+         "analyze", "--system", str(fifo), "projective"],
+        capture_output=True, text=True, timeout=30,
+    )
+    writer.join(timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "projective=true\n"
+    assert json.loads(mpath.read_text())["inputs"] == {str(fifo): None}
+
+
 def test_a_bad_byte_after_the_first_chunk_is_not_utf8(tmp_path, capsys):
     text = serialize(pg2(5))
     assert len(text) > 2 * system_module._CHUNK
@@ -525,6 +544,9 @@ _LOADED = ("import sys\n"
     (["construct", "pg2", "--dim", "3", "--out", "{out}"], ("saturation", "claims")),
     (["--jobs", "2", "saturate", "min", "--system", "{system}"],
      ("parallel", "completion", "claims")),
+    (["--jobs", "2", "analyze", "--system", "{system}", "spread", "enumerate",
+      "--max-size", "3"],
+     ("parallel", "saturation", "completion", "constructions", "claims")),
 ])
 def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
     system = tmp_path / "pg3.txt"
