@@ -117,8 +117,8 @@ def two_sizes(n=4, seed=0):
 def szoras(n=3, trials=100, seed=0):
     """The hyperplane variance identity of PG(n,2) holds exactly on random
     subsets, and some hyperplane deviates strictly beyond its r.m.s."""
+    points = _check_pg_dim(n)  # before range(points) is sampled
     rng = random.Random(seed)
-    points = (1 << (n + 1)) - 1
     identity_fail = strict_fail = degenerate = 0
     for _ in range(trials):
         subset = rng.sample(range(points), rng.randint(0, points))

@@ -285,7 +285,7 @@ def _extensions(ts, frontier):
     Chunks start with one entry, so an early hit stays cheap, and double up
     to about _CHUNK_CAP slots, which bounds memory.
     """
-    n = ts.order
+    n, blocks = ts.order, ts.triples
     size, i = 1, 0
     while i < len(frontier):
         entries = frontier[i:i + size]
@@ -300,7 +300,7 @@ def _extensions(ts, frontier):
             inside = side >> q & rep
             batch.append(((inside << n) - inside) | (rep ^ inside) << q)
         live = ones & ~side
-        _batch_closure(ts.triples, batch)
+        _batch_closure(blocks, batch)
         yield i, batch, live, _holding_all(batch, live)
         i += len(entries)
         size = min(2 * size, max(1, _CHUNK_CAP // n))

@@ -212,10 +212,10 @@ def complete_partial(
     cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
     if target_order > cap:
         raise TooLargeError("completion capped at order %d" % cap)
-    rng = random.Random(seed)
+    rng, blocks = random.Random(seed), ts.triples
     total_moves = 0
     for attempt in range(1, restarts + 1):
-        third, moves = _climb(target_order, ts.triples, rng, moves_per_restart)
+        third, moves = _climb(target_order, blocks, rng, moves_per_restart)
         total_moves += moves
         if third is None:
             continue
@@ -226,7 +226,7 @@ def complete_partial(
                                         SystemKind.STEINER, tag)
         checks = (
             ("steiner", system.is_steiner()),
-            ("contains_source", all(system._third[a][b] == c for a, b, c in ts.triples)),
+            ("contains_source", all(system._third[a][b] == c for a, b, c in blocks)),
         )
         return CompletionReport(
             ts.order, target_order, seed, attempt, total_moves,
@@ -247,9 +247,9 @@ def random_sts(order: int, seed: int = 0) -> TripleSystem:
         raise InadmissibleOrderError("no Steiner system of order %d" % order)
     if order < 7:
         raise TrivialOrderError("random_sts is for orders >= 7")
-    empty = TripleSystem(order, (), SystemKind.PARTIAL)
-    report = complete_partial(empty, order, seed)
-    return report.system
+    # the source is one point and no block, so complete_partial checks the
+    # cap before any table of this order is built
+    return complete_partial(TripleSystem(1, ()), order, seed).system
 
 
 def next_admissible(v: int) -> int:

@@ -92,9 +92,10 @@ def pg2(d: int) -> TripleSystem:
     """
     if d < 1:
         raise TrivialOrderError("pg2 needs dimension >= 1")
+    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    if d > (cap + 1).bit_length() - 2:  # 2^(d+1) - 1 > cap, without the power
+        raise TooLargeError("PG(%d,2) has order above the cap %d" % (d, cap))
     order = (1 << (d + 1)) - 1
-    if order > config.order_cap(config.MAX_CONSTRUCTION_ORDER):
-        raise TooLargeError("PG(%d,2) has order %d, above the cap" % (d, order))
     rows = _cayley_rows(2, d + 1, range(-1, order), _typecode(order))
     for row in rows:
         del row[0]
@@ -120,9 +121,10 @@ def ag3(d: int) -> TripleSystem:
     """
     if d < 1:
         raise TrivialOrderError("ag3 needs dimension >= 1")
+    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    if d > cap.bit_length() or 3 ** d > cap:  # the power only once d is small
+        raise TooLargeError("AG(%d,3) has order above the cap %d" % (d, cap))
     order = 3 ** d
-    if order > config.order_cap(config.MAX_CONSTRUCTION_ORDER):
-        raise TooLargeError("AG(%d,3) has order %d, above the cap" % (d, order))
     powers = [3 ** i for i in range(d)]
     digits = [_f3_digits(v, d) for v in range(order)]
     negated = [sum(-x % 3 * p for x, p in zip(dv, powers)) for dv in digits]

@@ -216,9 +216,10 @@ def min_saturating_size(ts: TripleSystem):
     cap = config.order_cap(config.MAX_ENUMERATION_ORDER)
     if n > cap:
         raise TooLargeError("min_saturating_size capped at order %d" % cap)
+    blocks = ts.triples
     for k in range(1, n + 1):
         for full, batch in _subset_batches(n, k):
-            hits = _holding_all(_sweep(ts.triples, batch, list(batch)), full)
+            hits = _holding_all(_sweep(blocks, batch, list(batch)), full)
             if hits:
                 j = (hits & -hits).bit_length() - 1
                 return k, frozenset(p for p, s in enumerate(batch) if s >> j & 1)
@@ -270,20 +271,18 @@ def intersection_extremes(
     masks = fam.masks
     best_maxmin = -1
     best_minmax = count + 1
-    for top in range(m - 1, count):
-        for rest in colex_subsets(top, m - 1):
-            subset = rest + (top,)
-            mask = 0
-            for p in subset:
-                mask |= 1 << p
-            lo = min((mask & h).bit_count() for h in masks)
-            hi = max((mask & h).bit_count() for h in masks)
-            if lo > best_maxmin:
-                best_maxmin = lo
-                wit_maxmin = subset
-            if hi < best_minmax:
-                best_minmax = hi
-                wit_minmax = subset
+    for subset in colex_subsets(count, m):
+        mask = 0
+        for p in subset:
+            mask |= 1 << p
+        lo = min((mask & h).bit_count() for h in masks)
+        hi = max((mask & h).bit_count() for h in masks)
+        if lo > best_maxmin:
+            best_maxmin = lo
+            wit_maxmin = subset
+        if hi < best_minmax:
+            best_minmax = hi
+            wit_minmax = subset
     return ExtremesReport(
         n, m, best_maxmin, frozenset(wit_maxmin), best_minmax, frozenset(wit_minmax)
     )

@@ -248,7 +248,7 @@ def enumerate_minimal_spreading_sets(
                             % config.order_cap(config.MAX_ENUMERATION_ORDER))
     if max_size is None:
         max_size = (n + 1).bit_length() - 1
-    results = []
+    results, blocks = [], ts.triples
     truncated = False
     spent = 0
     prev_bits = 0  # bit r: the r-th (k-1)-subset in colex order spreads
@@ -265,7 +265,7 @@ def enumerate_minimal_spreading_sets(
         spread_bits = 0
         spreading = set()
         for t, (full, batch) in enumerate(_subset_batches(n, k), k - 1):
-            spread = _holding_all(_batch_closure(ts.triples, batch), full)
+            spread = _holding_all(_batch_closure(blocks, batch), full)
             spread_bits |= spread << math.comb(t, k)
             if k < max_size:
                 spreading.update(map(add, _select(rests, spread), repeat((t,))))

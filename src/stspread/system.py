@@ -202,9 +202,8 @@ class TripleSystem:
 
     The pair table _third is the only store of the blocks: third[x][y] = z
     when {x,y,z} is a block, else -1, in one array row per point, 2 bytes an
-    entry below order 2^15 (8.4 MB at PG(10,2)).  block_count is the number
-    of blocks, and triples, the blocks as sorted 3-tuples in lexicographic
-    order, is read back from the table on first use (_blocks_of) and kept.
+    entry below order 2^15 (8.4 MB at PG(10,2)), and it is all the state
+    besides order, kind, tag and block_count, the number of blocks.
 
     Every table goes through the same checks, in this order: the order
     (BadOrderError), then one count of the entries other than -1,
@@ -222,7 +221,7 @@ class TripleSystem:
     DuplicatePairError names the same pair whatever form they came in.
     """
 
-    __slots__ = ("order", "kind", "tag", "block_count", "_triples", "_third")
+    __slots__ = ("order", "kind", "tag", "block_count", "_third")
 
     def __init__(self, order, triples, kind=SystemKind.PARTIAL, tag=PLAIN_TAG):
         _check_order(order, kind)
@@ -262,15 +261,14 @@ class TripleSystem:
         self.kind = kind
         self.tag = tag if tag is not None else PLAIN_TAG
         self.block_count = size
-        self._triples = None
         self._third = third
 
     @property
     def triples(self):
-        """The blocks as sorted 3-tuples in lexicographic order."""
-        if self._triples is None:
-            object.__setattr__(self, "_triples", tuple(_blocks_of(self._third)))
-        return self._triples
+        """The blocks as sorted 3-tuples in lexicographic order, read from
+        the pair table on each access and not kept: a caller that needs
+        them twice keeps them."""
+        return tuple(_blocks_of(self._third))
 
     def __setattr__(self, name, value):
         if hasattr(self, "_third"):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _python(*args, **kwargs):
+    """Run the interpreter on args, output captured as text, with the
+    checkout's src first on PYTHONPATH so that stspread need not be installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 def test_construct_pg2_writes_parseable_file(tmp_path, capsys):
@@ -274,6 +284,8 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (1, ["embed", "--system", str(system), "--target", "15", "--moves", "-1"]),
         (1, ["embed", "--system", str(system), "--target", "15", "--restarts", "0"]),
         (1, ["--jobs", "0"] + spread + ["min"]),
+        (2, ["demo", "szoras", "--n", "99"]),
+        (2, ["demo", "szoras", "--n", "-5"]),
         (2, ["analyze", "--system", str(binary), "projective"]),
         (2, ["construct", "pg2", "--dim", "2", "--out", str(tmp_path / "no" / "x.txt")]),
         (2, ["--manifest", str(tmp_path / "no" / "m.json"), "saturate", "bounds"]),
@@ -341,11 +353,8 @@ def test_manifest_of_a_fifo_input_records_no_digest(tmp_path):
     writer = threading.Thread(target=fifo.write_text, args=(serialize(pg2(2)),),
                               daemon=True)
     writer.start()
-    proc = subprocess.run(
-        [sys.executable, "-m", "stspread.cli", "--manifest", str(mpath),
-         "analyze", "--system", str(fifo), "projective"],
-        capture_output=True, text=True, timeout=30,
-    )
+    proc = _python("-m", "stspread.cli", "--manifest", str(mpath),
+                   "analyze", "--system", str(fifo), "projective", timeout=30)
     writer.join(timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "projective=true\n"
@@ -517,11 +526,7 @@ def test_pg4_enumeration_memory_stays_near_its_output(pg4_bases):
 
 def test_module_invocation_subprocess(tmp_path):
     out = tmp_path / "s.txt"
-    proc = subprocess.run(
-        [sys.executable, "-m", "stspread.cli", "construct", "pg2",
-         "--dim", "2", "--out", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = _python("-m", "stspread.cli", "construct", "pg2", "--dim", "2", "--out", str(out))
     assert proc.returncode == 0
     assert "order=7" in proc.stdout
 
@@ -552,8 +557,7 @@ def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
     system = tmp_path / "pg3.txt"
     system.write_text(serialize(pg2(3)))
     argv = [a.format(system=system, out=tmp_path / "out.txt") for a in argv]
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          capture_output=True, text=True, check=True)
+    proc = _python("-c", _LOADED, *argv, check=True)
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "stspread.cli" in loaded
     unwanted = {"stspread." + name for name in absent} | {"multiprocessing"}

@@ -1,10 +1,14 @@
 """Size caps and the STS_MAX_ORDER override."""
 
+import re
+
 import pytest
 
+import stspread.system as system_module
 from stspread import (
     BadOrderError,
     TooLargeError,
+    ag3,
     config,
     deviating_hyperplane,
     hyperplanes_pg2,
@@ -116,6 +120,11 @@ def test_bounds_cap_follows_the_override(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "5,11,20,"
     assert main(["demo", "bounds", "--max-n", "6"]) == 2
     assert capsys.readouterr().err == "error: PG(6,2) hyperplane family above the cap\n"
+    assert main(["demo", "szoras", "--n", "6"]) == 2
+    assert capsys.readouterr() == ("", "error: PG(6,2) hyperplane family above the cap\n")
+    monkeypatch.delenv("STS_MAX_ORDER")
+    assert main(["demo", "szoras", "--n", "99"]) == 2
+    assert capsys.readouterr() == ("", "error: PG(99,2) hyperplane family above the cap\n")
     monkeypatch.setenv("STS_MAX_ORDER", "4095")
     assert main(["saturate", "bounds", "--max-n", "11", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "11,%d,%d," % (
@@ -139,6 +148,54 @@ def test_completion_is_capped(monkeypatch, tmp_path, capsys):
     assert random_sts(15, 0).order == 15
     with pytest.raises(TooLargeError, match="capped at order 15"):
         random_sts(19, 0)
+    # the cap is checked before random_sts builds its empty order x order table
+    orders = []
+    empty_table = system_module._empty_pair_table
+
+    def watched(order):
+        orders.append(order)
+        if order > config.order_cap(config.MAX_CONSTRUCTION_ORDER):
+            raise AssertionError("pair table of order %d above the cap" % order)
+        return empty_table(order)
+
+    monkeypatch.setattr(system_module, "_empty_pair_table", watched)
+    monkeypatch.setenv("STS_MAX_ORDER", "63")
+    with pytest.raises(TooLargeError, match="completion capped at order 63"):
+        random_sts(127, 0)
+    monkeypatch.delenv("STS_MAX_ORDER")
+    for argv in (["construct", "random", "--order", "99999", "--out", str(out)],
+                 ["demo", "maxofmin", "--orders", "99999"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: completion capped at order 2047\n"
+    assert not out.exists()
+    assert max(orders, default=0) <= 2047
+
+
+@pytest.mark.parametrize("family, err", [
+    ("pg2", "error: PG(99999999999,2) has order above the cap 2047\n"),
+    ("ag3", "error: AG(99999999999,3) has order above the cap 2047\n"),
+    ("perturbed-pg", "error: PG(99999999999,2) has order above the cap 2047\n"),
+])
+def test_construction_dimension_is_capped_before_the_order(monkeypatch, tmp_path, capsys,
+                                                           family, err):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    out = tmp_path / "big.txt"
+    assert main(["construct", family, "--dim", "99999999999", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+def test_construction_caps_follow_the_override(monkeypatch):
+    for d in range(1, 7):
+        for order, build, name in (((1 << (d + 1)) - 1, pg2, "PG(%d,2)" % d),
+                                   (3 ** d, ag3, "AG(%d,3)" % d)):
+            monkeypatch.setenv("STS_MAX_ORDER", str(order))
+            assert build(d).order == order
+            monkeypatch.setenv("STS_MAX_ORDER", str(order - 1))
+            with pytest.raises(TooLargeError, match=re.escape(name)):
+                build(d)
 
 
 def test_dimension_check_cap_follows_the_override(monkeypatch):

@@ -1,5 +1,6 @@
 """Triple-system container, validation, and the text format."""
 
+import gc
 import pickle
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 import stspread.system as system_module
 from stspread import (
     BadOrderError,
+    BudgetExhaustedError,
     DuplicatePairError,
     NotSteinerError,
     OutOfRangeError,
@@ -24,8 +26,12 @@ from stspread import (
     closure_points,
     complete_partial,
     config,
+    enumerate_closed_sets,
+    enumerate_minimal_spreading_sets,
     greedy_spreading_set,
     induced_subsystem,
+    min_saturating_size,
+    min_spreading_size,
     parse,
     parse_labels,
     perturbed_pg,
@@ -255,6 +261,44 @@ def test_large_paths_never_build_triples(monkeypatch):
     assert labelled._third is back._third
     assert pickle.loads(pickle.dumps(labelled)) == ts
     assert repr(ts) == "TripleSystem(order=1023, blocks=174251, kind=steiner, tag=pg2)"
+
+
+def _table_blocks(ts):
+    third = ts._third
+    return tuple(sorted({tuple(sorted((x, y, third[x][y])))
+                         for x in range(ts.order) for y in range(ts.order)
+                         if x != y and third[x][y] != -1}))
+
+
+def test_searches_read_the_blocks_once_and_keep_none(monkeypatch):
+    r15, pg3, fano = random_sts(15, 0), pg2(3), pg2(2)
+
+    def failed_completion():
+        with pytest.raises(BudgetExhaustedError):
+            complete_partial(fano, 15, seed=0, restarts=3, moves_per_restart=1)
+
+    searches = [
+        (r15, lambda: min_saturating_size(r15)),
+        (r15, lambda: enumerate_minimal_spreading_sets(r15)),
+        (r15, lambda: min_spreading_size(r15)),  # not projective: the lattice walk
+        (pg3, lambda: enumerate_closed_sets(pg3, 1)),  # fewer than its subspaces: the walk
+        (fano, lambda: complete_partial(fano, 15, seed=0)),
+        (fano, failed_completion),  # three restarts, one read
+    ]
+    reads = []
+    blocks_of = system_module._blocks_of
+    monkeypatch.setattr(system_module, "_blocks_of",
+                        lambda third: reads.append(len(third)) or blocks_of(third))
+    for ts, search in searches:
+        reads.clear()
+        search()
+        assert reads == [ts.order]
+        assert not any(isinstance(r, tuple) and len(r) == ts.block_count
+                       for r in gc.get_referents(ts))
+        assert ts.triples == _table_blocks(ts)
+    reads.clear()
+    section4_partial(4)
+    assert reads == [27]  # the blocks of AG(3,3), once
 
 
 def test_parse_peak_memory_stays_near_the_text_size():
