@@ -437,7 +437,7 @@ def _build_parser():
     emb.add_argument("--seed", type=int, default=0)
     emb.add_argument("--out", default=None)
     emb.add_argument("--restarts", type=_int_at_least(1), default=config.DEFAULT_RESTARTS)
-    emb.add_argument("--moves", type=_int_at_least(1), default=config.DEFAULT_MOVES)
+    emb.add_argument("--moves", type=_int_at_least(1), default=None)
 
     dem = sub.add_parser("demo", help="replicate a named result")
     dsub = dem.add_subparsers(dest="which", required=True)

@@ -21,11 +21,21 @@ it.  The admissible third points of {x,y} are then the set bits of
 
     full & ~(frz[x] | frz[y] | cov[x] & cov[y] | 1<<x | 1<<y)
 
-and the move draws rng.randrange(popcount) and takes the set bit of that
-rank in ascending order (_nth_bit).  A scan that lists the candidates in
-ascending order and draws an index into that list makes the same calls on
-the generator and picks the same z, so the blocks (sorted), move counts and
-restarts are those of the scalar climb (tests/oracles.py, scalar_climb).
+and the move draws an index below their count and takes the set bit of that
+rank in ascending order.  A scan that lists the candidates in ascending order
+and draws an index into that list makes the same calls on the generator and
+picks the same z, so the blocks (sorted), move counts and restarts are those
+of the scalar climb (tests/oracles.py, scalar_climb).
+
+The move loop makes no Python-level call.  It draws each index below k as
+rng.randrange(k) does, with rng.getrandbits(k.bit_length()) redrawn while
+it is k or more, so the generator sees the same calls.  It finds the set bit
+of rank r by skipping whole 64-bit words and halving the word at 32, 16 and
+8 bits.  It keeps the uncovered pairs in a list, in the order the scalar
+climb keeps them, with their positions in a flat array indexed by x*n + y.
+A move that displaces a block writes only the net change of the scalar
+climb's uncover-then-cover steps: four bitmasks, ten table entries and two
+list slots.
 
 two_minimal_sizes_sts drives the whole pipeline of the two-sizes
 construction: build the partial system whose spreading structure is rigged,
@@ -38,6 +48,7 @@ spreading sets.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -59,8 +70,6 @@ from .system import (
     _empty_pair_table,
     steiner_admissible,
 )
-
-_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -95,22 +104,6 @@ class CompletionReport:
         return "\n".join(lines) + "\n"
 
 
-def _nth_bit(m, r):
-    """Index of the set bit of rank r (0-based, ascending) in m."""
-    base = 0
-    while True:
-        word = m & _WORD
-        count = word.bit_count()
-        if r < count:
-            break
-        r -= count
-        m >>= 64
-        base += 64
-    for _ in range(r):
-        word &= word - 1
-    return base + (word & -word).bit_length() - 1
-
-
 def _climb(order, frozen_blocks, rng, max_moves):
     """One hill-climbing attempt; returns (the pair table of a Steiner system
     or None, moves used)."""
@@ -126,59 +119,142 @@ def _climb(order, frozen_blocks, rng, max_moves):
             frz[u] |= 1 << v
             frz[v] |= 1 << u
     cov = frz[:]
+    # fb[x]: the third points a pair through x never takes, x and its frozen partners
+    fb = [m | 1 << x for x, m in enumerate(frz)]
     full = (1 << n) - 1
 
-    uncov = []
-    pos = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            if third[x][y] == -1:
-                pos[x * n + y] = len(uncov)
-                uncov.append(x * n + y)
-
-    def cover_pair(x, y, z):
-        if x > y:
-            x, y = y, x
-        third[x][y] = third[y][x] = z
-        cov[x] |= 1 << y
-        cov[y] |= 1 << x
-        code = x * n + y
-        i = pos.pop(code)
-        last = uncov.pop()
-        if last != code:
-            uncov[i] = last
-            pos[last] = i
-
-    def uncover_pair(x, y):
-        third[x][y] = third[y][x] = -1
-        cov[x] &= ~(1 << y)
-        cov[y] &= ~(1 << x)
-        code = x * n + y
-        pos[code] = len(uncov)
-        uncov.append(code)
+    # the uncovered pairs {x<y} as codes x*n + y; pos[code] is its index in uncov
+    uncov = [x * n + y for x in range(n) for y in range(x + 1, n) if third[x][y] == -1]
+    pos = array("l", [0]) * (n * n)
+    for i, code in enumerate(uncov):
+        pos[code] = i
+    getrandbits = rng.getrandbits
 
     moves = 0
     while uncov and moves < max_moves:
         moves += 1
-        code = uncov[rng.randrange(len(uncov))]
-        x, y = divmod(code, n)
+        # rng.randrange(k) as Random._randbelow_with_getrandbits draws it
+        k = len(uncov)
+        bits = k.bit_length()
+        i = getrandbits(bits)
+        while i >= k:
+            i = getrandbits(bits)
+        x, y = divmod(uncov[i], n)
         # third points z with neither {x,z} nor {y,z} frozen and at most one
         # of them covered: switching may resolve one conflict, not two
-        cands = full & ~(frz[x] | frz[y] | cov[x] & cov[y] | 1 << x | 1 << y)
+        cands = full ^ (fb[x] | fb[y] | cov[x] & cov[y])
         if not cands:
             continue
-        z = _nth_bit(cands, rng.randrange(cands.bit_count()))
-        # the block {u,z,w} that covers {x,z} or else {y,z}, if any
-        u = x if third[x][z] != -1 else y
-        w = third[u][z]
+        k = cands.bit_count()
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        # z is the set bit of rank r in cands: skip whole 64-bit words, halve
+        # the word at 32, 16 and 8 bits, then clear the r lowest bits left
+        base = 0
+        word = cands & 0xFFFFFFFFFFFFFFFF
+        c = word.bit_count()
+        while r >= c:
+            r -= c
+            base += 64
+            word = cands >> base & 0xFFFFFFFFFFFFFFFF
+            c = word.bit_count()
+        half = word & 0xFFFFFFFF
+        c = half.bit_count()
+        if r < c:
+            word = half
+        else:
+            r -= c
+            word >>= 32
+            base += 32
+        half = word & 0xFFFF
+        c = half.bit_count()
+        if r < c:
+            word = half
+        else:
+            r -= c
+            word >>= 16
+            base += 16
+        half = word & 0xFF
+        c = half.bit_count()
+        if r < c:
+            word = half
+        else:
+            r -= c
+            word >>= 8
+            base += 8
+        while r:
+            word &= word - 1
+            r -= 1
+        z = base + (word & -word).bit_length() - 1
+
+        tx = third[x]
+        ty = third[y]
+        tz = third[z]
+        tx[y] = ty[x] = z
+        # the block {u,z,w} that covers {x,z} (u = x) or else {y,z} (u = y)
+        w = tx[z]
         if w != -1:
-            a, b, c = sorted((u, z, w))
-            uncover_pair(a, b)
-            uncover_pair(a, c)
-            uncover_pair(b, c)
-        cover_pair(x, y, z)
-        cover_pair(x, z, y)
-        cover_pair(y, z, x)
+            u, v = x, y
+        else:
+            u, v = y, x
+            w = ty[z]
+        if w == -1:
+            # no block gives way: {x,y}, {x,z}, {y,z} leave uncov in that
+            # order, each replaced by the last entry
+            tx[z] = tz[x] = y
+            ty[z] = tz[y] = x
+            bx = 1 << x
+            by = 1 << y
+            bz = 1 << z
+            cov[x] ^= by | bz
+            cov[y] ^= bx | bz
+            cov[z] ^= bx | by
+            last = uncov.pop()
+            if i < len(uncov):
+                uncov[i] = last
+                pos[last] = i
+            for code in (x * n + z if x < z else z * n + x, y * n + z if y < z else z * n + y):
+                i = pos[code]
+                last = uncov.pop()
+                if last != code:
+                    uncov[i] = last
+                    pos[last] = i
+            continue
+        # {u,z,w} gives way to {u,v,z}: {u,z} stays covered, {u,w} and {z,w}
+        # become uncovered and {u,v}, {v,z} covered
+        tw = third[w]
+        third[u][z] = tz[u] = v
+        third[v][z] = tz[v] = u
+        third[u][w] = tw[u] = tz[w] = tw[z] = -1
+        bu = 1 << u
+        bv = 1 << v
+        bw = 1 << w
+        bz = 1 << z
+        cov[u] ^= bw | bv
+        cov[z] ^= bw | bv
+        cov[w] ^= bu | bz
+        cov[v] ^= bu | bz
+        # The scalar climb appends the block's three pairs to uncov in
+        # ascending order of code, then swap-removes {x,y}, {x,z}, {y,z}.
+        # Net of that, {u,w} and {z,w} take the places of {x,y} and {v,z}:
+        # the larger code goes to {x,y}'s, except when u = y and {u,z} has
+        # the largest code of the three, when the smaller one does.
+        uz = u * n + z if u < z else z * n + u
+        uw = u * n + w if u < w else w * n + u
+        zw = z * n + w if z < w else w * n + z
+        if uw < zw:
+            lo, hi = uw, zw
+        else:
+            lo, hi = zw, uw
+        if u == y and uz > hi:
+            lo, hi = hi, lo
+        q = pos[v * n + z if v < z else z * n + v]
+        uncov[i] = hi
+        pos[hi] = i
+        uncov[q] = lo
+        pos[lo] = q
 
     if uncov:
         return None, moves
@@ -190,7 +266,7 @@ def complete_partial(
     target_order: int,
     seed: int = 0,
     restarts: int = config.DEFAULT_RESTARTS,
-    moves_per_restart: int = config.DEFAULT_MOVES,
+    moves_per_restart: Optional[int] = None,
 ) -> CompletionReport:
     """Embed ts into a Steiner system of the given order.
 
@@ -199,7 +275,8 @@ def complete_partial(
     restart converges.  Targets below 2*order+1 are accepted (the caller may
     know better) but are not guaranteed to admit any completion.  Targets
     above the construction cap raise TooLargeError before the climb
-    allocates its order x order pair table.
+    allocates its order x order pair table.  moves_per_restart defaults to
+    config.default_moves(target_order).
     """
     if not steiner_admissible(target_order):
         raise InadmissibleOrderError(
@@ -212,6 +289,8 @@ def complete_partial(
     cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
     if target_order > cap:
         raise TooLargeError("completion capped at order %d" % cap)
+    if moves_per_restart is None:
+        moves_per_restart = config.default_moves(target_order)
     rng, blocks = random.Random(seed), ts.triples
     total_moves = 0
     for attempt in range(1, restarts + 1):
@@ -283,7 +362,7 @@ def two_minimal_sizes_sts(
     n: int = 4,
     seed: int = 0,
     restarts_per_target: int = config.DEFAULT_RESTARTS,
-    moves_per_restart: int = config.DEFAULT_MOVES,
+    moves_per_restart: Optional[int] = None,
 ):
     """A Steiner system with minimal spreading sets of sizes 3 and n.
 
@@ -292,8 +371,9 @@ def two_minimal_sizes_sts(
     spreading set of size 3).  The partial two-sizes system is embedded into
     the smallest admissible order at least twice-plus-one its point count;
     if every restart budget there fails, the next two admissible orders are
-    tried.  A candidate completion is accepted when every two_sizes_checks
-    record passes.
+    tried, each with moves_per_restart moves per restart (by default
+    config.default_moves of that order).  A candidate completion is accepted
+    when every two_sizes_checks record passes.
     """
     art = section4_partial(n)
     source = art.system

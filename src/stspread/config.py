@@ -38,9 +38,16 @@ MAX_DIMENSION_CHECK_DIM = 5
 # Two-sizes construction input n (AG(n-1,3) must stay desk-scale).
 MAX_SECTION_N = 6
 
-# Hill-climbing completion budget: restarts, and moves per restart.
+# Hill-climbing completion budget: restarts, and moves per restart (below).
 DEFAULT_RESTARTS = 50
-DEFAULT_MOVES = 10 ** 6
+
+
+def default_moves(order: int) -> int:
+    """Moves per restart of a climb to the given order: 8 per pair, and never
+    fewer than 10^6, which is the budget up to order 500.  The moves a climb
+    needs grow faster than its pairs: 26,079 at order 127, 118,676 at 255 and
+    550,843 at 511 (seed 1)."""
+    return max(10 ** 6, 4 * order * (order - 1))
 
 
 def order_cap(default: int) -> int:

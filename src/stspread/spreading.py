@@ -253,7 +253,8 @@ def enumerate_minimal_spreading_sets(
     spent = 0
     prev_bits = 0  # bit r: the r-th (k-1)-subset in colex order spreads
     prev = set()  # the spreading (k-1)-subsets, as point tuples
-    for k in range(1 if n == 1 else 2, max_size + 1):
+    top = min(max_size, n)  # no subset has more than n points
+    for k in range(1 if n == 1 else 2, top + 1):
         level = math.comb(n, k)
         if spent + level > budget:
             truncated = True
@@ -267,7 +268,7 @@ def enumerate_minimal_spreading_sets(
         for t, (full, batch) in enumerate(_subset_batches(n, k), k - 1):
             spread = _holding_all(_batch_closure(blocks, batch), full)
             spread_bits |= spread << math.comb(t, k)
-            if k < max_size:
+            if k < top:
                 spreading.update(map(add, _select(rests, spread), repeat((t,))))
             # prev_bits drops the k-sets whose points below t already spread;
             # a k-set is minimal when none of its other (k-1)-subsets does

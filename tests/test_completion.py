@@ -178,6 +178,14 @@ def test_climb_matches_scalar_oracle(order, seed):
     assert blocks is not None and moves > 0
 
 
+@pytest.mark.parametrize("order, seed", [(129, 0), (133, 1)])
+def test_climb_across_words_matches_scalar_oracle(order, seed):
+    # the candidate masks span three 64-bit words, so the rank-r bit search
+    # skips words before it halves one
+    blocks, moves = _same_climb(order, (), seed)
+    assert blocks is not None and moves > 0
+
+
 def test_climb_matches_scalar_oracle_with_frozen_blocks():
     art = section4_partial(4)
     target = next_admissible(2 * art.system.order + 1)
@@ -192,6 +200,9 @@ def test_climb_cut_short_matches_scalar_oracle():
     art = section4_partial(4)
     blocks, moves = _same_climb(61, art.system.triples, 3, max_moves=200, attempts=3)
     assert (blocks, moves) == (None, 200)
+    big = section4_partial(5).system
+    blocks, moves = _same_climb(159, big.triples, 0, max_moves=2000)
+    assert (blocks, moves) == (None, 2000)
 
 
 def test_climb_frozen_conflict_matches_scalar_oracle():
@@ -209,6 +220,22 @@ def test_random_sts_255_is_pinned():
     text = serialize(random_sts(255, 1))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "6710a588a16fcf3defe6c6b858fb9d50ed6972eb6412d49701978855b7f2e983"
+    )
+
+
+def test_embedding_into_159_is_pinned():
+    report = complete_partial(section4_partial(5).system, 159, seed=0)
+    assert (report.iterations, report.restarts_used) == (38813, 1)
+    assert hashlib.sha256(serialize(report.system).encode()).hexdigest() == (
+        "0a20587f798c547e0b8556374be86932d48568c00a3b30326e17d78d2d564908"
+    )
+
+
+def test_two_sizes_n5_is_pinned():
+    ts, base, b_triple = two_minimal_sizes_sts(5, 0)
+    assert (sorted(base), sorted(b_triple)) == ([0, 1, 3, 9, 27], [37, 39, 40])
+    assert hashlib.sha256(serialize(ts).encode()).hexdigest() == (
+        "7222776f828cd7bad26c41453ba944544145f7ff7d1dd33c956b79b29821bb28"
     )
 
 

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -195,6 +196,18 @@ def test_enumerate_jobs_equivalence_past_the_order():
     serial = enumerate_minimal_spreading_sets(pg2(3), 20, jobs=1)
     assert enumerate_minimal_spreading_sets(pg2(3), 20, jobs=2) == serial
     assert len(serial.sets) == 840
+
+
+def test_enumerate_stops_at_the_order():
+    # no subset has more than 15 points, so a huge max_size scans nothing more
+    # and is still reported as given
+    at_order = enumerate_minimal_spreading_sets(pg2(3), max_size=15)
+    start = time.perf_counter()
+    huge = enumerate_minimal_spreading_sets(pg2(3), max_size=10 ** 12)
+    assert time.perf_counter() - start < 1.0
+    assert huge.points == at_order.points
+    assert (huge.max_size, huge.truncated) == (10 ** 12, at_order.truncated)
+    assert at_order.max_size == 15
 
 
 def _oracle_points(ts, max_size):
