@@ -14,9 +14,9 @@ is a member.  The public functions accept any iterable of point indices and
 return frozensets.
 
 The lattice searches (is_spreading_system, enumerate_closed_sets and
-spreading.min_spreading_size) scan no subsets: they extend the distinct
-pair closures, read from the pair table, by one point at a time in the
-bit-sliced chunks of _extensions.
+spreading.min_spreading_size) scan no subsets: each is a loop over _walk,
+which extends the distinct pair closures, read from the pair table, by
+one point at a time in bit-sliced chunks and yields each new closure once.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _holding_all(batch, full):
     return full
 
 
-# slots per frontier chunk of _extensions
+# slots per chunk of _walk
 _CHUNK_CAP = 1 << 14
 # candidates per transposition: its string holds order * 2^12 characters
 _COLUMN_CAP = 1 << 12
@@ -270,25 +270,33 @@ def _pair_closures(ts):
     return seeds
 
 
-def _extensions(ts, frontier):
-    """Closures of each closed set in frontier plus one point.
+def _walk(ts, seeds):
+    """Breadth-first walk of the closure lattice above seeds.
 
-    Bit j of a chunk's batch stands for frontier[i + j // n] plus point
-    j % n, so the candidates come in order of entry, then of point.  Slots
-    whose point lies in the entry repeat the entry; live marks the others.
-    With C the entries' masks side by side and R one bit per entry, the
-    entries holding point q are (C >> q) & R, so a chunk takes a few big-int
-    operations per point and none per candidate.  frontier may grow while
-    the generator runs.  Yields (i, closed, live, hits) per chunk; hits
-    marks the live candidates that close to every point, and
-    _columns(closed, live.bit_length()) gives the closures as masks.
-    Chunks start with one entry, so an early hit stays cheap, and double up
-    to about _CHUNK_CAP slots, which bounds memory.
+    seeds are distinct closed masks.  The walked sets are the seeds, then
+    the closures yielded other than the whole point set, in yield order.
+    Yields (e, p, mask) for each distinct closure of walked set e plus an
+    outside point p, once, where it is first found: in order of e, then of
+    p.  The whole point set is yielded at most once, ahead of the other
+    closures of the chunk where it first appears.
+
+    Bit j of a chunk's batch stands for walked set i + j // n plus point
+    j % n.  Slots whose point lies in the set repeat it; live marks the
+    others.  With C the sets side by side and R one bit per set, the sets
+    holding point q are (C >> q) & R, so a chunk takes a few big-int
+    operations per point and none per candidate.  The chunk is transposed
+    by _columns only when some live candidate misses a point, and only
+    after the whole set is yielded, so a caller that stops there never pays
+    for it.  Chunks start with one set, so an early hit stays cheap, and
+    double up to about _CHUNK_CAP slots, which bounds memory.
     """
     n, blocks = ts.order, ts.triples
+    walked = list(seeds)
+    seen = set(walked)
+    whole = True  # the whole set is still to be yielded
     size, i = 1, 0
-    while i < len(frontier):
-        entries = frontier[i:i + size]
+    while i < len(walked):
+        entries = walked[i:i + size]
         width = len(entries) * n
         ones = (1 << width) - 1
         rep = ones // ((1 << n) - 1)  # bit e * n for every entry e
@@ -301,7 +309,20 @@ def _extensions(ts, frontier):
             batch.append(((inside << n) - inside) | (rep ^ inside) << q)
         live = ones & ~side
         _batch_closure(blocks, batch)
-        yield i, batch, live, _holding_all(batch, live)
+        hits = _holding_all(batch, live)
+        if hits and whole:
+            whole = False
+            e, p = divmod((hits & -hits).bit_length() - 1, n)
+            yield i + e, p, (1 << n) - 1
+        if hits != live:
+            masks = _columns(batch, live.bit_length())
+            for j in _iter_bits(live ^ hits):
+                mask = masks[j]
+                if mask not in seen:
+                    seen.add(mask)
+                    walked.append(mask)
+                    e, p = divmod(j, n)
+                    yield i + e, p, mask
         i += len(entries)
         size = min(2 * size, max(1, _CHUNK_CAP // n))
 
@@ -408,11 +429,9 @@ def is_spreading_system(ts: TripleSystem) -> bool:
         raise NotSteinerError("spreading-system test needs a Steiner system")
     if ts.order <= 3:
         raise TrivialOrderError("spreading-system test needs order > 3")
-    frontier = [mask for _, _, mask in _pair_closures(ts)]
-    for _, _, live, hits in _extensions(ts, frontier):
-        if hits != live:
-            return False
-    return True
+    full = (1 << ts.order) - 1
+    seeds = [mask for _, _, mask in _pair_closures(ts)]
+    return all(mask == full for _, _, mask in _walk(ts, seeds))
 
 
 @dataclass(frozen=True)
@@ -506,26 +525,13 @@ def _walk_closed_sets(ts, max_count):
     a lexicographically earlier subset.
     """
     full = (1 << ts.order) - 1
-    found = set()
-    frontier = [mask for _, _, mask in _pair_closures(ts)]
+    found = []
     truncated = False
-
-    def offer(mask):
-        nonlocal truncated
-        if mask == full or mask in found:
-            return
-        if len(found) >= max_count:
-            truncated = True
-            return
-        found.add(mask)
-        frontier.append(mask)
-
-    for _, closed, live, hits in _extensions(ts, frontier):  # offer() appends
-        if hits != live:
-            for mask in _select(_columns(closed, live.bit_length()), live):
-                offer(mask)  # once truncated, offers add nothing
-            if truncated:
+    for _, _, mask in _walk(ts, [mask for _, _, mask in _pair_closures(ts)]):
+        if mask != full:
+            if len(found) >= max_count:
+                truncated = True
                 break
-
+            found.append(mask)
     sets = sorted((_to_set(m) for m in found), key=lambda s: (len(s), sorted(s)))
     return ClosedSetEnumeration(tuple(sets), truncated)

@@ -20,11 +20,11 @@ chains through the same closed set can be merged.  This is the subset scan
 with closed-set pruning taken to its limit and returns the same value.
 The walk reads the distinct pair closures, the blocks, from the pair table
 and takes them in colex order of their least pairs, which is the order in
-which closing the pairs in colex order first meets them.  The chunked
-walker of closure.py (which enumerate_closed_sets shares) then closes each
-closed set plus each outside point as one bit-sliced batch per chunk, in
-the order of a scalar breadth-first search, so the first spreading
-candidate it reports is the one that search meets first.
+which closing the pairs in colex order first meets them.  closure._walk
+(which enumerate_closed_sets and is_spreading_system share) then closes
+each closed set plus each outside point in bit-sliced chunks and yields
+the closures in the order of a scalar breadth-first search, so the first
+whole-set closure it yields is the one that search meets first.
 """
 
 from __future__ import annotations
@@ -41,17 +41,15 @@ from . import config
 from .closure import (
     _batch_closure,
     _closure_mask,
-    _columns,
     _coordinates,
-    _extensions,
     _grow,
     _holding_all,
-    _iter_bits,
     _mask_of,
     _pair_closures,
     _select,
     _subset_batches,
     _to_set,
+    _walk,
     closure_points,
     colex_subsets,
 )
@@ -120,23 +118,21 @@ def greedy_spreading_set(
 def reduce_to_minimal(ts: TripleSystem, points: Iterable[int]) -> frozenset:
     """Shrink a spreading set to a minimal one by dropping redundant points.
 
-    Repeatedly removes the least-index point whose removal keeps the set
-    spreading; raises NotSpreadingError when the input does not spread.
+    Takes the points in ascending order and drops each one whose removal
+    keeps the set spreading; raises NotSpreadingError when the input does
+    not spread.  A point that cannot go from a set cannot go from any subset
+    of it either, so one pass leaves a minimal set: the same one that
+    restarting from the least point after every removal reaches.
     """
     third = ts._third
     full = (1 << ts.order) - 1
     current = sorted(_to_set(_mask_of(ts, points)))
     if _closure_mask(third, current)[0] != full:
         raise NotSpreadingError("input set does not spread")
-    changed = True
-    while changed:
-        changed = False
-        for p in list(current):
-            trial = [q for q in current if q != p]
-            if len(trial) >= 1 and _closure_mask(third, trial)[0] == full:
-                current = trial
-                changed = True
-                break
+    for p in list(current):
+        trial = [q for q in current if q != p]
+        if _closure_mask(third, trial)[0] == full:
+            current = trial
     return frozenset(current)
 
 
@@ -179,24 +175,16 @@ def _walk_min_spreading(ts):
     """
     n = ts.order
     full = (1 << n) - 1
-    frontier, gens = [], []  # distinct closures and the chains that reach them
-    for a, b, mask in sorted(_pair_closures(ts), key=lambda s: (s[1], s[0])):
+    seeds = sorted(_pair_closures(ts), key=lambda s: (s[1], s[0]))
+    gens = []  # gens[e]: the chain that reaches walked set e
+    for a, b, mask in seeds:
         if mask == full:
             return 2, frozenset({a, b})
-        frontier.append(mask)
         gens.append((a, b))
-    seen = set(frontier)
-    for i, closed, live, hits in _extensions(ts, frontier):
-        if hits:
-            e, p = divmod((hits & -hits).bit_length() - 1, n)
-            return len(gens[i + e]) + 1, frozenset(gens[i + e] + (p,))
-        masks = _columns(closed, live.bit_length())
-        for j in _iter_bits(live):
-            if masks[j] not in seen:
-                seen.add(masks[j])
-                frontier.append(masks[j])
-                e, p = divmod(j, n)
-                gens.append(gens[i + e] + (p,))
+    for e, p, mask in _walk(ts, [mask for _, _, mask in seeds]):
+        if mask == full:
+            return len(gens[e]) + 1, frozenset(gens[e] + (p,))
+        gens.append(gens[e] + (p,))
     raise NotSteinerError("no spreading set found; system is not connected")
 
 

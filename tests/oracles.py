@@ -60,6 +60,23 @@ def all_minimal_spreading(order, triples, max_size):
     return set(found)
 
 
+def restart_reduce_to_minimal(order, triples, points):
+    """A minimal spreading subset of points: drop the least point whose
+    removal keeps the set spreading, then start again from the least point,
+    until no point can be dropped."""
+    current = sorted(points)
+    changed = True
+    while changed:
+        changed = False
+        for p in current:
+            trial = [q for q in current if q != p]
+            if trial and naive_is_spreading(order, triples, trial):
+                current = trial
+                changed = True
+                break
+    return frozenset(current)
+
+
 def naive_saturates(order, triples, subset):
     """One quasi-closure step computed from the original subset only."""
     base = set(subset)

@@ -155,14 +155,14 @@ def test_closed_set_shortcut_equals_the_walk(make):
     assert below.truncated and len(below.sets) == count - 1
 
 
-def test_certified_inputs_take_no_triple_scan(monkeypatch):
-    def refuse(ts, frontier):
+def test_certified_inputs_take_no_walk(monkeypatch):
+    def refuse(ts, seeds):
         raise AssertionError("lattice walk on a certified input")
 
     # the package's name closure is the function, so fetch the module itself;
     # the spreading module holds its own reference to the walker
     for name in ("stspread.closure", "stspread.spreading"):
-        monkeypatch.setattr(importlib.import_module(name), "_extensions", refuse)
+        monkeypatch.setattr(importlib.import_module(name), "_walk", refuse)
     ts = _relabelled(pg2(5), 1)
     assert check_projective(ts)
     assert min_spreading_size(ts)[0] == 6

@@ -1,7 +1,9 @@
 """The breadth-first lattice searches against scalar walks built on
 naive_closure: min_spreading_size and enumerate_closed_sets must return
-the same first hit, the same sets and the same truncations."""
+the same first hit, the same sets and the same truncations.  The walker
+they share is checked against its contract, and under other batchings."""
 
+import importlib
 import random
 
 import pytest
@@ -9,12 +11,23 @@ import pytest
 from stspread import (
     build_system,
     enumerate_closed_sets,
+    is_spreading_system,
     min_spreading_size,
     perturbed_pg,
     pg2,
     random_sts,
     section4_partial,
+    subsystem_free_sts15,
 )
+from stspread.closure import (
+    _closure_mask,
+    _iter_bits,
+    _pair_closures,
+    _to_set,
+    _walk,
+    _walk_closed_sets,
+)
+from stspread.spreading import _walk_min_spreading
 
 from oracles import bfs_closed_sets, bfs_min_spreading
 
@@ -76,3 +89,57 @@ def test_closed_set_truncations_of_the_section4_partial_system():
     found = bfs_closed_sets(ts.order, ts.triples, limit=1001)
     assert len(found) == 1001
     _check_truncations(ts, found, [*range(1, 201), *range(201, 1001, 53), 1000])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: perturbed_pg(4, 0), id="pp4"),
+    pytest.param(lambda: _half(15, 1), id="half of random_sts(15,1)"),
+])
+def test_the_walk_yields_each_closure_once_in_order(make):
+    ts = make()
+    full = (1 << ts.order) - 1
+    walked = [mask for _, _, mask in _pair_closures(ts)]
+    items = list(_walk(ts, list(walked)))
+    masks = [mask for _, _, mask in items]
+    assert len(set(masks)) == len(masks)
+    assert masks.count(full) <= 1
+    for e, p, mask in items:
+        # e indexes the seeds, then the proper closures in yield order
+        assert not walked[e] >> p & 1
+        assert mask == _closure_mask(ts._third, [*_iter_bits(walked[e]), p])[0]
+        if mask != full:
+            walked.append(mask)
+    proper = [(e, p, mask) for e, p, mask in items if mask != full]
+    assert [(e, p) for e, p, _ in proper] == sorted((e, p) for e, p, _ in proper)
+    assert [_to_set(mask) for _, _, mask in proper] == bfs_closed_sets(ts.order, ts.triples)
+
+
+def _walk_answers():
+    """What the three walks give on a fixed corpus, at the current batching."""
+    section4 = section4_partial(4).system
+    half = _half(13, 2)
+    count = len(_walk_closed_sets(half, 10 ** 6).sets)
+    return [
+        _walk_min_spreading(perturbed_pg(4, 0)),
+        _walk_min_spreading(random_sts(31, 1)),
+        *(_walk_closed_sets(section4, m) for m in (1, 200, 1000)),
+        *(_walk_closed_sets(half, m) for m in range(1, count + 2)),
+        is_spreading_system(subsystem_free_sts15(0)),
+        is_spreading_system(pg2(3)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def default_walk_answers():
+    return _walk_answers()
+
+
+@pytest.mark.parametrize("caps", [
+    {"_CHUNK_CAP": 1}, {"_CHUNK_CAP": 64}, {"_COLUMN_CAP": 7},
+], ids=["chunk 1", "chunk 64", "column 7"])
+def test_the_walks_do_not_depend_on_the_batching(caps, default_walk_answers, monkeypatch):
+    # the package's name closure is the function, so fetch the module itself
+    module = importlib.import_module("stspread.closure")
+    for name, value in caps.items():
+        monkeypatch.setattr(module, name, value)
+    assert _walk_answers() == default_walk_answers

@@ -31,6 +31,7 @@ from oracles import (
     brute_min_spreading,
     naive_closure,
     naive_is_spreading,
+    restart_reduce_to_minimal,
 )
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
@@ -94,6 +95,28 @@ def test_reduce_to_minimal():
     for p in minimal:
         assert not is_spreading_set(ts, set(minimal) - {p})
     assert set(minimal) <= {0, 1, 2, 3, 4}
+
+
+REDUCTION_SYSTEMS = (
+    [pytest.param(lambda d=d: pg2(d), id="pg2(%d)" % d) for d in (2, 3, 4)]
+    + [pytest.param(lambda: perturbed_pg(4, 0), id="perturbed_pg(4,0)")]
+    + [pytest.param(lambda v=v, s=s: random_sts(v, s), id="random_sts(%d,%d)" % (v, s))
+       for v in (7, 9, 13, 15, 19, 21, 25, 27, 31) for s in (0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("make", REDUCTION_SYSTEMS)
+def test_reduce_to_minimal_matches_the_restarting_reduction(make):
+    # each set is a random order's shortest spreading prefix plus up to
+    # three more points
+    ts = make()
+    rng = random.Random(ts.order)
+    for _ in range(24):
+        order = rng.sample(range(ts.order), ts.order)
+        k = next(k for k in range(1, ts.order + 1) if is_spreading_set(ts, order[:k]))
+        points = order[:k + rng.randint(0, 3)]
+        assert reduce_to_minimal(ts, points) == restart_reduce_to_minimal(
+            ts.order, ts.triples, points)
 
 
 # -- exact minimum -----------------------------------------------------------
