@@ -164,12 +164,17 @@ def _cmd_construct(args):
 # -- analyze ---------------------------------------------------------------
 
 
-# Rows of a spreading set listing formatted into one string at a time.
+# Rows of a set listing (spread enumerate, subsystems) formatted into one
+# string at a time.
 _ROW_CHUNK = 1 << 14
 
 
 def _text_row(points):
     return ",".join(map(str, points))
+
+
+def _subsystem_row(points):
+    return "size=%d points=%s" % (len(points), ",".join(map(str, points)))
 
 
 def _csv_row(points):
@@ -189,48 +194,42 @@ def _cmd_analyze(args):
             rep.say("size=%d steps=%d" % (len(trace.points), len(trace.steps) - 1))
         rep.say("spreading=%s" % str(len(trace.points) == ts.order).lower())
         return EXIT_OK, rep, {}
-    if args.what == "spread":
-        if args.mode == "greedy":
-            from .spreading import greedy_spreading_set
-            res = greedy_spreading_set(ts, args.seed_pair)
-            rep.say("method=greedy")
-            rep.say("size=%d" % res.size)
-            rep.say("witness=%s" % _fmt_set(res.witness))
-            rep.say("closure_sizes=%s" % ",".join(str(s) for s in res.closure_sizes))
-        elif args.mode == "min":
-            from .spreading import min_spreading_size
-            size, witness = min_spreading_size(ts)
-            rep.say("size=%d" % size)
-            rep.say("witness=%s" % _fmt_set(witness))
-        else:
-            from .spreading import enumerate_minimal_spreading_sets
-            enum = enumerate_minimal_spreading_sets(ts, args.max_size)
-            points = enum.points
-            if args.format == "csv":
-                rep.say("size,points")
-                row = _csv_row
-            else:
-                rep.say("count=%d truncated=%s max_size=%d"
-                        % (len(points), str(enum.truncated).lower(), enum.max_size))
-                row = _text_row
-            # one report line per chunk, so no list of one string per set
-            for i in range(0, len(points), _ROW_CHUNK):
-                rep.say("\n".join(map(row, points[i:i + _ROW_CHUNK])))
+    if args.what == "projective":
+        from .spreading import check_projective
+        rep.say("projective=%s" % str(check_projective(ts)).lower())
         return EXIT_OK, rep, {}
+    if args.what == "spread" and args.mode == "greedy":
+        from .spreading import greedy_spreading_set
+        res = greedy_spreading_set(ts, args.seed_pair)
+        rep.say("method=greedy")
+        rep.say("size=%d" % res.size)
+        rep.say("witness=%s" % _fmt_set(res.witness))
+        rep.say("closure_sizes=%s" % ",".join(str(s) for s in res.closure_sizes))
+        return EXIT_OK, rep, {}
+    if args.what == "spread" and args.mode == "min":
+        from .spreading import min_spreading_size
+        size, witness = min_spreading_size(ts)
+        rep.say("size=%d" % size)
+        rep.say("witness=%s" % _fmt_set(witness))
+        return EXIT_OK, rep, {}
+    # a set listing: the subsystems, or the minimal spreading sets
     if args.what == "subsystems":
         enum = enumerate_closed_sets(ts, args.max_count)
-        if args.format == "csv":
-            rep.say("size,points")
-            for s in enum.sets:
-                rep.say('%d,"%s"' % (len(s), _fmt_set(s)))
-        else:
-            rep.say("count=%d truncated=%s" % (len(enum.sets), str(enum.truncated).lower()))
-            for s in enum.sets:
-                rep.say("size=%d points=%s" % (len(s), _fmt_set(s)))
-        return EXIT_OK, rep, {}
-    # projective
-    from .spreading import check_projective
-    rep.say("projective=%s" % str(check_projective(ts)).lower())
+        head = "count=%d truncated=%s" % (len(enum.points), str(enum.truncated).lower())
+        row = _subsystem_row
+    else:
+        from .spreading import enumerate_minimal_spreading_sets
+        enum = enumerate_minimal_spreading_sets(ts, args.max_size)
+        head = ("count=%d truncated=%s max_size=%d"
+                % (len(enum.points), str(enum.truncated).lower(), enum.max_size))
+        row = _text_row
+    if args.format == "csv":
+        head, row = "size,points", _csv_row
+    rep.say(head)
+    # one report line per chunk, so no list of one string per set
+    points = enum.points
+    for i in range(0, len(points), _ROW_CHUNK):
+        rep.say("\n".join(map(row, points[i:i + _ROW_CHUNK])))
     return EXIT_OK, rep, {}
 
 

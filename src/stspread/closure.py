@@ -21,13 +21,12 @@ one point at a time in bit-sliced chunks and yields each new closure once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress, count, filterfalse, islice, product, repeat
 from math import comb
 from operator import getitem
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import NotSteinerError, TrivialOrderError
+from .errors import NotSteinerError, OutOfRangeError, TrivialOrderError
 from .system import TripleSystem, _fmt_set
 
 DEFAULT_CLOSED_SET_BUDGET = 100000
@@ -50,10 +49,13 @@ def _iter_bits(mask: int):
     return _select(count(), mask)
 
 
-def _mask_of(ts: TripleSystem, points: Iterable[int]) -> int:
+def _mask_of(order: int, points: Iterable[int]) -> int:
+    """The points as a mask; raises OutOfRangeError for a point outside
+    range(order)."""
     mask = 0
     for p in points:
-        ts.check_point(p)
+        if not isinstance(p, int) or p < 0 or p >= order:
+            raise OutOfRangeError("point %r outside [0, %d)" % (p, order))
         mask |= 1 << p
     return mask
 
@@ -332,18 +334,17 @@ def _walk(ts, seeds):
 
 def neighbors(ts: TripleSystem, points: Iterable[int]) -> frozenset:
     """Points outside the set that complete a covered pair inside it."""
-    mask = _mask_of(ts, points)
+    mask = _mask_of(ts.order, points)
     return _to_set(_cover_mask(ts._third, mask) & ~mask)
 
 
 def closure_points(ts: TripleSystem, points: Iterable[int]) -> frozenset:
     """The closure cl(S) without step bookkeeping (fast path)."""
-    mask, _ = _closure_mask(ts._third, _iter_bits(_mask_of(ts, points)))
+    mask, _ = _closure_mask(ts._third, _iter_bits(_mask_of(ts.order, points)))
     return _to_set(mask)
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     """Step-by-step closure record.
 
     steps[0] is the input set; steps[i+1] = steps[i] u N(steps[i]); the last
@@ -379,7 +380,7 @@ def _fmt_points(points) -> str:
 def closure(ts: TripleSystem, points: Iterable[int]) -> ClosureTrace:
     """Full closure trace of the given point set."""
     third = ts._third
-    mask = _mask_of(ts, points)
+    mask = _mask_of(ts.order, points)
     steps = [_to_set(mask)]
     firing = []
     fresh = list(_iter_bits(mask))
@@ -407,13 +408,13 @@ def closure(ts: TripleSystem, points: Iterable[int]) -> ClosureTrace:
 
 def is_spreading_set(ts: TripleSystem, points: Iterable[int]) -> bool:
     """True when cl(S) is the whole point set."""
-    mask, _ = _closure_mask(ts._third, _iter_bits(_mask_of(ts, points)))
+    mask, _ = _closure_mask(ts._third, _iter_bits(_mask_of(ts.order, points)))
     return mask == (1 << ts.order) - 1
 
 
 def is_saturating_set(ts: TripleSystem, points: Iterable[int]) -> bool:
     """True when S u N(S) already covers every point (one-step spreading)."""
-    return _cover_mask(ts._third, _mask_of(ts, points)) == (1 << ts.order) - 1
+    return _cover_mask(ts._third, _mask_of(ts.order, points)) == (1 << ts.order) - 1
 
 
 def is_spreading_system(ts: TripleSystem) -> bool:
@@ -434,14 +435,21 @@ def is_spreading_system(ts: TripleSystem) -> bool:
     return all(mask == full for _, _, mask in _walk(ts, seeds))
 
 
-@dataclass(frozen=True)
-class ClosedSetEnumeration:
+class ClosedSetEnumeration(NamedTuple):
     """Result of enumerate_closed_sets: the proper nontrivial closed sets,
-    canonically sorted, plus a flag telling whether the budget cut the
-    search short."""
+    plus a flag telling whether the budget cut the search short.
 
-    sets: tuple
+    points stores each set as the tuple of its points in ascending order,
+    and the tuples are ordered by size, then lexicographically.  sets is the
+    same sequence as frozensets, built anew on each access.
+    """
+
+    points: tuple
     truncated: bool
+
+    @property
+    def sets(self) -> tuple:
+        return tuple(map(frozenset, self.points))
 
 
 def _gaussian_binomial(n, k):
@@ -504,10 +512,12 @@ def enumerate_closed_sets(
             owner = [0] * (ts.order + 1)  # owner[v]: the point labelled v
             for p, v in enumerate(label):
                 owner[v] = p
-            sets = sorted((sorted([owner[v] for v in span])
-                           for k in dims for span in _subspaces(n, k)),
-                          key=lambda s: (len(s), s))
-            return ClosedSetEnumeration(tuple(map(frozenset, sets)), False)
+            # the subspaces of one dimension all have 2^k - 1 points
+            points = []
+            for k in dims:
+                points += sorted(tuple(sorted([owner[v] for v in span]))
+                                 for span in _subspaces(n, k))
+            return ClosedSetEnumeration(tuple(points), False)
     return _walk_closed_sets(ts, max_count)
 
 
@@ -533,5 +543,6 @@ def _walk_closed_sets(ts, max_count):
                 truncated = True
                 break
             found.append(mask)
-    sets = sorted((_to_set(m) for m in found), key=lambda s: (len(s), sorted(s)))
-    return ClosedSetEnumeration(tuple(sets), truncated)
+    points = sorted(map(tuple, map(_iter_bits, found)))
+    points.sort(key=len)  # stable: each size keeps its lexicographic order
+    return ClosedSetEnumeration(tuple(points), truncated)

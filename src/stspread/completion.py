@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import config
 from .closure import is_spreading_set
@@ -72,8 +71,7 @@ from .system import (
 )
 
 
-@dataclass(frozen=True)
-class CompletionReport:
+class CompletionReport(NamedTuple):
     """Outcome of a completion run.
 
     iterations counts hill-climbing moves summed over restarts; checks are
@@ -358,12 +356,7 @@ def two_sizes_checks(ts: TripleSystem, base, b_triple):
     )
 
 
-def two_minimal_sizes_sts(
-    n: int = 4,
-    seed: int = 0,
-    restarts_per_target: int = config.DEFAULT_RESTARTS,
-    moves_per_restart: Optional[int] = None,
-):
+def two_minimal_sizes_sts(n: int = 4, seed: int = 0):
     """A Steiner system with minimal spreading sets of sizes 3 and n.
 
     Returns (system, base, b_triple): base is the image of the affine base
@@ -371,9 +364,10 @@ def two_minimal_sizes_sts(
     spreading set of size 3).  The partial two-sizes system is embedded into
     the smallest admissible order at least twice-plus-one its point count;
     if every restart budget there fails, the next two admissible orders are
-    tried, each with moves_per_restart moves per restart (by default
-    config.default_moves of that order).  A candidate completion is accepted
-    when every two_sizes_checks record passes.
+    tried.  Each target gets config.DEFAULT_RESTARTS restarts of
+    config.default_moves(target) moves, complete_partial's defaults.  A
+    candidate completion is accepted when every two_sizes_checks record
+    passes.
     """
     art = section4_partial(n)
     source = art.system
@@ -390,15 +384,11 @@ def two_minimal_sizes_sts(
 
     last_report = None
     for target in targets:
-        remaining = restarts_per_target
+        remaining = config.DEFAULT_RESTARTS
         while remaining > 0:
             try:
                 report = complete_partial(
-                    source,
-                    target,
-                    seed=rng.getrandbits(32),
-                    restarts=remaining,
-                    moves_per_restart=moves_per_restart,
+                    source, target, seed=rng.getrandbits(32), restarts=remaining
                 )
             except BudgetExhaustedError as exc:
                 last_report = exc.partial

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import config
 from .closure import _closure_mask, closure_points, is_spreading_system
@@ -212,20 +212,17 @@ def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
         return None
 
 
-def subsystem_free_sts15(
-    seed: int = 0,
-    max_restarts: int = STS15_MAX_RESTARTS,
-    node_budget: int = STS15_NODE_BUDGET,
-) -> TripleSystem:
+def subsystem_free_sts15(seed: int = 0) -> TripleSystem:
     """A random STS(15) in which every nontrivial 3-subset spreads.
 
-    Randomized backtracking over pair covering, with restarts; candidates
+    Randomized backtracking over pair covering, with up to
+    STS15_MAX_RESTARTS restarts of STS15_NODE_BUDGET nodes each; candidates
     with a proper subsystem are rejected and the search continues.  Fully
     deterministic for a fixed seed.
     """
     rng = random.Random(seed)
-    for _ in range(max_restarts):
-        third = _backtrack_sts(15, rng, node_budget)
+    for _ in range(STS15_MAX_RESTARTS):
+        third = _backtrack_sts(15, rng, STS15_NODE_BUDGET)
         if third is None:
             continue
         ts = TripleSystem._of_table(
@@ -234,7 +231,7 @@ def subsystem_free_sts15(
         if is_spreading_system(ts):
             return ts
     raise SearchExhaustedError(
-        "no subsystem-free STS(15) found in %d restarts" % max_restarts
+        "no subsystem-free STS(15) found in %d restarts" % STS15_MAX_RESTARTS
     )
 
 
@@ -282,8 +279,7 @@ def perturbed_pg(d: int, seed: int = 0) -> TripleSystem:
     return ts
 
 
-@dataclass(frozen=True)
-class Section4Artifacts:
+class Section4Artifacts(NamedTuple):
     """Output bundle of section4_partial.
 
     system is the partial triple system; base_points are the images of the

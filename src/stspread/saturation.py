@@ -24,14 +24,14 @@ compared through fractions, never floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import config
 from .closure import (
     _holding_all,
+    _mask_of,
     _subset_batches,
     _sweep,
     _to_set,
@@ -113,15 +113,6 @@ def _build_hyperplanes(n: int) -> HyperplaneFamily:
 hyperplanes_pg2.cache_clear = _build_hyperplanes.cache_clear
 
 
-def _points_mask(n_points: int, points: Iterable[int]) -> int:
-    mask = 0
-    for p in points:
-        if not isinstance(p, int) or p < 0 or p >= n_points:
-            raise OutOfRangeError("point %r outside [0, %d)" % (p, n_points))
-        mask |= 1 << p
-    return mask
-
-
 def variance_identity(n: int, points: Iterable[int]):
     """Exact two sides of the hyperplane variance identity.
 
@@ -131,7 +122,7 @@ def variance_identity(n: int, points: Iterable[int]):
     """
     fam = hyperplanes_pg2(n)
     count = (1 << (n + 1)) - 1
-    mask = _points_mask(count, points)
+    mask = _mask_of(count, points)
     m = mask.bit_count()
     lhs_times_4 = 0
     for h in fam.masks:
@@ -141,8 +132,7 @@ def variance_identity(n: int, points: Iterable[int]):
     return Fraction(lhs_times_4, 4), rhs
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Most-deviating hyperplane for a point subset of PG(n,2).
 
     deviation = |u(H) - m/2| for the winning hyperplane (least functional on
@@ -165,7 +155,7 @@ def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
     """Hyperplane whose intersection count strays farthest from m/2."""
     fam = hyperplanes_pg2(n)
     count = (1 << (n + 1)) - 1
-    mask = _points_mask(count, points)
+    mask = _mask_of(count, points)
     m = mask.bit_count()
     best_abs = -1
     best_idx = 0
@@ -226,8 +216,7 @@ def min_saturating_size(ts: TripleSystem):
     raise TooLargeError("unreachable: the full point set saturates")
 
 
-@dataclass(frozen=True)
-class ExtremesReport:
+class ExtremesReport(NamedTuple):
     """Extremal hyperplane intersection counts over all m-subsets of
     PG(n,2): the largest attainable minimum and smallest attainable maximum,
     with colex-first witnesses."""

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import add
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import config
 from .closure import (
@@ -64,8 +62,7 @@ from .errors import (
 from .system import TripleSystem
 
 
-@dataclass(frozen=True)
-class SpreadingSearchResult:
+class SpreadingSearchResult(NamedTuple):
     """A spreading set plus how it was found.
 
     closure_sizes records |cl(U_i)| as the witness grew; only
@@ -126,7 +123,7 @@ def reduce_to_minimal(ts: TripleSystem, points: Iterable[int]) -> frozenset:
     """
     third = ts._third
     full = (1 << ts.order) - 1
-    current = sorted(_to_set(_mask_of(ts, points)))
+    current = sorted(_to_set(_mask_of(ts.order, points)))
     if _closure_mask(third, current)[0] != full:
         raise NotSpreadingError("input set does not spread")
     for p in list(current):
@@ -188,21 +185,20 @@ def _walk_min_spreading(ts):
     raise NotSteinerError("no spreading set found; system is not connected")
 
 
-@dataclass(frozen=True)
-class SpreadingEnumeration:
+class SpreadingEnumeration(NamedTuple):
     """All minimal spreading sets up to max_size, in canonical order.
 
     points stores each set as the tuple of its points in ascending order,
     and the tuples are ordered by size, then lexicographically.  sets is the
-    same sequence as frozensets, built on first use.  When the level budget
-    stopped the scan early, truncated is True.
+    same sequence as frozensets, built anew on each access.  When the level
+    budget stopped the scan early, truncated is True.
     """
 
     points: tuple
     max_size: int
     truncated: bool
 
-    @cached_property
+    @property
     def sets(self) -> tuple:
         return tuple(map(frozenset, self.points))
 
@@ -282,8 +278,7 @@ def check_projective(ts: TripleSystem) -> bool:
     return _coordinates(ts) is not None
 
 
-@dataclass(frozen=True)
-class DimensionCheckReport:
+class DimensionCheckReport(NamedTuple):
     """Outcome of randomized dimension-theorem checks on PG(d,2).
 
     For closed sets the dimension is log2(size+1) - 1 (the empty set having

@@ -26,10 +26,9 @@ import enum
 import os
 import re
 from array import array
-from dataclasses import dataclass
 from itertools import islice
 from operator import lt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import config
 from .errors import (
@@ -53,8 +52,7 @@ class SystemKind(enum.Enum):
     STEINER = "steiner"
 
 
-@dataclass(frozen=True)
-class GeometryTag:
+class GeometryTag(NamedTuple):
     """Construction provenance carried by a TripleSystem.
 
     variant is one of "plain", "pg2", "ag3", "perturbed_pg", "section4",

@@ -552,6 +552,7 @@ _LOADED = ("import sys\n"
     (["--jobs", "2", "analyze", "--system", "{system}", "spread", "enumerate",
       "--max-size", "3"],
      ("parallel", "saturation", "completion", "constructions", "claims")),
+    (["demo", "bounds", "--max-n", "2"], ()),  # loads every module a command uses
 ])
 def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
     system = tmp_path / "pg3.txt"
@@ -560,7 +561,8 @@ def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
     proc = _python("-c", _LOADED, *argv, check=True)
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "stspread.cli" in loaded
-    unwanted = {"stspread." + name for name in absent} | {"multiprocessing"}
+    unwanted = ({"stspread." + name for name in absent}
+                | {"multiprocessing", "dataclasses", "inspect"})
     assert not unwanted & loaded, sorted(unwanted & loaded)
 
 

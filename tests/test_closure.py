@@ -17,6 +17,7 @@ from stspread import (
     is_spreading_set,
     is_spreading_system,
     neighbors,
+    perturbed_pg,
     pg2,
     random_sts,
     section4_partial,
@@ -184,6 +185,24 @@ def test_closed_sets_of_pg4_full():
     assert len(enum.sets) == gaussian_binomial(5, 3) + gaussian_binomial(5, 4)
     sizes = sorted({len(s) for s in enum.sets})
     assert sizes == [7, 15]
+
+
+@pytest.mark.parametrize("make, cut", [
+    (lambda: pg2(4), 0),  # certified by its coordinates: listed from the labels
+    (lambda: perturbed_pg(4, 0), 0),  # the walk
+    (lambda: perturbed_pg(4, 0), 1),  # the walk, stopped one set short
+], ids=["pg2(4)", "perturbed_pg(4,0)", "perturbed_pg(4,0)-truncated"])
+def test_closed_sets_are_ascending_point_tuples_in_size_then_lex_order(make, cut):
+    ts = make()
+    full = len(enumerate_closed_sets(ts).points)
+    enum = enumerate_closed_sets(ts, max_count=full - cut)
+    assert enum.truncated == bool(cut)
+    assert len(enum.points) == full - cut
+    assert all(type(p) is tuple and list(p) == sorted(set(p)) for p in enum.points)
+    keys = [(len(p), p) for p in enum.points]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert enum.sets == tuple(map(frozenset, enum.points))
+    assert all(closure_points(ts, p) == frozenset(p) for p in enum.points)
 
 
 # -- _grow against the scalar pair loop: same mask, same discovery order ------

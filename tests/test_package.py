@@ -2,6 +2,8 @@
 
 import importlib
 
+import pytest
+
 import stspread
 
 
@@ -38,3 +40,39 @@ def test_closure_is_the_function_after_importing_the_submodule():
     from stspread import closure
 
     assert closure is stspread.closure
+
+
+# every public record is a NamedTuple with its fields in this order
+_RECORD_FIELDS = {
+    "GeometryTag": ("variant", "param", "seed", "labels"),
+    "ClosureTrace": ("steps", "firing_blocks"),
+    "ClosedSetEnumeration": ("points", "truncated"),
+    "SpreadingSearchResult": ("witness", "size", "method", "closure_sizes"),
+    "SpreadingEnumeration": ("points", "max_size", "truncated"),
+    "DimensionCheckReport": ("trials", "counterexamples"),
+    "DeviationReport": ("functional", "hyperplane", "deviation", "bound_squared",
+                        "strict", "degenerate"),
+    "ExtremesReport": ("n", "m", "max_min", "max_min_witness", "min_max",
+                       "min_max_witness"),
+    "CompletionReport": ("source_order", "target_order", "seed", "restarts_used",
+                         "iterations", "success", "system", "checks"),
+    "Section4Artifacts": ("system", "base_points", "hyperplane_sets", "b_points"),
+}
+
+
+def test_records_keep_their_field_order_and_refuse_assignment():
+    for name, fields in _RECORD_FIELDS.items():
+        cls = getattr(stspread, name)
+        assert cls._fields == fields, name
+        record = cls._make(range(len(fields)))
+        assert tuple(record) == tuple(range(len(fields)))
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+
+def test_records_compare_as_tuples():
+    assert stspread.GeometryTag() == ("plain", None, None, None)
+    trace = stspread.closure(stspread.pg2(2), (0, 1))
+    steps, firing = trace
+    assert (steps, firing) == trace and trace.points == steps[-1]
