@@ -9,6 +9,10 @@ is the classical hill-climbing scheme for triple systems, restricted so the
 frozen blocks survive.  Any target order v >= 2u+1 (u = source order) is
 safe territory: embeddings exist there, and u <= (v-1)/2 also guarantees
 that an uncovered pair always has conflict-free third points available.
+Below it a Steiner source has no embedding at all besides itself, since a
+proper subsystem of an STS(v) has at most (v-1)/2 points, and
+complete_partial refuses such a target at once; a partial source is still
+climbed there.
 
 The climber keeps the pair table of TripleSystem, third[x][y] = z or -1,
 finds there the block a move displaces, and hands the finished table to
@@ -63,6 +67,7 @@ from .errors import (
     TrivialOrderError,
 )
 from .system import (
+    PLAIN_TAG,
     GeometryTag,
     SystemKind,
     TripleSystem,
@@ -270,8 +275,12 @@ def complete_partial(
 
     The source keeps its point indices; new points are appended.  Raises
     BudgetExhaustedError, carrying the failed report as .partial, when no
-    restart converges.  Targets below 2*order+1 are accepted (the caller may
-    know better) but are not guaranteed to admit any completion.  Targets
+    restart converges.  A Steiner source of order u lies in no Steiner
+    system of order v with u < v < 2u+1, since a proper subsystem of an
+    STS(v) has at most (v-1)/2 points (Doyen and Wilson, 1973), so such a
+    target raises InadmissibleOrderError before any restart.  A partial
+    source may take a target below 2u+1 (the caller may know better), which
+    is not guaranteed to admit any completion.  Targets
     above the construction cap raise TooLargeError before the climb
     allocates its order x order pair table.  moves_per_restart defaults to
     config.default_moves(target_order).
@@ -283,6 +292,11 @@ def complete_partial(
     if target_order < ts.order:
         raise InadmissibleOrderError(
             "target order %d below source order %d" % (target_order, ts.order)
+        )
+    if ts.is_steiner() and ts.order < target_order < 2 * ts.order + 1:
+        raise InadmissibleOrderError(
+            "no Steiner system of order %d contains one of order %d: a proper"
+            " subsystem has at most (v-1)/2 points" % (target_order, ts.order)
         )
     cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
     if target_order > cap:
@@ -326,7 +340,9 @@ def random_sts(order: int, seed: int = 0) -> TripleSystem:
         raise TrivialOrderError("random_sts is for orders >= 7")
     # the source is one point and no block, so complete_partial checks the
     # cap before any table of this order is built
-    return complete_partial(TripleSystem(1, ()), order, seed).system
+    source = TripleSystem._of_table(1, _empty_pair_table(1), 0, SystemKind.PARTIAL,
+                                    PLAIN_TAG)
+    return complete_partial(source, order, seed).system
 
 
 def next_admissible(v: int) -> int:

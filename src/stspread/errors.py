@@ -57,7 +57,8 @@ class EmptyDifferenceSetError(StsError):
 
 
 class InadmissibleOrderError(StsError):
-    """Order is not congruent to 1 or 3 mod 6, or is below the source order."""
+    """Order is not congruent to 1 or 3 mod 6, is below the source order, or
+    lies strictly between a Steiner source's order u and 2u+1."""
 
 
 class FrozenConflictError(StsError):

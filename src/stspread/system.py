@@ -26,7 +26,6 @@ import enum
 import os
 import re
 from array import array
-from itertools import islice
 from operator import lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -87,28 +86,10 @@ def steiner_admissible(order: int) -> bool:
     return order % 6 in (1, 3)
 
 
-def _is_canonical(triples, order) -> bool:
-    """True when triples is a list or tuple of 3-tuples (a, b, c) with
-    0 <= a < b < c < order, in strictly increasing order.
-
-    These are exactly the inputs whose canonical form is tuple(triples): the
-    loop of _canonical_triples would keep every entry, in the same order, so
-    it can be skipped.
-    """
-    if not isinstance(triples, (list, tuple)):
-        return False
-    if not triples:
-        return True
-    if set(map(type, triples)) != {tuple} or set(map(len, triples)) != {3}:
-        return False
-    return (
-        triples[0][0] >= 0
-        and all(a < b < c < order for a, b, c in triples)
-        and all(map(lt, triples, islice(triples, 1, None)))
-    )
-
-
 def _canonical_triples(triples: Iterable[Sequence[int]], order: int):
+    """The distinct blocks as sorted 3-tuples in lexicographic order.  The
+    list keeps them in the order given, so sorting blocks that came sorted
+    is one linear pass (a sorted set of them took 3x as long on PG(10,2))."""
     seen = set()
     out = []
     for t in triples:
@@ -141,8 +122,8 @@ def _empty_pair_table(order):
 
 
 def _blocks_of(third):
-    """The blocks (a, b, c) of a pair table, a < b < c = third[a][b], in the
-    lexicographic order that _is_canonical accepts."""
+    """The blocks (a, b, c) of a pair table, a < b < c = third[a][b], in
+    lexicographic order."""
     return [(a, b, c) for a, row in enumerate(third)
             for b, c in enumerate(row[a + 1:], a + 1) if c > b]
 
@@ -179,6 +160,12 @@ def _shared_pair(order, triples):
 
 
 def _check_order(order, kind):
+    """The kind as a SystemKind, given as one or as "partial" / "steiner",
+    once the order is a positive integer that admits it."""
+    try:
+        kind = SystemKind(kind)
+    except ValueError:
+        raise BadOrderError("unknown system kind %r" % (kind,)) from None
     if not isinstance(order, int) or order < 1:
         raise BadOrderError("order must be a positive integer, got %r" % (order,))
     if kind is SystemKind.STEINER and order > 3 and order % 6 not in (1, 3):
@@ -186,45 +173,43 @@ def _check_order(order, kind):
             "no Steiner triple system of order %d exists (order mod 6 must be 1 or 3)"
             % order
         )
+    return kind
 
 
 class TripleSystem:
     """An immutable, validated (partial) Steiner triple system.
 
-    Instances are built through build_system / parse or the construction
-    helpers; attributes must not be mutated after construction.  Duplicate
-    triples in the input collapse silently; a shared pair between two
-    distinct triples raises DuplicatePairError.  A system declared partial
-    whose pair coverage turns out to be total is upgraded to Steiner so that
-    "kind is Steiner" and "every pair is covered" always agree.
+    TripleSystem(order, triples, kind, tag), also named build_system, builds
+    one from blocks in any order and form; kind is a SystemKind or the
+    string "partial" or "steiner", verified, never trusted.  Duplicate
+    triples collapse silently.  The kind a system reports is read off its
+    block count: Steiner exactly when every pair is covered.  Attributes
+    must not be mutated after construction.
 
     The pair table _third is the only store of the blocks: third[x][y] = z
     when {x,y,z} is a block, else -1, in one array row per point, 2 bytes an
-    entry below order 2^15 (8.4 MB at PG(10,2)), and it is all the state
-    besides order, kind, tag and block_count, the number of blocks.
+    entry below order 2^15 (8.4 MB at PG(10,2)).  The state of a system is
+    the table plus order, tag and block_count, the number of blocks.
 
-    Every table goes through the same checks, in this order: the order
-    (BadOrderError), then one count of the entries other than -1,
+    Every table goes through the same checks, in this order: the kind and
+    the order (BadOrderError), then one count of the entries other than -1,
     which is 6 * block_count exactly when no cell was written twice
     (DuplicatePairError), then full coverage when the kind is Steiner
     (NotSteinerError).  Once no pair lies in two blocks, b blocks cover
     exactly 3b pairs, so coverage is total when 6b = order(order-1).
     Builders that fill a table themselves (pg2, ag3, perturbed_pg, the
     STS(15) backtracker, the hill climb, parse and with_labels) hand it to
-    _of_table.  The constructor takes
-    blocks instead: any form that is not canonical (a list or tuple of
-    sorted 3-tuples in strictly increasing order, see _is_canonical) is
-    deduplicated and sorted first, and when the count finds a shared pair
-    the blocks are checked again one pair at a time (_shared_pair), so
-    DuplicatePairError names the same pair whatever form they came in.
+    _of_table.  The constructor takes blocks instead: it deduplicates and
+    sorts them, and when the count finds a shared pair the blocks are
+    checked again one pair at a time (_shared_pair), so DuplicatePairError
+    names the same pair whatever form they came in.
     """
 
-    __slots__ = ("order", "kind", "tag", "block_count", "_third")
+    __slots__ = ("order", "tag", "block_count", "_third")
 
     def __init__(self, order, triples, kind=SystemKind.PARTIAL, tag=PLAIN_TAG):
-        _check_order(order, kind)
-        if not _is_canonical(triples, order):
-            triples = _canonical_triples(triples, order)
+        kind = _check_order(order, kind)
+        triples = _canonical_triples(triples, order)
         third = _empty_pair_table(order)
         _fill(third, triples)
         self._settle(order, third, len(triples), kind, tag, triples)
@@ -237,7 +222,7 @@ class TripleSystem:
         DuplicatePairError without naming the pair; a reader that must
         name it builds from its blocks through the constructor instead.
         """
-        _check_order(order, kind)
+        kind = _check_order(order, kind)
         self = cls.__new__(cls)
         self._settle(order, third, size, kind, tag)
         return self
@@ -249,17 +234,21 @@ class TripleSystem:
                 raise DuplicatePairError("two of the %d blocks share a pair" % size)
             raise _shared_pair(order, blocks)
         # no pair lies in two blocks, so the blocks cover 3 * size distinct pairs
-        total = 6 * size == order * (order - 1)
-        if kind is SystemKind.STEINER and not total:
+        if kind is SystemKind.STEINER and 6 * size != order * (order - 1):
             raise NotSteinerError("some pair is not covered by any block")
-        if total and steiner_admissible(order):
-            kind = SystemKind.STEINER
 
         self.order = order
-        self.kind = kind
         self.tag = tag if tag is not None else PLAIN_TAG
         self.block_count = size
         self._third = third
+
+    @property
+    def kind(self):
+        """STEINER exactly when the blocks cover every pair, which forces an
+        order that admits a Steiner system; PARTIAL otherwise."""
+        if 6 * self.block_count == self.order * (self.order - 1):
+            return SystemKind.STEINER
+        return SystemKind.PARTIAL
 
     @property
     def triples(self):
@@ -310,14 +299,11 @@ class TripleSystem:
     def __eq__(self, other):
         if not isinstance(other, TripleSystem):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.kind == other.kind
-            and self._third == other._third
-        )
+        # the kind is read off the table, so equal tables have equal kinds
+        return self.order == other.order and self._third == other._third
 
     def __hash__(self):
-        return hash((self.order, self.kind, tuple(map(hash, map(bytes, self._third)))))
+        return hash((self.order, tuple(map(hash, map(bytes, self._third)))))
 
     def __repr__(self):
         return "TripleSystem(order=%d, blocks=%d, kind=%s, tag=%s)" % (
@@ -328,19 +314,7 @@ class TripleSystem:
         )
 
 
-def build_system(order, triples, kind=SystemKind.PARTIAL, tag=PLAIN_TAG) -> TripleSystem:
-    """Validate and build a TripleSystem.
-
-    Steiner kind is verified, never trusted: every pair must be covered and
-    the order must admit a Steiner system.  Accepts kind as a SystemKind or
-    as the strings "partial" / "steiner".
-    """
-    if isinstance(kind, str):
-        try:
-            kind = SystemKind(kind)
-        except ValueError:
-            raise BadOrderError("unknown system kind %r" % kind) from None
-    return TripleSystem(order, triples, kind, tag)
+build_system = TripleSystem
 
 
 def induced_subsystem(ts: TripleSystem, points: Iterable[int]):

@@ -234,6 +234,19 @@ def test_embed_budget_exit_code(tmp_path, capsys):
     assert "budget exhausted" in stdout
 
 
+def test_embed_refuses_a_target_below_twice_a_steiner_source(tmp_path):
+    # a proper subsystem of an STS(v) has at most (v-1)/2 points, so no
+    # STS(9) holds the Fano plane and no restart is tried
+    src = tmp_path / "fano.txt"
+    src.write_text(serialize(pg2(2)))
+    proc = _python("-m", "stspread.cli", "embed", "--system", str(src), "--target", "9",
+                   timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: no Steiner system of order 9 contains one of order 7:"
+                           " a proper subsystem has at most (v-1)/2 points\n")
+
+
 def test_demo_commands_pass(capsys):
     for argv in (
         ["demo", "almostmax"],
@@ -477,6 +490,52 @@ def test_stdout_deterministic_across_repeats_and_jobs(tmp_path, capsys):
         assert code == 0
         outputs.append(stdout)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+_HASH_SEED_RUNS = (
+    ("construct", "random", "--order", "31", "--seed", "1", "--out", "r31.txt"),
+    ("construct", "perturbed-pg", "--dim", "4", "--out", "pp4.txt"),
+    ("construct", "section4", "--n", "4", "--out", "s4.txt"),
+    ("construct", "sts15-free", "--out", "s15.txt"),
+    ("analyze", "--system", "pp4.txt", "spread", "min"),
+    ("analyze", "--system", "pp4.txt", "spread", "enumerate"),
+    ("analyze", "--system", "r31.txt", "subsystems", "--format", "csv"),
+    ("analyze", "--system", "s4.txt", "subsystems"),
+    ("embed", "--system", "s4.txt", "--target", "61", "--out", "emb.txt"),
+    ("saturate", "min", "--system", "r31.txt"),
+    ("demo", "almostmax"),
+)
+
+
+def _outputs_under_hash_seed(directory, seed, monkeypatch):
+    """The stdout of each of _HASH_SEED_RUNS, run in turn in directory under
+    PYTHONHASHSEED=seed, and the files they wrote, manifests without their
+    elapsed_seconds."""
+    directory.mkdir()
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    stdout = []
+    for argv in _HASH_SEED_RUNS:
+        proc = _python("-m", "stspread.cli", *argv, cwd=directory)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        stdout.append(proc.stdout)
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["elapsed_seconds"]
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return stdout, files
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # block lists are deduplicated through a set of tuples, and tuple and
+    # str hashes follow the hash seed: no output may
+    first = _outputs_under_hash_seed(tmp_path / "seed0", "0", monkeypatch)
+    second = _outputs_under_hash_seed(tmp_path / "seed1", "1", monkeypatch)
+    assert len(first[1]) == 11  # 4 systems and their manifests, 2 label files, emb.txt
+    assert first == second
 
 
 def test_demo_bounds_records_no_seed(tmp_path, capsys):

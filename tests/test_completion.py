@@ -27,6 +27,27 @@ from oracles import naive_is_spreading, scalar_climb
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
 
+def test_a_steiner_source_is_refused_below_twice_its_order(monkeypatch):
+    # a proper subsystem of an STS(v) has at most (v-1)/2 points, so no
+    # STS(9) or STS(13) holds the Fano plane, and no restart is tried
+    from stspread import completion
+
+    fano = build_system(7, FANO, "steiner")
+    with monkeypatch.context() as m:
+        m.setattr(completion, "_climb", None)
+        for target in (9, 13):
+            with pytest.raises(InadmissibleOrderError, match=r"at most \(v-1\)/2 points"):
+                complete_partial(fano, target)
+    assert complete_partial(fano, 7).success  # not a proper subsystem
+    report = complete_partial(fano, 15, seed=0)
+    assert report.success and all(ok for _, ok in report.checks)
+    # a partial source is climbed as before; this one has no completion of
+    # order 9, since its blocks meet pairwise and AG(2,3), the only STS(9),
+    # holds at most four such blocks, one per parallel class
+    with pytest.raises(BudgetExhaustedError):
+        complete_partial(build_system(7, FANO[:6]), 9, restarts=1, moves_per_restart=100)
+
+
 def test_next_admissible():
     assert next_admissible(7) == 7
     assert next_admissible(8) == 9
@@ -240,8 +261,9 @@ def test_two_sizes_n5_is_pinned():
 
 
 def test_builders_hand_over_canonical_blocks(monkeypatch):
-    # the climber and the STS(15) backtracker read their blocks back from the
-    # pair table in lexicographic order, so TripleSystem never re-sorts them
+    # the climber, random_sts's one-point source and the STS(15) backtracker
+    # each hand a filled pair table to TripleSystem._of_table, so no block
+    # list goes through the constructor
     from stspread import system
     from stspread.constructions import subsystem_free_sts15
 

@@ -1,10 +1,12 @@
 """GF(2) coordinates of binary projective spaces, and the answers taken
 from them: check_projective against the Pasch-count oracle, the labels
 against pg2(d), and the min_spreading_size and enumerate_closed_sets
-shortcuts against the walks they replace on certified inputs."""
+shortcuts against the walks they replace on certified inputs.  Every
+answer is also checked to survive a random relabelling of the points."""
 
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +15,11 @@ from stspread import (
     build_system,
     check_projective,
     enumerate_closed_sets,
+    enumerate_minimal_spreading_sets,
+    is_saturating_set,
+    is_spreading_set,
+    is_spreading_system,
+    min_saturating_size,
     min_spreading_size,
     perturbed_pg,
     pg2,
@@ -167,3 +174,41 @@ def test_certified_inputs_take_no_walk(monkeypatch):
     assert check_projective(ts)
     assert min_spreading_size(ts)[0] == 6
     assert len(enumerate_closed_sets(ts).sets) == 2109
+
+
+def _answers(ts):
+    """What the searches say about ts that a relabelling must keep: the
+    minimum spreading size, the counts by size of the minimal spreading sets
+    and of the closed sets, check_projective, is_spreading_system and, up to
+    order 27, the minimum saturating size.  The colex-first witnesses move
+    with the labels, so they are checked for validity only."""
+    size, witness = min_spreading_size(ts)
+    assert len(witness) == size and is_spreading_set(ts, witness)
+    spreading, closed = enumerate_minimal_spreading_sets(ts), enumerate_closed_sets(ts)
+    assert not (spreading.truncated or closed.truncated)
+    answers = [
+        size,
+        Counter(map(len, spreading.points)),
+        Counter(map(len, closed.points)),
+        check_projective(ts),
+        is_spreading_system(ts),
+    ]
+    if ts.order <= 27:
+        size, witness = min_saturating_size(ts)
+        assert len(witness) == size and is_saturating_set(ts, witness)
+        answers.append(size)
+    return answers
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: pg2(4), id="pg2(4)"),
+    pytest.param(lambda: perturbed_pg(4, 0), id="perturbed_pg(4,0)"),
+    pytest.param(lambda: random_sts(31, 1), id="random_sts(31,1)"),
+    pytest.param(lambda: random_sts(19, 1), id="random_sts(19,1)"),
+    pytest.param(lambda: ag3(3), id="ag3(3)"),
+])
+def test_answers_do_not_depend_on_the_labelling(make):
+    ts = make()
+    want = _answers(ts)
+    for seed in range(3):
+        assert _answers(_relabelled(ts, seed)) == want, seed

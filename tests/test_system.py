@@ -123,6 +123,33 @@ def test_rejects_non_steiner_when_declared():
         build_system(7, FANO[:-1], "steiner")
 
 
+def test_constructor_verifies_a_kind_given_as_a_string():
+    # build_system is the constructor, so a string kind is checked as its
+    # SystemKind is
+    assert build_system is TripleSystem
+    with pytest.raises(NotSteinerError):
+        TripleSystem(7, FANO[:6], "steiner")
+    with pytest.raises(BadOrderError):
+        TripleSystem(8, (), "steiner")
+    with pytest.raises(BadOrderError, match="unknown system kind 'affine'"):
+        TripleSystem(7, FANO, "affine")
+    ts = TripleSystem(7, FANO, "steiner")
+    assert ts.kind is SystemKind.STEINER
+    assert serialize(ts).startswith("v 7 steiner\n")
+
+
+def test_kind_is_read_off_the_block_count():
+    assert "kind" not in TripleSystem.__slots__
+    for order, blocks in ((1, ()), (2, ()), (3, FANO[:1]), (7, FANO), (7, FANO[:6]),
+                          (9, ()), (15, pg2(3).triples)):
+        ts = TripleSystem(order, blocks)
+        steiner = 6 * len(blocks) == order * (order - 1)
+        assert ts.kind is (SystemKind.STEINER if steiner else SystemKind.PARTIAL)
+        assert ts.is_steiner() is steiner
+    with pytest.raises(AttributeError):
+        ts.kind = SystemKind.PARTIAL
+
+
 def test_immutability():
     ts = build_system(7, FANO, "steiner")
     with pytest.raises(AttributeError):
@@ -587,7 +614,7 @@ def test_file_reader_matches_parse_across_chunk_boundaries(monkeypatch, tmp_path
         assert _outcome(_parse_path, path) == want == _outcome(parse, text)
 
 
-# -- TripleSystem: the canonical-input fast path against the direct route -------
+# -- TripleSystem from blocks in any form against the direct route ------------
 
 
 def _built(order, triples, kind):
