@@ -31,10 +31,8 @@ from .errors import (
     BadOrderError,
     BudgetExhaustedError,
     DuplicatePairError,
-    EmptyDifferenceSetError,
     FrozenConflictError,
     InadmissibleOrderError,
-    NoTriangleAlignmentError,
     NoTriangleError,
     NotPrimePowerError,
     NotProjectiveTagError,
@@ -181,10 +179,8 @@ __all__ = [
     "BadOrderError",
     "BudgetExhaustedError",
     "DuplicatePairError",
-    "EmptyDifferenceSetError",
     "FrozenConflictError",
     "InadmissibleOrderError",
-    "NoTriangleAlignmentError",
     "NoTriangleError",
     "NotPrimePowerError",
     "NotProjectiveTagError",

@@ -47,15 +47,6 @@ class NoTriangleError(StsError):
     """No triangle configuration exists (order below 7)."""
 
 
-class NoTriangleAlignmentError(StsError):
-    """Could not align a replacement subsystem with the required triangle."""
-
-
-class EmptyDifferenceSetError(StsError):
-    """A hyperplane difference set needed by the two-sizes construction
-    turned out empty."""
-
-
 class InadmissibleOrderError(StsError):
     """Order is not congruent to 1 or 3 mod 6, is below the source order, or
     lies strictly between a Steiner source's order u and 2u+1."""

@@ -43,8 +43,6 @@ from .errors import (
 # A point set is just a frozenset of point indices.
 PointSet = frozenset
 
-Triple = tuple
-
 
 class SystemKind(enum.Enum):
     PARTIAL = "partial"

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -169,6 +170,35 @@ def test_two_sizes_reproducible():
     first = two_minimal_sizes_sts(4, seed=0)
     second = two_minimal_sizes_sts(4, seed=0)
     assert first == second
+
+
+# -- the two-sizes proof: every completion carries both minimal sets ----------
+
+
+def _spreads_and_is_minimal(ts, points):
+    triples = ts.triples
+    return (naive_is_spreading(ts.order, triples, points)
+            and not any(naive_is_spreading(ts.order, triples, sub)
+                        for sub in combinations(sorted(points), len(points) - 1)))
+
+
+@pytest.mark.parametrize("n, target, seed", [(4, 61, s) for s in range(5)]
+                         + [(4, 63, s) for s in range(5)] + [(5, 159, s) for s in range(2)])
+def test_every_completion_carries_both_minimal_spreading_sets(n, target, seed):
+    # why two_minimal_sizes_sts accepts its first completion unchecked
+    art = section4_partial(n)
+    ts = complete_partial(art.system, target, seed=seed).system
+    assert _spreads_and_is_minimal(ts, art.b_points[:3])
+    assert _spreads_and_is_minimal(ts, art.base_points)
+
+
+@pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (5, 0)])
+def test_two_sizes_is_the_first_completion(n, seed):
+    art = section4_partial(n)
+    target = next_admissible(2 * art.system.order + 1)
+    report = complete_partial(art.system, target, seed=random.Random(seed).getrandbits(32))
+    assert two_minimal_sizes_sts(n, seed) == (
+        report.system, frozenset(art.base_points), frozenset(art.b_points[:3]))
 
 
 # -- the bitmask climb against the scalar oracle -------------------------------

@@ -182,8 +182,11 @@ def test_perturbed_pg_replacement_is_subsystem_free():
 
 
 def test_perturbed_pg_vertex_closure_is_replaced_subspace():
-    ts = perturbed_pg(4, 0)
-    assert closure_points(ts, [1, 3, 7]) == set(range(15))
+    # perturbed_pg leaves the alignment and the fill of W unchecked
+    for d, seed in ((4, 0), (4, 1), (5, 2), (6, 1)):
+        ts = perturbed_pg(d, seed)
+        assert {(1, 3, 5), (3, 7, 11), (1, 7, 9)} <= set(ts.triples)
+        assert closure_points(ts, [1, 3, 7]) == set(range(15))
 
 
 def test_perturbed_pg_not_spreading_system():
@@ -218,15 +221,17 @@ def test_section4_pinned_union_has_22_points():
 
 
 def test_section4_added_triples_meet_each_pinned_set_at_most_once():
-    art = section4_partial(4)
-    pinned = [set(x) for x in art.hyperplane_sets]
-    inside = {t for t in art.system.triples
-              if any(set(t) <= x for x in pinned)}
-    added = set(art.system.triples) - inside
-    assert added  # the chain and base triples exist
-    for t in added:
-        for x in pinned:
-            assert len(set(t) & x) <= 1, (t, sorted(x))
+    # section4_partial leaves this unchecked; 6 is the default cap on n
+    for n in (4, 5, 6):
+        art = section4_partial(n)
+        pinned = [set(x) for x in art.hyperplane_sets]
+        inside = {t for t in art.system.triples
+                  if any(set(t) <= x for x in pinned)}
+        added = set(art.system.triples) - inside
+        assert len(added) == 2 * n + 4  # the chain and base triples
+        for t in added:
+            for x in pinned:
+                assert len(set(t) & x) <= 1, (n, t, sorted(x))
 
 
 def test_section4_base_spreads_with_x_blocks_only():

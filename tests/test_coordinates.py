@@ -29,7 +29,7 @@ from stspread import (
 from stspread.closure import DEFAULT_CLOSED_SET_BUDGET, _coordinates, _walk_closed_sets
 from stspread.spreading import _walk_min_spreading
 
-from oracles import gaussian_binomial, pasch_count
+from oracles import bfs_closed_sets, gaussian_binomial, pasch_count
 
 
 def _relabelled(ts, seed):
@@ -206,9 +206,21 @@ def _answers(ts):
     pytest.param(lambda: random_sts(31, 1), id="random_sts(31,1)"),
     pytest.param(lambda: random_sts(19, 1), id="random_sts(19,1)"),
     pytest.param(lambda: ag3(3), id="ag3(3)"),
+    pytest.param(lambda: _pasch_switched(pg2(4)), id="switched pg2(4)"),
 ])
 def test_answers_do_not_depend_on_the_labelling(make):
     ts = make()
     want = _answers(ts)
     for seed in range(3):
         assert _answers(_relabelled(ts, seed)) == want, seed
+
+
+def test_the_pasch_switch_of_pg2_4_is_pinned():
+    # the Pasch configuration abc, ade, bdf, cef on points a..f = 0..5
+    # becomes abd, ace, bcf, def
+    ts, pg = _pasch_switched(pg2(4)), pg2(4)
+    assert set(pg.triples) - set(ts.triples) == {(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)}
+    assert set(ts.triples) - set(pg.triples) == {(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)}
+    assert _answers(ts) == [4, Counter({4: 13440}), Counter({7: 131, 15: 15}), False, False]
+    closed = set(map(frozenset, enumerate_closed_sets(ts).points))
+    assert closed == set(bfs_closed_sets(ts.order, ts.triples)) and len(closed) == 146

@@ -1,0 +1,69 @@
+"""Golden pins: the sha256 of the stdout, and of each written file, of the
+commands whose code replicates the paper's claims.  A change to any of
+these bytes must be declared; update a pin only together with that
+declaration."""
+
+import hashlib
+
+import pytest
+
+from stspread.cli import main
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+DEMOS = {
+    ("demo", "maxofmin"): "72eb466317fff4462d43fcfc2fa0b5f1b4323aa3e7250eb266852a1f65acf3e8",
+    ("demo", "unicity"): "3bcbcdb9ce865dc0a7a10719042d497afb456a75864e0267abc85b33bd57e850",
+    ("demo", "almostmax"): "2f1b60de79234e9ea9a89f84b3c48ddfeb46063651ee30a1767f0f6ece0ba306",
+    ("demo", "two-sizes"): "c73ac9c09a8aa92d5bd0141efc950c97eb9c732e8a2b9e1567a7de864665a011",
+    ("demo", "szoras"): "dae89e105c7cb14c195c694444fd3a40c6ea161f7a9abf28b6f06900be106675",
+    ("demo", "bounds"): "31b9a017a174d1bee188059d0f6d16fd446737dddc74def70756bd64b70bbe5e",
+    ("demo", "two-sizes", "--n", "5"):
+        "f5317e6ae894315995455f9ffcefb3ef4212cdb7317a0c42f54734f08299b6bb",
+    ("demo", "almostmax", "--seed", "1"):
+        "2f1b60de79234e9ea9a89f84b3c48ddfeb46063651ee30a1767f0f6ece0ba306",
+}
+
+# argv before --out s.txt: the digests of stdout, s.txt and s.txt.labels
+CONSTRUCTS = {
+    ("construct", "perturbed-pg", "--dim", "4"): (
+        "c03aab1129edb14f9381a33b4e0306832cbca9e0e157158f9cf4014f1c7c701e",
+        "c171acdc752d903cde29a2b5a61ab6dfb9c4d84c63b0c60e1491941142f5234d",
+        "852cad899607115e7161884d81771f1cf9e75942de1d50b05d860ef336624631",
+    ),
+    ("construct", "perturbed-pg", "--dim", "5", "--seed", "2"): (
+        "7a83c4215152fb61963532660c3efeb44f3c8bf5ad22e98d1df2f23c5a889b4c",
+        "cb3d7f0f5d7cea13e6614d0fce582e5fbca273f64a43bfb2e8ccfd090fb3350e",
+        "dd4828ad32ec4129d10615a546e3fb8a3942b09782afd5b4ba0a6e2edae73c53",
+    ),
+    ("construct", "section4", "--n", "4"): (
+        "b0a18aa699bce7cb9f764289da70cda1ff0a62ee79c19de84a41d9c38fd7308d",
+        "6628c3a6fa5a6aa86f38289be4cf354eb608bb15d01aac3d019c0bba446d0809",
+        "04b75ca1ff21ab06e57cf13da88f28bfbef4ad09f88767ab5ffd98777219c817",
+    ),
+    ("construct", "section4", "--n", "5"): (
+        "0e49b166c99db834d0e788bd2e67d06230a22f8ab40ca010bc0ab3d91b58fcfe",
+        "f7dac5050f17f004706db54c3a6b3e51d1e37c5d63501f3b5f9c33a018011f49",
+        "1739aef474c4989c7679279b9b3d2e31c0ab925fd91cace59c794adccaa030e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", DEMOS, ids=" ".join)
+def test_demo_stdout_is_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    assert _sha(capsys.readouterr().out.encode()) == DEMOS[argv]
+
+
+@pytest.mark.parametrize("argv", CONSTRUCTS, ids=" ".join)
+def test_construct_outputs_are_pinned(argv, capsys, tmp_path, monkeypatch):
+    # a relative --out, so that stdout names the same path in every run
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "s.txt"]) == 0
+    got = (_sha(capsys.readouterr().out.encode()),
+           _sha((tmp_path / "s.txt").read_bytes()),
+           _sha((tmp_path / "s.txt.labels").read_bytes()))
+    assert got == CONSTRUCTS[argv]

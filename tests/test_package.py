@@ -1,6 +1,8 @@
 """The package's public names: served lazily, identical to their home objects."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +78,34 @@ def test_records_compare_as_tuples():
     trace = stspread.closure(stspread.pg2(2), (0, 1))
     steps, firing = trace
     assert (steps, firing) == trace and trace.points == steps[-1]
+
+
+def _unused_imports(source):
+    """The (line, name) of each name the source imports and never mentions
+    again; a lazy import inside a function counts as well."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_import_scan_finds_only_dead_names():
+    source = ("from __future__ import annotations\nimport os.path\nimport sys\n"
+              "from .errors import StsError as E, TooLargeError\n\n\n"
+              "def f():\n    from .system import render\n    return os.path.sep, E\n")
+    assert _unused_imports(source) == [(3, "sys"), (4, "TooLargeError"), (8, "render")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in Path(stspread.__file__).parent.glob("*.py")
+                   if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_modules_use_every_name_they_import(path):
+    assert _unused_imports(path.read_text()) == []
