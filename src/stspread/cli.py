@@ -31,6 +31,7 @@ import argparse
 import os
 import sys
 import time
+from itertools import groupby, islice
 
 from . import __version__, config
 from .closure import DEFAULT_CLOSED_SET_BUDGET, closure, enumerate_closed_sets
@@ -165,20 +166,10 @@ def _cmd_construct(args):
 
 
 # Rows of a set listing (spread enumerate, subsystems) formatted into one
-# string at a time.
+# string at a time.  The sets come ordered by size, so each size takes one
+# format string: the row template, with {0} the size and {1} the points,
+# filled in with that size and "%d,...,%d".
 _ROW_CHUNK = 1 << 14
-
-
-def _text_row(points):
-    return ",".join(map(str, points))
-
-
-def _subsystem_row(points):
-    return "size=%d points=%s" % (len(points), ",".join(map(str, points)))
-
-
-def _csv_row(points):
-    return '%d,"%s"' % (len(points), ",".join(map(str, points)))
 
 
 def _cmd_analyze(args):
@@ -216,20 +207,21 @@ def _cmd_analyze(args):
     if args.what == "subsystems":
         enum = enumerate_closed_sets(ts, args.max_count)
         head = "count=%d truncated=%s" % (len(enum.points), str(enum.truncated).lower())
-        row = _subsystem_row
+        row = "size={0} points={1}"
     else:
         from .spreading import enumerate_minimal_spreading_sets
         enum = enumerate_minimal_spreading_sets(ts, args.max_size)
         head = ("count=%d truncated=%s max_size=%d"
                 % (len(enum.points), str(enum.truncated).lower(), enum.max_size))
-        row = _text_row
+        row = "{1}"
     if args.format == "csv":
-        head, row = "size,points", _csv_row
+        head, row = "size,points", '{0},"{1}"'
     rep.say(head)
     # one report line per chunk, so no list of one string per set
-    points = enum.points
-    for i in range(0, len(points), _ROW_CHUNK):
-        rep.say("\n".join(map(row, points[i:i + _ROW_CHUNK])))
+    for k, sets in groupby(enum.points, len):
+        fmt = row.format(k, ",".join(["%d"] * k)).__mod__
+        while chunk := "\n".join(map(fmt, islice(sets, _ROW_CHUNK))):
+            rep.say(chunk)
     return EXIT_OK, rep, {}
 
 

@@ -49,7 +49,6 @@ from .closure import (
     _to_set,
     _walk,
     closure_points,
-    colex_subsets,
 )
 from .errors import (
     NotProjectiveTagError,
@@ -189,9 +188,13 @@ class SpreadingEnumeration(NamedTuple):
     """All minimal spreading sets up to max_size, in canonical order.
 
     points stores each set as the tuple of its points in ascending order,
-    and the tuples are ordered by size, then lexicographically.  sets is the
-    same sequence as frozensets, built anew on each access.  When the level
-    budget stopped the scan early, truncated is True.
+    and the tuples are ordered by size, then lexicographically: the scan
+    lists each level in that order, least point first, with no sort.  sets
+    is the same sequence as frozensets, built anew on each access.
+    truncated is True when the subsets of sizes 2 to max_size (capped at
+    the order) number more than the budget, so that the scan left a level
+    out.  The levels it skips because a smaller level spreads whole count
+    towards that number too, but never set truncated by themselves.
     """
 
     points: tuple
@@ -212,13 +215,22 @@ def enumerate_minimal_spreading_sets(
     """Every minimal spreading set of size at most max_size.
 
     Closes every k-subset for k = 2, 3, ... (from k = 1 at order 1, where
-    the one point spreads), one colex batch per maximum point, each batch
-    decoded as soon as it is closed.  By monotonicity a spreading k-set is
-    minimal exactly when none of its (k-1)-subsets spreads, which is looked
-    up in the spreading sets of the level before.  budget caps the total
-    number of subsets considered; a size level that would push past it is
-    skipped entirely and flagged.  The scan runs in the calling process:
-    jobs is accepted for compatibility and ignored.
+    the one point spreads), each batch decoded as soon as it is closed.
+    The scan runs on the mirror image p -> n-1-p of the blocks, so the
+    colex batch of mirror top t holds the k-sets whose least point is
+    n-1-t, and its candidates, read from the highest bit down, are in
+    lexicographic order; the batches, taken from least point 0 upward,
+    list the level in its final order with no sort.  By monotonicity a
+    spreading k-set is minimal exactly when none of its (k-1)-subsets
+    spreads, which is looked up in the spreading sets of the level before.
+    Once every k-set spreads, every larger set holds a spreading k-subset
+    and is not minimal, so the larger levels are not scanned.
+
+    budget caps the total number of subsets considered, the levels not
+    scanned after such a stop included: a size level that would push past
+    it is skipped entirely and flagged with truncated, so truncated does
+    not depend on the stop.  The scan runs in the calling process: jobs is
+    accepted for compatibility and ignored.
 
     The result stores each set as the tuple of its points in ascending
     order (points), the tuples ordered by size and then lexicographically;
@@ -232,10 +244,13 @@ def enumerate_minimal_spreading_sets(
                             % config.order_cap(config.MAX_ENUMERATION_ORDER))
     if max_size is None:
         max_size = (n + 1).bit_length() - 1
-    results, blocks = [], ts.triples
+    results = []
+    mirror = [(n - 1 - a, n - 1 - b, n - 1 - c) for a, b, c in ts.triples]
     truncated = False
     spent = 0
-    prev_bits = 0  # bit r: the r-th (k-1)-subset in colex order spreads
+    whole = False  # every set of the last scanned level spreads
+    rests = [()]  # the (k-1)-subsets in mirror colex order, as point tuples
+    prev_bits = 0  # bit r: the r-th (k-1)-subset in mirror colex order spreads
     prev = set()  # the spreading (k-1)-subsets, as point tuples
     top = min(max_size, n)  # no subset has more than n points
     for k in range(1 if n == 1 else 2, top + 1):
@@ -244,25 +259,39 @@ def enumerate_minimal_spreading_sets(
             truncated = True
             break
         spent += level
-        # bit j of a top's batch is the j-th (k-1)-subset in colex order
-        rests = list(colex_subsets(n - 1, k - 1))
-        found = []
+        if whole:
+            continue
+        if k > 1:
+            # the (k-1)-subsets of mirror top t are t plus the first
+            # comb(t, k-2) (k-2)-subsets, which lie below it
+            rests = [(n - 1 - t,) + r for t in range(k - 2, n - 1)
+                     for r in rests[:math.comb(t, k - 2)]]
+        # lists[i]: the minimal k-sets whose least point is n-k-i
+        lists = []
         spread_bits = 0
-        spreading = set()
+        spreads = []  # spreads[i]: the spreading candidates of batch i
         for t, (full, batch) in enumerate(_subset_batches(n, k), k - 1):
-            spread = _holding_all(_batch_closure(blocks, batch), full)
+            # candidate j of the batch is (n-1-t,) + rests[j]
+            spread = _holding_all(_batch_closure(mirror, batch), full)
             spread_bits |= spread << math.comb(t, k)
-            if k < top:
-                spreading.update(map(add, _select(rests, spread), repeat((t,))))
-            # prev_bits drops the k-sets whose points below t already spread;
-            # a k-set is minimal when none of its other (k-1)-subsets does
-            new = map(add, _select(rests, spread & ~prev_bits), repeat((t,)))
+            spreads.append(spread)
+            least = (n - 1 - t,)
+            # prev_bits drops the k-sets whose points above the least already
+            # spread; a k-set is minimal when none of its other (k-1)-subsets does
+            new = list(map(add, repeat(least), _select(rests, spread & ~prev_bits)))
             if prev:
                 new = [s for s in new
-                       if not any(s[:i] + s[i + 1:] in prev for i in range(k - 1))]
-            found.extend(new)
-        found.sort()
-        results += found
+                       if not any(s[:i] + s[i + 1:] in prev for i in range(1, k))]
+            new.reverse()
+            lists.append(new)
+        while lists:
+            results += lists.pop()
+        whole = spread_bits == (1 << level) - 1
+        # only a level that is scanned next looks up the spreading k-sets
+        spreading = set()
+        if k < top and not whole:
+            for t, spread in enumerate(spreads, k - 1):
+                spreading.update(map(add, repeat((n - 1 - t,)), _select(rests, spread)))
         prev_bits, prev = spread_bits, spreading
     return SpreadingEnumeration(tuple(results), max_size, truncated)
 

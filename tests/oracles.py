@@ -46,17 +46,18 @@ def brute_min_spreading(order, triples):
 
 
 def all_minimal_spreading(order, triples, max_size):
-    """Every minimal spreading set of size <= max_size, by brute force."""
+    """Every minimal spreading set of size <= max_size, by brute force.
+
+    A spreading set is minimal when no subset one point short spreads, so
+    each size closes every subset once and looks those subsets up among
+    the spreading sets of the size before."""
     found = []
+    below = set()  # the spreading sets one point smaller
     for size in range(1, max_size + 1):
-        for subset in combinations(range(order), size):
-            if not naive_is_spreading(order, triples, subset):
-                continue
-            if all(
-                not naive_is_spreading(order, triples, sub)
-                for sub in combinations(subset, size - 1)
-            ):
-                found.append(frozenset(subset))
+        spreading = {s for s in map(frozenset, combinations(range(order), size))
+                     if naive_is_spreading(order, triples, s)}
+        found += [s for s in spreading if not any(s - {p} in below for p in s)]
+        below = spreading
     return set(found)
 
 

@@ -67,3 +67,36 @@ def test_construct_outputs_are_pinned(argv, capsys, tmp_path, monkeypatch):
            _sha((tmp_path / "s.txt").read_bytes()),
            _sha((tmp_path / "s.txt.labels").read_bytes()))
     assert got == CONSTRUCTS[argv]
+
+
+# systems built in tmp_path for the set listings below
+SYSTEMS = {
+    "pg4": ("construct", "pg2", "--dim", "4"),
+    "r31": ("construct", "random", "--order", "31", "--seed", "1"),
+    "pp4": ("construct", "perturbed-pg", "--dim", "4", "--seed", "0"),
+}
+
+# (system, analyze argv after --system): the digest of stdout
+LISTINGS = {
+    ("pg4", "spread", "enumerate", "--max-size", "5"):
+        "48b8c24630e0943970c831f5069fcb182539b1f2dc0c1a5e1bdd5bdd4e940c9a",
+    ("pg4", "spread", "enumerate", "--max-size", "5", "--format", "csv"):
+        "ee05c86d62083d4cd092b2895c83511cab7df3bcdb9ab62c2abcaea475b4d998",
+    ("r31", "spread", "enumerate"):
+        "ff6709ab3c1c8033bf9d5d0eeaebe439a38f288cb28947a24b8722d17e4a7f58",
+    # the level budget cuts this one short: it prints truncated=true
+    ("r31", "spread", "enumerate", "--max-size", "9"):
+        "327b9fabded96bafad6fac17a4809cf0efaedf6b045f0e7899b5fff79ab12962",
+    ("pp4", "spread", "enumerate", "--max-size", "4"):
+        "04ec1c7ed0a8b3d0e57bff32c6408afa23bc785587578dcb2b6d4f74b7d0d33e",
+}
+
+
+@pytest.mark.parametrize("argv", LISTINGS, ids=" ".join)
+def test_listing_stdout_is_pinned(argv, capsys, tmp_path):
+    name, *rest = argv
+    path = str(tmp_path / (name + ".txt"))
+    assert main([*SYSTEMS[name], "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--system", path, *rest]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == LISTINGS[argv]

@@ -3,7 +3,8 @@
 import pickle
 import random
 import time
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
 import pytest
 
@@ -22,6 +23,7 @@ from stspread import (
     pg2,
     random_sts,
     reduce_to_minimal,
+    spreading,
     subsystem_free_sts15,
     verify_dimension_theorem,
 )
@@ -253,6 +255,60 @@ def test_enumerate_points_match_the_oracle_in_order(ts, budget, levels):
     assert parallel == enum
     for result in (enum, parallel):
         assert pickle.loads(pickle.dumps(result)) == enum
+
+
+# name: (system builder, the highest level whose cumulative budget is
+# tried).  A minimal spreading set of order n has at most floor(log2(n+1))
+# points, since each of its points lies outside the closure of the others
+# and adjoining an outside point to a closed set of c points closes to at
+# least 2c+1 points.  So the oracle needs no level above that bound; on
+# PG(4,2) perturbed the brute force stops at level 4, and so do the budgets
+# tried there.
+SPEC_SYSTEMS = {
+    **{"sts%d-seed%d" % (v, s): (lambda v=v, s=s: random_sts(v, s), v)
+       for v in (7, 9, 13, 15, 19) for s in (0, 1)},
+    "pg3": (lambda: pg2(3), 15),
+    "pp4": (lambda: perturbed_pg(4, 0), 4),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_SYSTEMS)
+def test_enumerate_meets_its_budget_spec(name):
+    make, levels = SPEC_SYSTEMS[name]
+    ts = make()
+    n = ts.order
+    sums = list(accumulate(comb(n, k) for k in range(2, levels + 1)))
+    budgets = sorted({b - d for b in sums for d in (0, 1)})
+    # the oracle's points, by size and then lexicographically
+    oracle = _oracle_points(ts, min(levels, (n + 1).bit_length() - 1))
+    for max_size in range(1, n + 1):
+        for budget in budgets:
+            enum = enumerate_minimal_spreading_sets(ts, max_size, budget)
+            need = sum(comb(n, k) for k in range(2, min(max_size, n) + 1))
+            assert enum.truncated == (need > budget), (max_size, budget)
+            # the last level that fits: the sets of every level up to it
+            fits = 1 + sum(1 for b in sums[:max_size - 1] if b <= budget)
+            assert enum.points == tuple(s for s in oracle if len(s) <= fits), (
+                max_size, budget)
+
+
+def test_enumerate_stops_once_a_whole_level_spreads(monkeypatch):
+    # every 4-set of this system spreads, so no set of 5 or more points is
+    # minimal and the scan asks for no level above 4; the budget still
+    # counts the levels up to 9 and runs out at level 7
+    asked = []
+    batches = spreading._subset_batches
+
+    def counting(n, k):
+        asked.append(k)
+        return batches(n, k)
+
+    monkeypatch.setattr(spreading, "_subset_batches", counting)
+    enum = enumerate_minimal_spreading_sets(random_sts(31, 1), max_size=9)
+    assert max(asked) == 4
+    assert len(enum.points) == 4340
+    assert {len(s) for s in enum.points} == {3}
+    assert enum.truncated
 
 
 def test_enumerate_order_one_lists_its_point():
