@@ -203,22 +203,25 @@ def _cmd_analyze(args):
         rep.say("size=%d" % size)
         rep.say("witness=%s" % _fmt_set(witness))
         return EXIT_OK, rep, {}
-    # a set listing: the subsystems, or the minimal spreading sets
+    # a set listing: the subsystems, or the minimal spreading sets, as
+    # (size, iterator over its sets) pairs
     if args.what == "subsystems":
         enum = enumerate_closed_sets(ts, args.max_count)
         head = "count=%d truncated=%s" % (len(enum.points), str(enum.truncated).lower())
         row = "size={0} points={1}"
+        levels = groupby(enum.points, len)
     else:
-        from .spreading import enumerate_minimal_spreading_sets
-        enum = enumerate_minimal_spreading_sets(ts, args.max_size)
+        # the scan's packed levels: no set's tuple outlives its row
+        from .spreading import _minimal_spreading_levels
+        count, levels, max_size, truncated = _minimal_spreading_levels(ts, args.max_size)
         head = ("count=%d truncated=%s max_size=%d"
-                % (len(enum.points), str(enum.truncated).lower(), enum.max_size))
+                % (count, str(truncated).lower(), max_size))
         row = "{1}"
     if args.format == "csv":
         head, row = "size,points", '{0},"{1}"'
     rep.say(head)
     # one report line per chunk, so no list of one string per set
-    for k, sets in groupby(enum.points, len):
+    for k, sets in levels:
         fmt = row.format(k, ",".join(["%d"] * k)).__mod__
         while chunk := "\n".join(map(fmt, islice(sets, _ROW_CHUNK))):
             rep.say(chunk)
@@ -499,10 +502,10 @@ def _write_atomic(path, pieces):
         raise
 
 
-def _write_manifest(path, argv, args, code, rep, result, elapsed):
+def _write_manifest(path, argv, args, code, text, result, elapsed):
     """Write the run manifest; result is the sha256 of the files written,
     in order of their paths, or None when the run wrote none, and then the
-    digest is that of stdout."""
+    digest is that of text, the run's stdout."""
     import hashlib
     import json
     import platform
@@ -525,7 +528,7 @@ def _write_manifest(path, argv, args, code, rep, result, elapsed):
             pass
         inputs[system_path] = digest
     if result is None:
-        result = hashlib.sha256(rep.text().encode())
+        result = hashlib.sha256(text.encode())
     manifest = {
         "argv": argv,
         "command": args.command,
@@ -564,8 +567,9 @@ def main(argv=None) -> int:
         for path in sorted(files):
             pieces = files[path]
             _write_atomic(path, pieces if result is None else _hashed(pieces, result))
+        text = rep.text()
         if manifest_path:
-            _write_manifest(manifest_path, argv, args, code, rep, result,
+            _write_manifest(manifest_path, argv, args, code, text, result,
                             time.perf_counter() - start)
     except (BudgetExhaustedError, SearchExhaustedError) as exc:
         sys.stderr.write("error: %s\n" % exc)
@@ -574,7 +578,6 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INVALID
 
-    text = rep.text()
     if text:
         sys.stdout.write(text)
     return code

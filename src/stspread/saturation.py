@@ -29,14 +29,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import config
-from .closure import (
-    _holding_all,
-    _mask_of,
-    _subset_batches,
-    _sweep,
-    _to_set,
-    colex_subsets,
-)
+from .closure import _mask_of, _subset_batches, _to_set, colex_subsets
 from .errors import (
     BudgetExhaustedError,
     NotPrimePowerError,
@@ -201,15 +194,31 @@ def min_saturating_size(ts: TripleSystem):
     Exhaustive scan over subset sizes 1, 2, ...; the whole point set always
     saturates, so the scan terminates.  For ts = pg2(n) this computes the
     exact smallest saturating set size of PG(n,2).
+
+    Each colex batch of k-subsets is checked point by point, from the top
+    point down: a candidate covers p when it holds p or both points of a
+    pair in p's star, the pairs {b, c} with {p, b, c} a block, read once
+    from the pair table (an uncovered pair has no star).  The candidates
+    that cover every point so far are kept, and the batch is left at the
+    first point none of them covers.  The top points of a batch lie in no
+    candidate, so most batches are left after a few points.
     """
     n = ts.order
     cap = config.order_cap(config.MAX_ENUMERATION_ORDER)
     if n > cap:
         raise TooLargeError("min_saturating_size capped at order %d" % cap)
-    blocks = ts.triples
+    # stars[p]: the pairs (b, c), b < c, that complete a block with p, top point first
+    stars = [[(b, c) for b, c in enumerate(row) if c > b] for row in reversed(ts._third)]
     for k in range(1, n + 1):
         for full, batch in _subset_batches(n, k):
-            hits = _holding_all(_sweep(blocks, batch, list(batch)), full)
+            hits = full
+            for p, star in zip(range(n - 1, -1, -1), stars):
+                cover = batch[p]
+                for b, c in star:
+                    cover |= batch[b] & batch[c]
+                hits &= cover
+                if not hits:
+                    break
             if hits:
                 j = (hits & -hits).bit_length() - 1
                 return k, frozenset(p for p, s in enumerate(batch) if s >> j & 1)

@@ -234,7 +234,31 @@ def enumerate_minimal_spreading_sets(
 
     The result stores each set as the tuple of its points in ascending
     order (points), the tuples ordered by size and then lexicographically;
-    its sets attribute gives the same sequence as frozensets.
+    its sets attribute gives the same sequence as frozensets.  The scan
+    itself (_minimal_spreading_levels) holds each set as one character per
+    point and builds these tuples only at the end, from one string per
+    level: the CLI formats its rows from those strings and never holds the
+    tuples.
+    """
+    _, levels, max_size, truncated = _minimal_spreading_levels(ts, max_size, budget)
+    points = []
+    for _, sets in levels:
+        points += sets
+    return SpreadingEnumeration(tuple(points), max_size, truncated)
+
+
+def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
+    """The scan of enumerate_minimal_spreading_sets, holding only what it lists.
+
+    max_size and budget are those of enumerate_minimal_spreading_sets.
+    Returns (count, levels, max_size, truncated): count is the number of
+    minimal spreading sets, and levels pairs each scanned size k with an
+    iterator over its minimal k-sets, as point tuples in lexicographic
+    order.  Every point set of the scan, the (k-1)-subsets it extends, the
+    spreading sets it looks up and the minimal sets it keeps, is a string
+    with one character chr(p) per point p, which fits any order; each level
+    is kept as one string of its sets side by side, and the iterator
+    decodes it as it is read.
     """
     if not ts.is_steiner():
         raise NotSteinerError("spreading-set enumeration needs a Steiner system")
@@ -244,14 +268,15 @@ def enumerate_minimal_spreading_sets(
                             % config.order_cap(config.MAX_ENUMERATION_ORDER))
     if max_size is None:
         max_size = (n + 1).bit_length() - 1
-    results = []
+    count = 0
+    levels = []
     mirror = [(n - 1 - a, n - 1 - b, n - 1 - c) for a, b, c in ts.triples]
     truncated = False
     spent = 0
     whole = False  # every set of the last scanned level spreads
-    rests = [()]  # the (k-1)-subsets in mirror colex order, as point tuples
+    rests = [""]  # the (k-1)-subsets in mirror colex order
     prev_bits = 0  # bit r: the r-th (k-1)-subset in mirror colex order spreads
-    prev = set()  # the spreading (k-1)-subsets, as point tuples
+    prev = set()  # the spreading (k-1)-subsets
     top = min(max_size, n)  # no subset has more than n points
     for k in range(1 if n == 1 else 2, top + 1):
         level = math.comb(n, k)
@@ -264,36 +289,35 @@ def enumerate_minimal_spreading_sets(
         if k > 1:
             # the (k-1)-subsets of mirror top t are t plus the first
             # comb(t, k-2) (k-2)-subsets, which lie below it
-            rests = [(n - 1 - t,) + r for t in range(k - 2, n - 1)
+            rests = [chr(n - 1 - t) + r for t in range(k - 2, n - 1)
                      for r in rests[:math.comb(t, k - 2)]]
-        # lists[i]: the minimal k-sets whose least point is n-k-i
-        lists = []
+        # found[i]: the minimal k-sets whose least point is n-k-i, side by side
+        found = []
         spread_bits = 0
         spreads = []  # spreads[i]: the spreading candidates of batch i
         for t, (full, batch) in enumerate(_subset_batches(n, k), k - 1):
-            # candidate j of the batch is (n-1-t,) + rests[j]
+            # candidate j of the batch is chr(n-1-t) + rests[j]
             spread = _holding_all(_batch_closure(mirror, batch), full)
             spread_bits |= spread << math.comb(t, k)
             spreads.append(spread)
-            least = (n - 1 - t,)
             # prev_bits drops the k-sets whose points above the least already
             # spread; a k-set is minimal when none of its other (k-1)-subsets does
-            new = list(map(add, repeat(least), _select(rests, spread & ~prev_bits)))
+            new = list(map(add, repeat(chr(n - 1 - t)), _select(rests, spread & ~prev_bits)))
             if prev:
                 new = [s for s in new
                        if not any(s[:i] + s[i + 1:] in prev for i in range(1, k))]
-            new.reverse()
-            lists.append(new)
-        while lists:
-            results += lists.pop()
+            found.append("".join(reversed(new)))
+        sets = "".join(reversed(found))
+        count += len(sets) // k
+        levels.append((k, zip(*[map(ord, sets)] * k)))
         whole = spread_bits == (1 << level) - 1
         # only a level that is scanned next looks up the spreading k-sets
         spreading = set()
         if k < top and not whole:
             for t, spread in enumerate(spreads, k - 1):
-                spreading.update(map(add, repeat((n - 1 - t,)), _select(rests, spread)))
+                spreading.update(map(add, repeat(chr(n - 1 - t)), _select(rests, spread)))
         prev_bits, prev = spread_bits, spreading
-    return SpreadingEnumeration(tuple(results), max_size, truncated)
+    return count, levels, max_size, truncated
 
 
 def check_projective(ts: TripleSystem) -> bool:

@@ -92,11 +92,30 @@ LISTINGS = {
 }
 
 
-@pytest.mark.parametrize("argv", LISTINGS, ids=" ".join)
-def test_listing_stdout_is_pinned(argv, capsys, tmp_path):
-    name, *rest = argv
+# (system, saturate argv before --system): the digest of stdout
+SATURATIONS = {
+    ("pg4", "min"): "b9d50d8064b246d248a3d17a30c79194517242a04c0d2955b3f3d74f4b7e9a79",
+    ("r31", "min"): "2a1f17fe22f4b4c739fe7ea2871e67c2af4ae7c6df68258a1c1349e6b5716d96",
+}
+
+
+def _built(name, tmp_path, capsys):
+    """The path of system name of SYSTEMS, built in tmp_path."""
     path = str(tmp_path / (name + ".txt"))
     assert main([*SYSTEMS[name], "--out", path]) == 0
     capsys.readouterr()
-    assert main(["analyze", "--system", path, *rest]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", LISTINGS, ids=" ".join)
+def test_listing_stdout_is_pinned(argv, capsys, tmp_path):
+    name, *rest = argv
+    assert main(["analyze", "--system", _built(name, tmp_path, capsys), *rest]) == 0
     assert _sha(capsys.readouterr().out.encode()) == LISTINGS[argv]
+
+
+@pytest.mark.parametrize("argv", SATURATIONS, ids=" ".join)
+def test_saturate_stdout_is_pinned(argv, capsys, tmp_path):
+    name, *rest = argv
+    assert main(["saturate", *rest, "--system", _built(name, tmp_path, capsys)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == SATURATIONS[argv]

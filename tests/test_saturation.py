@@ -13,6 +13,7 @@ from stspread import (
     build_system,
     deviating_hyperplane,
     hyperplanes_pg2,
+    induced_subsystem,
     intersection_extremes,
     is_saturating_set,
     is_spreading_set,
@@ -193,16 +194,30 @@ def test_min_saturating_matches_naive_oracle_on_small_systems():
         assert not naive_saturates(9, nine.triples, smaller)
 
 
-@pytest.mark.parametrize("v,seed", RANDOM_SYSTEMS)
-def test_min_saturating_matches_colex_oracle_scan(v, seed):
-    ts = random_sts(v, seed)
+def _colex_first_saturating(ts):
+    """The least saturating size and its colex-first witness, by brute force."""
+    v = ts.order
     for k in range(1, v + 1):
         hits = [c for c in combinations(range(v), k) if naive_saturates(v, ts.triples, c)]
         if hits:
-            break
-    # colex order compares the largest points first
-    first = min(hits, key=lambda c: c[::-1])
-    assert min_saturating_size(ts) == (k, frozenset(first))
+            # colex order compares the largest points first
+            return k, frozenset(min(hits, key=lambda c: c[::-1]))
+
+
+@pytest.mark.parametrize("v,seed", RANDOM_SYSTEMS)
+def test_min_saturating_matches_colex_oracle_scan(v, seed):
+    ts = random_sts(v, seed)
+    assert min_saturating_size(ts) == _colex_first_saturating(ts)
+
+
+def test_min_saturating_on_partial_systems_matches_the_oracle():
+    # an uncovered pair completes no block, so it must cover no point
+    systems = [build_system(1, [], "steiner"), build_system(7, FANO[:6], "partial")]
+    for v, seed, points in ((13, 0, range(0, 13, 2)), (15, 1, range(1, 15, 3)),
+                            (19, 2, range(11)), (31, 1, range(0, 31, 3))):
+        systems.append(induced_subsystem(random_sts(v, seed), points)[0])
+    for ts in systems:
+        assert min_saturating_size(ts) == _colex_first_saturating(ts), ts
 
 
 def test_min_saturating_trivial_line():

@@ -327,6 +327,14 @@ def test_enumerate_order_one_lists_its_point():
     assert enumerate_minimal_spreading_sets(line, budget=2).truncated
 
 
+def test_enumerate_takes_points_above_255(monkeypatch):
+    # the scan holds each point as a character, which must fit every order:
+    # no pair of an STS(259) spreads, and its 3-sets exceed the budget
+    monkeypatch.setenv("STS_MAX_ORDER", "259")
+    enum = enumerate_minimal_spreading_sets(random_sts(259, 0), max_size=3)
+    assert enum == ((), 3, True)
+
+
 def test_enumerate_lists_only_minimal_sets_on_perturbed_pg4():
     # some 4-sets here hold a spreading triple below their top point and no
     # spreading triple through it: the previous level's bits must drop them

@@ -304,22 +304,23 @@ def test_searches_read_the_blocks_once_and_keep_none(monkeypatch):
         with pytest.raises(BudgetExhaustedError):
             complete_partial(fano, 15, seed=0, restarts=3, moves_per_restart=1)
 
+    # (system, search, times it reads the blocks)
     searches = [
-        (r15, lambda: min_saturating_size(r15)),
-        (r15, lambda: enumerate_minimal_spreading_sets(r15)),
-        (r15, lambda: min_spreading_size(r15)),  # not projective: the lattice walk
-        (pg3, lambda: enumerate_closed_sets(pg3, 1)),  # fewer than its subspaces: the walk
-        (fano, lambda: complete_partial(fano, 15, seed=0)),
-        (fano, failed_completion),  # three restarts, one read
+        (r15, lambda: min_saturating_size(r15), 0),  # the pair table only
+        (r15, lambda: enumerate_minimal_spreading_sets(r15), 1),
+        (r15, lambda: min_spreading_size(r15), 1),  # not projective: the lattice walk
+        (pg3, lambda: enumerate_closed_sets(pg3, 1), 1),  # fewer than its subspaces: the walk
+        (fano, lambda: complete_partial(fano, 15, seed=0), 1),
+        (fano, failed_completion, 1),  # three restarts, one read
     ]
     reads = []
     blocks_of = system_module._blocks_of
     monkeypatch.setattr(system_module, "_blocks_of",
                         lambda third: reads.append(len(third)) or blocks_of(third))
-    for ts, search in searches:
+    for ts, search, times in searches:
         reads.clear()
         search()
-        assert reads == [ts.order]
+        assert reads == [ts.order] * times
         assert not any(isinstance(r, tuple) and len(r) == ts.block_count
                        for r in gc.get_referents(ts))
         assert ts.triples == _table_blocks(ts)
