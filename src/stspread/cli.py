@@ -31,7 +31,7 @@ import argparse
 import os
 import sys
 import time
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 
 from . import __version__, config
 from .closure import DEFAULT_CLOSED_SET_BUDGET, closure, enumerate_closed_sets
@@ -102,23 +102,32 @@ def _load_system(path):
 
 
 class _Report:
-    """Collects output lines and PASS/FAIL bookkeeping."""
+    """Collects output and PASS/FAIL bookkeeping.
+
+    The output is a list of parts, each an iterable of pieces that end in
+    a newline: a line is a part of one piece, and a listing's rows are a
+    part formatted only as the report is written, so the whole report is
+    never one string.
+    """
 
     def __init__(self):
-        self.lines = []
+        self.parts = []
         self.failures = 0
 
     def say(self, text=""):
-        self.lines.append(text)
+        self.parts.append((text + "\n",))
+
+    def extend(self, pieces):
+        self.parts.append(pieces)
 
     def check(self, okay, label, detail=""):
-        self.lines.append(render((label, okay, detail)))
+        self.say(render((label, okay, detail)))
         if not okay:
             self.failures += 1
         return okay
 
-    def text(self):
-        return "\n".join(self.lines) + "\n" if self.lines else ""
+    def pieces(self):
+        return chain.from_iterable(self.parts)
 
 
 # -- construct -------------------------------------------------------------
@@ -165,11 +174,43 @@ def _cmd_construct(args):
 # -- analyze ---------------------------------------------------------------
 
 
-# Rows of a set listing (spread enumerate, subsystems) formatted into one
-# string at a time.  The sets come ordered by size, so each size takes one
-# format string: the row template, with {0} the size and {1} the points,
-# filled in with that size and "%d,...,%d".
-_ROW_CHUNK = 1 << 14
+# Rows of a set listing (spread enumerate, subsystems) are formatted and
+# written at most _ROW_CHUNK rows at a time, from a row template with {0}
+# the size and {1} the points of a set.
+_ROW_CHUNK = 1 << 12
+
+
+def _tuple_rows(row, sets):
+    """The rows of sets, point tuples ordered by size: one % per chunk of
+    rows of one size, over all their points."""
+    for k, level in groupby(sets, len):
+        fmt = row.format(k, ",".join(["%d"] * k)) + "\n"
+        while points := tuple(chain.from_iterable(islice(level, _ROW_CHUNK))):
+            yield fmt * (len(points) // k) % points
+
+
+def _packed_rows(row, levels, order):
+    """The rows of the packed levels of the spread scan, popped off the end
+    of each level (spreading._minimal_spreading_levels).
+
+    The sets of a piece side by side share their least point, and it is
+    the only place where that point occurs.  So str.translate writes a
+    chunk's rows in one pass: each point p becomes ",p", except the least
+    point, which ends the row before it and starts its own.
+    """
+    table = [",%d" % p for p in range(order)]
+    for k, found in levels:
+        head, tail = row.format(k, "\0").split("\0")
+        step = _ROW_CHUNK * k
+        while found:
+            piece = found.pop()
+            if not piece:
+                continue
+            least = ord(piece[0])
+            table[least] = "%s\n%s%d" % (tail, head, least)
+            for i in range(0, len(piece), step):
+                yield piece[i:i + step].translate(table)[len(tail) + 1:] + tail + "\n"
+            table[least] = ",%d" % least
 
 
 def _cmd_analyze(args):
@@ -203,15 +244,13 @@ def _cmd_analyze(args):
         rep.say("size=%d" % size)
         rep.say("witness=%s" % _fmt_set(witness))
         return EXIT_OK, rep, {}
-    # a set listing: the subsystems, or the minimal spreading sets, as
-    # (size, iterator over its sets) pairs
+    # a set listing: the subsystems, or the minimal spreading sets
     if args.what == "subsystems":
         enum = enumerate_closed_sets(ts, args.max_count)
         head = "count=%d truncated=%s" % (len(enum.points), str(enum.truncated).lower())
         row = "size={0} points={1}"
-        levels = groupby(enum.points, len)
     else:
-        # the scan's packed levels: no set's tuple outlives its row
+        # the scan's packed levels: no set's tuple is ever built
         from .spreading import _minimal_spreading_levels
         count, levels, max_size, truncated = _minimal_spreading_levels(ts, args.max_size)
         head = ("count=%d truncated=%s max_size=%d"
@@ -220,11 +259,8 @@ def _cmd_analyze(args):
     if args.format == "csv":
         head, row = "size,points", '{0},"{1}"'
     rep.say(head)
-    # one report line per chunk, so no list of one string per set
-    for k, sets in levels:
-        fmt = row.format(k, ",".join(["%d"] * k)).__mod__
-        while chunk := "\n".join(map(fmt, islice(sets, _ROW_CHUNK))):
-            rep.say(chunk)
+    rep.extend(_tuple_rows(row, enum.points) if args.what == "subsystems"
+               else _packed_rows(row, levels, ts.order))
     return EXIT_OK, rep, {}
 
 
@@ -502,10 +538,10 @@ def _write_atomic(path, pieces):
         raise
 
 
-def _write_manifest(path, argv, args, code, text, result, elapsed):
+def _write_manifest(path, argv, args, code, pieces, result, elapsed):
     """Write the run manifest; result is the sha256 of the files written,
     in order of their paths, or None when the run wrote none, and then the
-    digest is that of text, the run's stdout."""
+    digest is that of the run's stdout, the strings of pieces in order."""
     import hashlib
     import json
     import platform
@@ -528,7 +564,9 @@ def _write_manifest(path, argv, args, code, text, result, elapsed):
             pass
         inputs[system_path] = digest
     if result is None:
-        result = hashlib.sha256(text.encode())
+        result = hashlib.sha256()
+        for piece in pieces:
+            result.update(piece.encode())
     manifest = {
         "argv": argv,
         "command": args.command,
@@ -567,9 +605,11 @@ def main(argv=None) -> int:
         for path in sorted(files):
             pieces = files[path]
             _write_atomic(path, pieces if result is None else _hashed(pieces, result))
-        text = rep.text()
+        out = rep.pieces()
         if manifest_path:
-            _write_manifest(manifest_path, argv, args, code, text, result,
+            # stdout comes after the manifest, which may digest it
+            out = list(out)
+            _write_manifest(manifest_path, argv, args, code, out, result,
                             time.perf_counter() - start)
     except (BudgetExhaustedError, SearchExhaustedError) as exc:
         sys.stderr.write("error: %s\n" % exc)
@@ -578,8 +618,7 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INVALID
 
-    if text:
-        sys.stdout.write(text)
+    sys.stdout.writelines(out)
     return code
 
 if __name__ == "__main__":

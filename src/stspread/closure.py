@@ -181,27 +181,79 @@ def colex_subsets(n: int, k: int):
             yield rest + (top,)
 
 
-def _subset_batches(n, k):
-    """Batches of the k-subsets of range(n), one per maximum point t.
+def _pascal(k, limits):
+    """The i-subsets of range(t), i < k, grown by Pascal's rule.
 
-    A batch holds one int per point, bit j set when candidate j holds the
-    point.  Yields (full, batch) for t = k-1, ..., n-1, in colex order, by
-    Pascal's rule: the i-subsets of range(t+1) are those of range(t), then
-    the (i-1)-subsets of range(t) plus t.
+    rows[i][p] holds one bit per i-subset of range(t), in colex order, set
+    when the subset holds p.  The i-subsets of range(t+1) are those of
+    range(t), then the (i-1)-subsets of range(t) plus t, so a step only
+    adds bits: a row taken at any t is the colex prefix of every later one.
+    Yields (t, rows) for t = 0, 1, ..., max(limits), updating rows in
+    place; rows[i] stops growing at t = limits[i], and the row below it
+    must grow at least to limits[i] - 1.
     """
-    rows = [[] for _ in range(k)]  # rows[i][p]: the i-subsets of range(t) holding p
+    rows = [[] for _ in range(k)]
     t = 0
-    for top in range(k - 1, n):
-        while t < top:
-            for i in range(k - 1, 0, -1):
+    yield t, rows
+    while t < max(limits):
+        for i in range(k - 1, 0, -1):
+            if t < limits[i]:
                 row, below, shift = rows[i], rows[i - 1], comb(t, i)
                 for p in range(t):
                     row[p] |= below[p] << shift
                 row.append(((1 << comb(t, i - 1)) - 1) << shift)
+        if t < limits[0]:
             rows[0].append(0)
-            t += 1
-        full = (1 << comb(t, k - 1)) - 1
-        yield full, rows[k - 1] + [full] + [0] * (n - t - 1)
+        t += 1
+        yield t, rows
+
+
+def _subset_batches(n, k):
+    """Batches of the k-subsets of range(n), one per maximum point t.
+
+    A batch holds one int per point, bit j set when candidate j holds the
+    point.  Yields (full, batch) for t = k-1, ..., n-1, in colex order:
+    candidate j of batch t is t plus the j-th (k-1)-subset of range(t).
+    """
+    for t, rows in _pascal(k, [n - 1] * k):
+        if t >= k - 1:
+            full = (1 << comb(t, k - 1)) - 1
+            yield full, rows[k - 1] + [full] + [0] * (n - t - 1)
+
+
+def _subset_chunks(n, k, cap):
+    """The k-subsets of range(n) in colex order, in batches of at most cap.
+
+    Yields (full, batch) as _subset_batches does.  In colex order the
+    j-subsets of range(m) are those of range(m') for any m' < m, then, for
+    t = m', ..., m-1, t plus the (j-1)-subsets of range(t).  So the
+    k-subsets split into chunks of fixed top points plus every j-subset of
+    range(m), m below those points, with m' the most points whose j-subsets
+    fit in cap.  The candidates of a chunk are a colex prefix of the
+    j-subsets, that is, of one Pascal row taken once at m', and the chunks
+    follow each other in colex order.  The rows hold at most cap bits
+    each, so memory stays near (k+1) * n * cap bits whatever C(n, k) is.
+    """
+    # most[j]: the most points whose j-subsets fit in one chunk
+    most = []
+    for j in range(k + 1):
+        m = j
+        while m < n and comb(m + 1, j) <= cap:
+            m += 1
+        most.append(m)
+    for _, rows in _pascal(k + 1, most):
+        pass
+    # (fixed, j, m): every j-subset of range(m) plus the fixed points
+    stack = [(0, k, n)]
+    while stack:
+        fixed, j, m = stack.pop()
+        if m > most[j]:
+            stack += [(fixed | 1 << t, j - 1, t) for t in range(m - 1, most[j] - 1, -1)]
+            m = most[j]
+        full = (1 << comb(m, j)) - 1
+        batch = [row & full for row in rows[j][:m]]
+        batch += [full if fixed >> p & 1 else 0 for p in range(m, n)]
+        yield full, batch
 
 
 def _sweep(triples, src, dst):

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
-from operator import add
+from itertools import combinations, compress, islice
 from typing import Iterable, NamedTuple, Optional
 
 from . import config
 from .closure import (
+    _SELECTOR,
     _batch_closure,
     _closure_mask,
     _coordinates,
@@ -44,7 +44,6 @@ from .closure import (
     _holding_all,
     _mask_of,
     _pair_closures,
-    _select,
     _subset_batches,
     _to_set,
     _walk,
@@ -237,14 +236,52 @@ def enumerate_minimal_spreading_sets(
     its sets attribute gives the same sequence as frozensets.  The scan
     itself (_minimal_spreading_levels) holds each set as one character per
     point and builds these tuples only at the end, from one string per
-    level: the CLI formats its rows from those strings and never holds the
-    tuples.
+    least point: the CLI formats its rows from those strings and never
+    holds the tuples.
     """
     _, levels, max_size, truncated = _minimal_spreading_levels(ts, max_size, budget)
     points = []
-    for _, sets in levels:
-        points += sets
+    for k, found in levels:
+        while found:
+            points += zip(*[map(ord, found.pop())] * k)
     return SpreadingEnumeration(tuple(points), max_size, truncated)
+
+
+def _packed(strings):
+    """The strings side by side in one string, joined a few thousand at a
+    time so that no list of all of them is built."""
+    pieces = []
+    while piece := "".join(islice(strings, 1 << 12)):
+        pieces.append(piece)
+    return "".join(pieces)
+
+
+def _picked(rests, k, bits, size):
+    """The entries of the candidates of a batch whose bits are set.
+
+    rests holds one entry of k characters per candidate of a level, side
+    by side in lexicographic order, which is the reverse of mirror colex
+    order: the size candidates of a batch are its last size entries, and
+    candidate j is the (j+1)-th from the end.  So the digits of
+    format(bits), top bit first and each repeated k times, select the
+    picked entries character by character, in lexicographic order; they
+    are taken a few thousand candidates at a time.
+    """
+    if not bits:
+        return ""
+    digits = format(bits, "0%db" % size).encode().translate(_SELECTOR)
+    sel = bytearray(size * k)
+    for i in range(k):
+        sel[i::k] = digits
+    low, step = len(rests) - size * k, k << 12
+    return "".join(["".join(compress(rests[low + i:low + i + step], sel[i:i + step]))
+                    for i in range(0, size * k, step)])
+
+
+def _split(sets, k):
+    """The sets of k characters each that lie side by side in sets."""
+    return map(sets.__getitem__, map(slice, range(0, len(sets), k),
+                                     range(k, len(sets) + k, k)))
 
 
 def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
@@ -252,13 +289,16 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
 
     max_size and budget are those of enumerate_minimal_spreading_sets.
     Returns (count, levels, max_size, truncated): count is the number of
-    minimal spreading sets, and levels pairs each scanned size k with an
-    iterator over its minimal k-sets, as point tuples in lexicographic
-    order.  Every point set of the scan, the (k-1)-subsets it extends, the
-    spreading sets it looks up and the minimal sets it keeps, is a string
-    with one character chr(p) per point p, which fits any order; each level
-    is kept as one string of its sets side by side, and the iterator
-    decodes it as it is read.
+    minimal spreading sets, and levels pairs each scanned size k with the
+    list of its minimal k-sets, one string per least point, sets side by
+    side in lexicographic order, the pieces of the greatest least point
+    first: a reader pops them off the end in listing order and drops each
+    piece once read.  Every point set of the scan is a string with one
+    character chr(p) per point p, which fits any order.  A level holds
+    its candidates as one string too: each (k-1)-subset of the points
+    above 0 behind a mark that stands for the least point.  A batch picks
+    its hits from that string (_picked) and puts its least point in place
+    of the mark, so no list of one string per candidate is ever built.
     """
     if not ts.is_steiner():
         raise NotSteinerError("spreading-set enumeration needs a Steiner system")
@@ -271,10 +311,11 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
     count = 0
     levels = []
     mirror = [(n - 1 - a, n - 1 - b, n - 1 - c) for a, b, c in ts.triples]
+    points = "".join(map(chr, range(n)))
+    mark = chr(n)  # no point, so it can stand for the least point of a k-set
     truncated = False
     spent = 0
     whole = False  # every set of the last scanned level spreads
-    rests = [""]  # the (k-1)-subsets in mirror colex order
     prev_bits = 0  # bit r: the r-th (k-1)-subset in mirror colex order spreads
     prev = set()  # the spreading (k-1)-subsets
     top = min(max_size, n)  # no subset has more than n points
@@ -284,38 +325,39 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
             truncated = True
             break
         spent += level
-        if whole:
+        if whole or k == 2 and n > 3:
+            # above order 3 a pair closes to its block and never spreads
             continue
-        if k > 1:
-            # the (k-1)-subsets of mirror top t are t plus the first
-            # comb(t, k-2) (k-2)-subsets, which lie below it
-            rests = [chr(n - 1 - t) + r for t in range(k - 2, n - 1)
-                     for r in rests[:math.comb(t, k - 2)]]
+        # the mark plus each (k-1)-subset of points 1, ..., n-1: a k-set
+        # once the mark stands for a least point below the subset
+        rests = _packed(map(mark.__add__, map("".join, combinations(points[1:], k - 1))))
         # found[i]: the minimal k-sets whose least point is n-k-i, side by side
         found = []
         spread_bits = 0
         spreads = []  # spreads[i]: the spreading candidates of batch i
         for t, (full, batch) in enumerate(_subset_batches(n, k), k - 1):
-            # candidate j of the batch is chr(n-1-t) + rests[j]
+            # candidate j of the batch is the (j+1)-th entry of rests from the
+            # end, with its least point n-1-t in place of the mark
             spread = _holding_all(_batch_closure(mirror, batch), full)
             spread_bits |= spread << math.comb(t, k)
             spreads.append(spread)
             # prev_bits drops the k-sets whose points above the least already
             # spread; a k-set is minimal when none of its other (k-1)-subsets does
-            new = list(map(add, repeat(chr(n - 1 - t)), _select(rests, spread & ~prev_bits)))
+            new = _picked(rests, k, spread & ~prev_bits, full.bit_length())
+            new = new.replace(mark, points[n - 1 - t])
             if prev:
-                new = [s for s in new
-                       if not any(s[:i] + s[i + 1:] in prev for i in range(1, k))]
-            found.append("".join(reversed(new)))
-        sets = "".join(reversed(found))
-        count += len(sets) // k
-        levels.append((k, zip(*[map(ord, sets)] * k)))
+                new = "".join([s for s in _split(new, k)
+                               if not any(s[:i] + s[i + 1:] in prev for i in range(1, k))])
+            found.append(new)
+        count += sum(map(len, found)) // k
+        levels.append((k, found))
         whole = spread_bits == (1 << level) - 1
         # only a level that is scanned next looks up the spreading k-sets
         spreading = set()
         if k < top and not whole:
             for t, spread in enumerate(spreads, k - 1):
-                spreading.update(map(add, repeat(chr(n - 1 - t)), _select(rests, spread)))
+                sets = _picked(rests, k, spread, math.comb(t, k - 1))
+                spreading.update(_split(sets.replace(mark, points[n - 1 - t]), k))
         prev_bits, prev = spread_bits, spreading
     return count, levels, max_size, truncated
 

@@ -302,6 +302,7 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (2, ["analyze", "--system", str(binary), "projective"]),
         (2, ["construct", "pg2", "--dim", "2", "--out", str(tmp_path / "no" / "x.txt")]),
         (2, ["--manifest", str(tmp_path / "no" / "m.json"), "saturate", "bounds"]),
+        (2, ["--manifest", str(tmp_path / "no" / "m.json")] + spread + ["enumerate"]),
     ]
     for expected, argv in cases:
         code, stdout, err = run(capsys, *argv)
@@ -582,7 +583,7 @@ def test_pg4_minimal_spreading_sets_are_the_bases(pg4_bases):
 
 def test_pg4_enumeration_memory_stays_near_its_output(pg4_bases):
     stdout, peak = pg4_bases
-    assert peak < 5 * len(stdout), (peak, len(stdout))
+    assert peak < 2 * len(stdout), (peak, len(stdout))
 
 
 def test_module_invocation_subprocess(tmp_path):

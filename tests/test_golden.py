@@ -27,6 +27,12 @@ DEMOS = {
         "2f1b60de79234e9ea9a89f84b3c48ddfeb46063651ee30a1767f0f6ece0ba306",
 }
 
+# argv of commands that read no system: the digest of stdout
+COMMANDS = {
+    ("saturate", "bounds", "--max-n", "4", "--exact"):
+        "1c673c43c0e70d5ba4b152c04e4bf678767b71aa1f54b89d4f1f88013095a9d2",
+}
+
 # argv before --out s.txt: the digests of stdout, s.txt and s.txt.labels
 CONSTRUCTS = {
     ("construct", "perturbed-pg", "--dim", "4"): (
@@ -56,6 +62,12 @@ CONSTRUCTS = {
 def test_demo_stdout_is_pinned(argv, capsys):
     assert main(list(argv)) == 0
     assert _sha(capsys.readouterr().out.encode()) == DEMOS[argv]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_command_stdout_is_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    assert _sha(capsys.readouterr().out.encode()) == COMMANDS[argv]
 
 
 @pytest.mark.parametrize("argv", CONSTRUCTS, ids=" ".join)

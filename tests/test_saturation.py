@@ -1,6 +1,7 @@
 """Saturating sets in binary projective space: bounds, identities, extremes."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +24,9 @@ from stspread import (
     random_sts,
     variance_identity,
 )
+
+from stspread import saturation
+from stspread.closure import _subset_chunks, colex_subsets
 
 from oracles import (
     hyperplane_point_indices,
@@ -210,14 +214,54 @@ def test_min_saturating_matches_colex_oracle_scan(v, seed):
     assert min_saturating_size(ts) == _colex_first_saturating(ts)
 
 
-def test_min_saturating_on_partial_systems_matches_the_oracle():
-    # an uncovered pair completes no block, so it must cover no point
+def _partial_systems():
     systems = [build_system(1, [], "steiner"), build_system(7, FANO[:6], "partial")]
     for v, seed, points in ((13, 0, range(0, 13, 2)), (15, 1, range(1, 15, 3)),
                             (19, 2, range(11)), (31, 1, range(0, 31, 3))):
         systems.append(induced_subsystem(random_sts(v, seed), points)[0])
+    return systems
+
+
+def test_min_saturating_on_partial_systems_matches_the_oracle():
+    # an uncovered pair completes no block, so it must cover no point
+    for ts in _partial_systems():
+        assert min_saturating_size(ts) == _colex_first_saturating(ts), ts
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 30])
+def test_subset_chunks_follow_colex_order(cap):
+    for n in range(15):
+        for k in range(n + 1):
+            got = []
+            for full, batch in _subset_chunks(n, k, cap):
+                assert len(batch) == n
+                assert 0 < full.bit_length() <= cap, (n, k)
+                assert all(s & ~full == 0 for s in batch)
+                got += [tuple(p for p, s in enumerate(batch) if s >> j & 1)
+                        for j in range(full.bit_length())]
+            assert got == list(colex_subsets(n, k)), (n, k, cap)
+
+
+def test_min_saturating_in_tiny_batches_keeps_its_witness(monkeypatch):
+    # the first batch with a hit must still hold the colex-first witness
+    monkeypatch.setattr(saturation, "_BATCH_CAP", 3)
+    systems = [random_sts(v, seed) for v, seed in RANDOM_SYSTEMS] + _partial_systems()
     for ts in systems:
         assert min_saturating_size(ts) == _colex_first_saturating(ts), ts
+
+
+def test_min_saturating_holds_a_bounded_window():
+    # the minimum 9 of PG(4,2) is found among the 9-subsets; a whole colex
+    # level of them traced 18.2 MB, the bounded batches hold about 1.1 MB
+    ts = pg2(4)
+    tracemalloc.start()
+    try:
+        size, _ = min_saturating_size(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 9
+    assert peak < 3_000_000, peak
 
 
 def test_min_saturating_trivial_line():

@@ -311,6 +311,30 @@ def test_enumerate_stops_once_a_whole_level_spreads(monkeypatch):
     assert enum.truncated
 
 
+def test_enumerate_closes_no_pair_above_order_three(monkeypatch):
+    # above order 3 a pair closes to its block, so the pair level is only
+    # counted against the budget; at order 3 the pair spreads
+    sizes = []
+    close = spreading._batch_closure
+
+    def recording(triples, batch):
+        width = max(batch).bit_length()
+        sizes.append(sum(s.bit_count() for s in batch) // width)
+        return close(triples, batch)
+
+    monkeypatch.setattr(spreading, "_batch_closure", recording)
+    for ts in (pg2(2), ag3(2), random_sts(13, 0), pg2(3)):
+        sizes.clear()
+        enum = enumerate_minimal_spreading_sets(ts, max_size=3)
+        assert enum.points == _oracle_points(ts, 3)
+        assert 2 not in sizes and 3 in sizes
+        assert enumerate_minimal_spreading_sets(ts, 2, budget=comb(ts.order, 2) - 1).truncated
+    sizes.clear()
+    line = build_system(3, [(0, 1, 2)], "steiner")
+    assert enumerate_minimal_spreading_sets(line, max_size=2).points == ((0, 1), (0, 2), (1, 2))
+    assert set(sizes) == {2}
+
+
 def test_enumerate_order_one_lists_its_point():
     # only at order 1 does a single point spread; every other order starts
     # at the pair level, with the budget it always had
