@@ -13,6 +13,10 @@ Point sets are handled as int bitmasks internally; bit i set means point i
 is a member.  The public functions accept any iterable of point indices and
 return frozensets.
 
+The exhaustive subset scans (saturating sets, hyperplane extremes, minimal
+spreading sets) take their k-subsets from one generator, _colex_levels, in
+colex order, as bit-sliced batches cut from one Pascal table per search.
+
 The lattice searches (is_spreading_system, enumerate_closed_sets and
 spreading.min_spreading_size) scan no subsets: each is a loop over _walk,
 which extends the distinct pair closures, read from the pair table, by
@@ -171,85 +175,59 @@ def _cover_mask(third, mask):
 # -- bit-sliced batches ----------------------------------------------------
 
 
-def colex_subsets(n: int, k: int):
-    """All k-subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        for rest in colex_subsets(top, k - 1):
-            yield rest + (top,)
+def _pascal(below, j, m):
+    """Row j of the Pascal table over range(m), built from row j-1.
 
-
-def _pascal(k, limits):
-    """The i-subsets of range(t), i < k, grown by Pascal's rule.
-
-    rows[i][p] holds one bit per i-subset of range(t), in colex order, set
-    when the subset holds p.  The i-subsets of range(t+1) are those of
-    range(t), then the (i-1)-subsets of range(t) plus t, so a step only
-    adds bits: a row taken at any t is the colex prefix of every later one.
-    Yields (t, rows) for t = 0, 1, ..., max(limits), updating rows in
-    place; rows[i] stops growing at t = limits[i], and the row below it
-    must grow at least to limits[i] - 1.
+    Entry p holds one bit per j-subset of range(m), in colex order, set
+    when the subset holds p.  The j-subsets of range(t+1) are those of
+    range(t), then t plus each (j-1)-subset of range(t), so each step
+    appends the first C(t, j-1) bits of below, whose entries hold the
+    (j-1)-subsets of at least m-1 points in colex order: a row over any
+    number of points is the colex prefix of a row over more.
     """
-    rows = [[] for _ in range(k)]
-    t = 0
-    yield t, rows
-    while t < max(limits):
-        for i in range(k - 1, 0, -1):
-            if t < limits[i]:
-                row, below, shift = rows[i], rows[i - 1], comb(t, i)
-                for p in range(t):
-                    row[p] |= below[p] << shift
-                row.append(((1 << comb(t, i - 1)) - 1) << shift)
-        if t < limits[0]:
-            rows[0].append(0)
-        t += 1
-        yield t, rows
+    row = []
+    for t in range(m):
+        shift, low = comb(t, j), (1 << comb(t, j - 1)) - 1
+        row = [r | (b & low) << shift for r, b in zip(row, below)]
+        row.append(low << shift)
+    return row
 
 
-def _subset_batches(n, k):
-    """Batches of the k-subsets of range(n), one per maximum point t.
+def _colex_levels(n, cap):
+    """The k-subsets of range(n) for k = 1, ..., n, in colex order.
 
-    A batch holds one int per point, bit j set when candidate j holds the
-    point.  Yields (full, batch) for t = k-1, ..., n-1, in colex order:
-    candidate j of batch t is t plus the j-th (k-1)-subset of range(t).
+    Yields (k, batches), batches an iterator of bit-sliced (full, batch)
+    pairs: one int per point, bit j set when candidate j holds the point,
+    and one bit of full per candidate.  Each top point t gets one batch, t
+    plus every (k-1)-subset of range(t), unless those exceed cap: then, as
+    colex order splits the j-subsets of range(m), it gets the j-subsets of
+    range(m'), m' the most points whose j-subsets fit in cap, then u plus
+    the (j-1)-subsets of range(u) for u = m', ..., m-1, split again as
+    needed.  So a batch is fixed top points plus a colex prefix of one
+    Pascal row.  The table (_pascal) gains one row per level, built when
+    the level's batches are first read, so a level passed over builds none
+    itself; no row is ever rebuilt, and each entry holds at most cap bits.
     """
-    for t, rows in _pascal(k, [n - 1] * k):
-        if t >= k - 1:
-            full = (1 << comb(t, k - 1)) - 1
-            yield full, rows[k - 1] + [full] + [0] * (n - t - 1)
+    rows = [[0] * (n - 1)]  # row 0: the one empty subset, which holds no point
+    for k in range(1, n + 1):
+        yield k, _colex_batches(n, k, cap, rows)
 
 
-def _subset_chunks(n, k, cap):
-    """The k-subsets of range(n) in colex order, in batches of at most cap.
-
-    Yields (full, batch) as _subset_batches does.  In colex order the
-    j-subsets of range(m) are those of range(m') for any m' < m, then, for
-    t = m', ..., m-1, t plus the (j-1)-subsets of range(t).  So the
-    k-subsets split into chunks of fixed top points plus every j-subset of
-    range(m), m below those points, with m' the most points whose j-subsets
-    fit in cap.  The candidates of a chunk are a colex prefix of the
-    j-subsets, that is, of one Pascal row taken once at m', and the chunks
-    follow each other in colex order.  The rows hold at most cap bits
-    each, so memory stays near (k+1) * n * cap bits whatever C(n, k) is.
-    """
-    # most[j]: the most points whose j-subsets fit in one chunk
-    most = []
-    for j in range(k + 1):
-        m = j
-        while m < n and comb(m + 1, j) <= cap:
+def _colex_batches(n, k, cap, rows):
+    """The batches of level k of _colex_levels, growing rows as needed."""
+    while len(rows) < k:
+        j = m = len(rows)
+        while m < n - 1 and comb(m + 1, j) <= cap:
             m += 1
-        most.append(m)
-    for _, rows in _pascal(k + 1, most):
-        pass
+        rows.append(_pascal(rows[-1], j, m))
     # (fixed, j, m): every j-subset of range(m) plus the fixed points
-    stack = [(0, k, n)]
+    stack = [(1 << t, k - 1, t) for t in range(n - 1, k - 2, -1)]
     while stack:
         fixed, j, m = stack.pop()
-        if m > most[j]:
-            stack += [(fixed | 1 << t, j - 1, t) for t in range(m - 1, most[j] - 1, -1)]
-            m = most[j]
+        most = len(rows[j])
+        if m > most:
+            stack += [(fixed | 1 << u, j - 1, u) for u in range(m - 1, most - 1, -1)]
+            m = most
         full = (1 << comb(m, j)) - 1
         batch = [row & full for row in rows[j][:m]]
         batch += [full if fixed >> p & 1 else 0 for p in range(m, n)]

@@ -18,7 +18,7 @@ from .errors import BadOrderError
 # Largest system any construction will build.
 MAX_CONSTRUCTION_ORDER = 2047
 
-# Exhaustive spreading-set search (min_spreading_size).
+# The lattice walk of min_spreading_size (a certified PG(d,2) takes none).
 MAX_MIN_SPREAD_ORDER = 63
 
 # Full subset enumerations (minimal spreading sets, saturating sets).

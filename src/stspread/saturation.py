@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from . import config
-from .closure import _mask_of, _subset_chunks, _to_set, colex_subsets
+from .closure import _colex_levels, _columns, _mask_of, _to_set
 from .errors import (
     BudgetExhaustedError,
     NotPrimePowerError,
@@ -200,8 +201,8 @@ def min_saturating_size(ts: TripleSystem):
     saturates, so the scan terminates.  For ts = pg2(n) this computes the
     exact smallest saturating set size of PG(n,2).
 
-    The k-subsets come in colex batches of at most _BATCH_CAP candidates
-    (closure._subset_chunks), so the scan holds a bounded window whatever
+    The k-subsets come from closure._colex_levels in colex batches of at
+    most _BATCH_CAP candidates, so the scan holds a bounded window whatever
     C(n, k) is, and the first batch with a hit holds the colex-first
     witness.  Each batch is checked point by point, from the top point
     down: a candidate covers p when it holds p or both points of a
@@ -218,8 +219,8 @@ def min_saturating_size(ts: TripleSystem):
         raise TooLargeError("min_saturating_size capped at order %d" % cap)
     # stars[p]: the pairs (b, c), b < c, that complete a block with p, top point first
     stars = [[(b, c) for b, c in enumerate(row) if c > b] for row in reversed(ts._third)]
-    for k in range(1, n + 1):
-        for full, batch in _subset_chunks(n, k, _BATCH_CAP):
+    for k, batches in _colex_levels(n, _BATCH_CAP):
+        for full, batch in batches:
             hits = full
             for p, star in zip(range(n - 1, -1, -1), stars):
                 cover = batch[p]
@@ -255,7 +256,8 @@ def intersection_extremes(
     max_min answers "how evenly can m points meet every hyperplane", min_max
     "how flat can the maximum be".  The scan is exhaustive; if the subset
     count times the hyperplane count would exceed budget the call refuses
-    up front with BudgetExhaustedError.
+    up front with BudgetExhaustedError.  The m-subsets come from
+    closure._colex_levels, decoded by closure._columns, in colex order.
     """
     n_cap = config.pg_dim_cap(config.MAX_EXTREMES_DIM)
     if n > n_cap:
@@ -278,18 +280,17 @@ def intersection_extremes(
     masks = fam.masks
     best_maxmin = -1
     best_minmax = count + 1
-    for subset in colex_subsets(count, m):
-        mask = 0
-        for p in subset:
-            mask |= 1 << p
-        lo = min((mask & h).bit_count() for h in masks)
-        hi = max((mask & h).bit_count() for h in masks)
-        if lo > best_maxmin:
-            best_maxmin = lo
-            wit_maxmin = subset
-        if hi < best_minmax:
-            best_minmax = hi
-            wit_minmax = subset
+    _, batches = next(islice(_colex_levels(count, _BATCH_CAP), m - 1, None))
+    for full, batch in batches:
+        for mask in _columns(batch, full.bit_length()):
+            lo = min((mask & h).bit_count() for h in masks)
+            hi = max((mask & h).bit_count() for h in masks)
+            if lo > best_maxmin:
+                best_maxmin = lo
+                wit_maxmin = mask
+            if hi < best_minmax:
+                best_minmax = hi
+                wit_minmax = mask
     return ExtremesReport(
-        n, m, best_maxmin, frozenset(wit_maxmin), best_minmax, frozenset(wit_minmax)
+        n, m, best_maxmin, _to_set(wit_maxmin), best_minmax, _to_set(wit_minmax)
     )

@@ -39,12 +39,12 @@ from .closure import (
     _SELECTOR,
     _batch_closure,
     _closure_mask,
+    _colex_levels,
     _coordinates,
     _grow,
     _holding_all,
     _mask_of,
     _pair_closures,
-    _subset_batches,
     _to_set,
     _walk,
     closure_points,
@@ -143,18 +143,18 @@ def min_spreading_size(ts: TripleSystem):
     point.  Every hyperplane plus any outside point spreads, so the first
     spreading candidate is the first hyperplane plus its least outside
     point, which is the greedy chain from {0, 1}.  Every other input takes
-    the walk of _walk_min_spreading.
+    the walk of _walk_min_spreading; only the walk is capped in order.
     """
     if not ts.is_steiner():
         raise NotSteinerError("min_spreading_size needs a Steiner system")
     n = ts.order
-    if n > config.order_cap(config.MAX_MIN_SPREAD_ORDER):
-        raise TooLargeError("min_spreading_size capped at order %d"
-                            % config.order_cap(config.MAX_MIN_SPREAD_ORDER))
     if n == 1:
         return 1, frozenset({0})
     if _coordinates(ts) is not None:
         return n.bit_length(), greedy_spreading_set(ts).witness
+    if n > config.order_cap(config.MAX_MIN_SPREAD_ORDER):
+        raise TooLargeError("min_spreading_size capped at order %d"
+                            % config.order_cap(config.MAX_MIN_SPREAD_ORDER))
     return _walk_min_spreading(ts)
 
 
@@ -215,8 +215,9 @@ def enumerate_minimal_spreading_sets(
 
     Closes every k-subset for k = 2, 3, ... (from k = 1 at order 1, where
     the one point spreads), each batch decoded as soon as it is closed.
-    The scan runs on the mirror image p -> n-1-p of the blocks, so the
-    colex batch of mirror top t holds the k-sets whose least point is
+    The k-subsets come from closure._colex_levels, one batch per top
+    point.  The scan runs on the mirror image p -> n-1-p of the blocks, so
+    the colex batch of mirror top t holds the k-sets whose least point is
     n-1-t, and its candidates, read from the highest bit down, are in
     lexicographic order; the batches, taken from least point 0 upward,
     list the level in its final order with no sort.  By monotonicity a
@@ -299,6 +300,8 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
     above 0 behind a mark that stands for the least point.  A batch picks
     its hits from that string (_picked) and puts its least point in place
     of the mark, so no list of one string per candidate is ever built.
+    Levels passed over are only counted: no Pascal row of
+    closure._colex_levels is built for a level the budget refuses.
     """
     if not ts.is_steiner():
         raise NotSteinerError("spreading-set enumeration needs a Steiner system")
@@ -319,7 +322,13 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
     prev_bits = 0  # bit r: the r-th (k-1)-subset in mirror colex order spreads
     prev = set()  # the spreading (k-1)-subsets
     top = min(max_size, n)  # no subset has more than n points
-    for k in range(1 if n == 1 else 2, top + 1):
+    # cap = budget: a level within the budget has at most budget subsets, so
+    # each of its top points is one batch
+    for k, batches in _colex_levels(n, budget):
+        if k > top:
+            break
+        if k == 1 and n > 1:
+            continue
         level = math.comb(n, k)
         if spent + level > budget:
             truncated = True
@@ -335,7 +344,7 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
         found = []
         spread_bits = 0
         spreads = []  # spreads[i]: the spreading candidates of batch i
-        for t, (full, batch) in enumerate(_subset_batches(n, k), k - 1):
+        for t, (full, batch) in enumerate(batches, k - 1):
             # candidate j of the batch is the (j+1)-th entry of rests from the
             # end, with its least point n-1-t in place of the mark
             spread = _holding_all(_batch_closure(mirror, batch), full)

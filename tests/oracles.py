@@ -10,6 +10,20 @@ from fractions import Fraction
 from itertools import combinations, product
 
 
+# -- colex order ----------------------------------------------------------
+
+
+def colex_subsets(n, k):
+    """All k-subsets of range(n) as tuples, in colexicographic order: by
+    greatest point, then by the rest in colex order."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in colex_subsets(top, k - 1):
+            yield rest + (top,)
+
+
 # -- naive closure straight from the block list ----------------------------
 
 

@@ -165,6 +165,18 @@ def test_spread_min_witnesses_at_order_63(tmp_path, capsys):
         assert stdout == "size=%d\nwitness=%s\n" % (witness.count(",") + 1, witness)
 
 
+def test_spread_min_answers_certified_orders_above_the_walk_cap(tmp_path, capsys):
+    # only the walk is capped at order 63: PG(6,2) is answered from its labels,
+    # while an uncertified system of the same order is still refused
+    for family, code, stdout, err in (
+            ("pg2", 0, "size=7\nwitness=0,1,3,7,15,31,63\n", ""),
+            ("perturbed-pg", 2, "", "error: min_spreading_size capped at order 63\n")):
+        out = tmp_path / (family + ".txt")
+        run(capsys, "construct", family, "--dim", "6", "--out", str(out))
+        assert run(capsys, "analyze", "--system", str(out), "spread", "min") == (
+            code, stdout, err)
+
+
 def test_saturate_min_and_bounds(tmp_path, capsys):
     out = tmp_path / "fano.txt"
     run(capsys, "construct", "pg2", "--dim", "2", "--out", str(out))

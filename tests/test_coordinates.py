@@ -16,6 +16,7 @@ from stspread import (
     check_projective,
     enumerate_closed_sets,
     enumerate_minimal_spreading_sets,
+    greedy_spreading_set,
     is_saturating_set,
     is_spreading_set,
     is_spreading_system,
@@ -174,6 +175,23 @@ def test_certified_inputs_take_no_walk(monkeypatch):
     assert check_projective(ts)
     assert min_spreading_size(ts)[0] == 6
     assert len(enumerate_closed_sets(ts).sets) == 2109
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: pg2(6), id="pg2(6)"),
+    pytest.param(lambda: _relabelled(pg2(6), 2), id="relabelled pg2(6)"),
+])
+def test_min_spreading_answers_certified_orders_above_the_walk_cap(make, monkeypatch):
+    # the cap of order 63 bounds the walk only
+    def refuse(ts, seeds):
+        raise AssertionError("lattice walk on a certified input")
+
+    monkeypatch.setattr(importlib.import_module("stspread.spreading"), "_walk", refuse)
+    ts = make()
+    size, witness = min_spreading_size(ts)
+    assert size == 7
+    assert witness == greedy_spreading_set(ts).witness
+    assert is_spreading_set(ts, witness)
 
 
 def _answers(ts):

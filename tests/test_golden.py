@@ -31,6 +31,18 @@ DEMOS = {
 COMMANDS = {
     ("saturate", "bounds", "--max-n", "4", "--exact"):
         "1c673c43c0e70d5ba4b152c04e4bf678767b71aa1f54b89d4f1f88013095a9d2",
+    ("saturate", "extremes", "--n", "2", "--m", "3"):
+        "aa126368fbb7672d7895aa6d30bc0ae259741311b7865c9fd163fcfb139a6ebd",
+    ("saturate", "extremes", "--n", "2", "--m", "3", "--format", "csv"):
+        "62c4b17fbb2b5fbdbd6ea63c5e74bed7473f66f33782ee7845433d980b881349",
+    ("saturate", "extremes", "--n", "3", "--m", "4"):
+        "26824bd2a265c3a887c831ecab2980b1b268d720c409592c8dea218188b8826d",
+    ("saturate", "extremes", "--n", "3", "--m", "4", "--format", "csv"):
+        "6532702c8fa09b28f6ab39f23cbed0162cedd6035970fb030254df56ce9bebf8",
+    ("saturate", "extremes", "--n", "3", "--m", "8"):
+        "fa1dc17e1b15a0e41776fb598ebf5fbde55936912405b6b634da814536e761f1",
+    ("saturate", "extremes", "--n", "3", "--m", "8", "--format", "csv"):
+        "77176341abb01e44d3ec1a301b96206e8b0504d258029b56eee469c78a8f64bc",
 }
 
 # argv before --out s.txt: the digests of stdout, s.txt and s.txt.labels
@@ -101,6 +113,9 @@ LISTINGS = {
         "327b9fabded96bafad6fac17a4809cf0efaedf6b045f0e7899b5fff79ab12962",
     ("pp4", "spread", "enumerate", "--max-size", "4"):
         "04ec1c7ed0a8b3d0e57bff32c6408afa23bc785587578dcb2b6d4f74b7d0d33e",
+    # its level 6 has the largest batches, one per top point: C(30, 5)
+    ("pp4", "spread", "enumerate", "--max-size", "6"):
+        "5b7ea75fb2f2dcd69ad8ea773dbd3ad87b0286635f2f730e689e67dc4842fdd7",
 }
 
 
@@ -108,6 +123,7 @@ LISTINGS = {
 SATURATIONS = {
     ("pg4", "min"): "b9d50d8064b246d248a3d17a30c79194517242a04c0d2955b3f3d74f4b7e9a79",
     ("r31", "min"): "2a1f17fe22f4b4c739fe7ea2871e67c2af4ae7c6df68258a1c1349e6b5716d96",
+    ("pp4", "min"): "662e5ce8ea32e59e160da0b66b079cc5a9b7fbf56df36b50232a624d4156cd43",
 }
 
 

@@ -1,9 +1,11 @@
 """Saturating sets in binary projective space: bounds, identities, extremes."""
 
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -26,9 +28,10 @@ from stspread import (
 )
 
 from stspread import saturation
-from stspread.closure import _subset_chunks, colex_subsets
+from stspread.closure import _colex_levels
 
 from oracles import (
+    colex_subsets,
     hyperplane_point_indices,
     naive_saturates,
     variance_sum_by_enumeration,
@@ -228,18 +231,46 @@ def test_min_saturating_on_partial_systems_matches_the_oracle():
         assert min_saturating_size(ts) == _colex_first_saturating(ts), ts
 
 
-@pytest.mark.parametrize("cap", [1, 2, 7, 30])
+@pytest.mark.parametrize("cap", [1, 2, 7, 30, 1716])
 def test_subset_chunks_follow_colex_order(cap):
     for n in range(15):
-        for k in range(n + 1):
+        levels = []
+        for k, batches in _colex_levels(n, cap):
+            levels.append(k)
             got = []
-            for full, batch in _subset_chunks(n, k, cap):
+            tops = []
+            for full, batch in batches:
                 assert len(batch) == n
                 assert 0 < full.bit_length() <= cap, (n, k)
                 assert all(s & ~full == 0 for s in batch)
-                got += [tuple(p for p, s in enumerate(batch) if s >> j & 1)
-                        for j in range(full.bit_length())]
+                subsets = [tuple(p for p, s in enumerate(batch) if s >> j & 1)
+                           for j in range(full.bit_length())]
+                # one top point per batch
+                assert len({s[-1] for s in subsets}) == 1, (n, k, cap)
+                tops.append(subsets[0][-1])
+                got += subsets
             assert got == list(colex_subsets(n, k)), (n, k, cap)
+            # a top is split only when its candidates exceed the cap
+            if comb(n - 1, k - 1) <= cap:
+                assert tops == list(range(k - 1, n)), (n, k, cap)
+        assert levels == list(range(1, n + 1))
+
+
+def test_min_saturating_builds_each_pascal_row_once(monkeypatch):
+    # the minimum 9 of PG(4,2) is found at level 9, which reads rows up to 8;
+    # row 0 is given, and each later row is built once from the row before
+    # the package's name closure is the function, so fetch the module itself
+    closure = importlib.import_module("stspread.closure")
+    built = []
+    pascal = closure._pascal
+
+    def recording(*args):
+        built.append(args[1])
+        return pascal(*args)
+
+    monkeypatch.setattr(closure, "_pascal", recording)
+    assert min_saturating_size(pg2(4))[0] == 9
+    assert built == list(range(1, 9))
 
 
 def test_min_saturating_in_tiny_batches_keeps_its_witness(monkeypatch):

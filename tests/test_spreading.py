@@ -294,18 +294,20 @@ def test_enumerate_meets_its_budget_spec(name):
 
 def test_enumerate_stops_once_a_whole_level_spreads(monkeypatch):
     # every 4-set of this system spreads, so no set of 5 or more points is
-    # minimal and the scan asks for no level above 4; the budget still
+    # minimal and the scan closes no level above 4; the budget still
     # counts the levels up to 9 and runs out at level 7
-    asked = []
-    batches = spreading._subset_batches
+    closed = []
+    close = spreading._batch_closure
 
-    def counting(n, k):
-        asked.append(k)
-        return batches(n, k)
+    def recording(triples, batch):
+        # every candidate of a batch has the same size: the points it holds
+        width = max(batch).bit_length()
+        closed.append(sum(s.bit_count() for s in batch) // width)
+        return close(triples, batch)
 
-    monkeypatch.setattr(spreading, "_subset_batches", counting)
+    monkeypatch.setattr(spreading, "_batch_closure", recording)
     enum = enumerate_minimal_spreading_sets(random_sts(31, 1), max_size=9)
-    assert max(asked) == 4
+    assert max(closed) == 4
     assert len(enum.points) == 4340
     assert {len(s) for s in enum.points} == {3}
     assert enum.truncated
