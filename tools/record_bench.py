@@ -1,27 +1,29 @@
 """Record alternating benchmark pairs of a parent commit and the working tree.
 
-    python3 tools/record_bench.py --label L [--parent REV] [--pairs N]
-                                  [--workload scan31|lattice63|large|all]
-                                  [--seconds S] [--seed N]
+    python3 tools/record_bench.py --label L [--parent REV] [--pairs N] [--seconds S]
 
-Exports REV (default HEAD) with `git archive` into a temporary directory.
+Exports REV (default HEAD) with `git archive` into one temporary directory
+and the working tree into another: a commit made by `git stash create`
+when tracked files differ from HEAD, else HEAD itself, so files git does
+not track are left out.  Both sides thus run from the same kind of place.
 Then, for each of N pairs and each workload, it runs the unchanged
 
-    python3 bench/run.py --workload W --trace 0 --seconds S --seed N
+    python3 bench/run.py --workload W --trace 0 --seconds S --seed 0
 
-once in that export and once in the working tree, the parent first in even
-pairs and the working tree first in odd ones, so that neither side always
-meets the machine in the same state.  Every run is a fresh process with
-PYTHONPATH cleared; bench/run.py puts its own tree's src first.
+once in each export, the parent first in even pairs and the working tree
+first in odd ones, so that neither side always meets the machine in the
+same state.  Every run is a fresh process with PYTHONPATH cleared;
+bench/run.py puts its own tree's src first.
 
 It writes BENCH_<L>.json at the root of the working tree.  Per workload it
 holds, for the parent and the tree, the median and quartiles of each gated
 end-to-end metric of BENCHMARK.json, the per-command medians, whether every
 run was correct and how many operations failed in all; per metric it counts
 the pairs the tree won (a tie is no win); the raw values of every run are
-kept too.  The header names both commits, whether the working tree differs
-from its HEAD, the Python version, os.cpu_count(), the seed and --seconds.
-With --parent HEAD and a clean tree it is an A/A run, which shows the noise.
+kept too.  The header names the parent commit, the working tree's HEAD and
+the commit it was exported from (HEAD itself when the tree is clean), the
+Python version, os.cpu_count(), the seed and --seconds.  With --parent HEAD
+and a clean tree it is an A/A run, which shows the noise.
 
 Quartiles are statistics.quantiles(values, n=4, method="inclusive").  Only
 the standard library is used.
@@ -44,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scan31", "lattice63", "large")
+SEED = 0
 COMMAND_LINE = re.compile(r"^  cmd\.(\S+)\s+(\S+) s$")
 
 
@@ -58,11 +61,11 @@ def export(rev, into):
         tar.extractall(into)
 
 
-def run_bench(tree, workload, seconds, seed):
+def run_bench(tree, workload, seconds):
     """One run of bench/run.py in tree: (correct, failed, metrics, per-command seconds)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0",
-            "--seconds", str(seconds), "--seed", str(seed)]
+            "--seconds", str(seconds), "--seed", str(SEED)]
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode not in (0, 1) or not lines:
@@ -106,43 +109,42 @@ def main(argv=None):
     parser.add_argument("--label", required=True)
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     gated = {m["name"]: m["better"]
              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
-    parent_sha = git("rev-parse", args.parent + "^{commit}").decode().strip()
+    head = git("rev-parse", "HEAD").decode().strip()
+    shas = {"parent": git("rev-parse", args.parent + "^{commit}").decode().strip(),
+            "tree": git("stash", "create").decode().strip() or head}
     record = {
         "label": args.label,
         "command": "python3 bench/run.py --workload W --trace 0 --seconds %s --seed %d"
-                   % (args.seconds, args.seed),
-        "parent": {"rev": args.parent, "sha": parent_sha},
-        "tree": {"sha": git("rev-parse", "HEAD").decode().strip(),
-                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip())},
+                   % (args.seconds, SEED),
+        "parent": {"rev": args.parent, "sha": shas["parent"]},
+        "tree": {"head": head, "sha": shas["tree"], "dirty": shas["tree"] != head},
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": args.seconds,
         "pairs": args.pairs,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="record_bench-") as parent_tree:
-        export(parent_sha, parent_tree)
-        trees = {"parent": parent_tree, "tree": str(ROOT)}
-        runs = {w: {"parent": [], "tree": []} for w in workloads}
+    runs = {w: {"parent": [], "tree": []} for w in WORKLOADS}
+    with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
+        trees = {side: os.path.join(tmp, side) for side in shas}
+        for side, sha in shas.items():
+            export(sha, trees[side])
         for i in range(args.pairs):
             order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
-            for w in workloads:
+            for w in WORKLOADS:
                 for side in order:
-                    runs[w][side].append(run_bench(trees[side], w, args.seconds, args.seed))
+                    runs[w][side].append(run_bench(trees[side], w, args.seconds))
                     print("pair %d/%d %s %s: %s" % (i + 1, args.pairs, w, side,
                                                    runs[w][side][-1][2]), file=sys.stderr)
-    for w in workloads:
+    for w in WORKLOADS:
         record["workloads"][w] = summary(runs[w], gated)
     out = ROOT / ("BENCH_%s.json" % args.label)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
