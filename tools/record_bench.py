@@ -6,7 +6,7 @@ Exports REV (default HEAD) with `git archive` into one temporary directory
 and the working tree into another: a commit made by `git stash create`
 when tracked files differ from HEAD, else HEAD itself, so files git does
 not track are left out.  Both sides thus run from the same kind of place.
-Then, for each of N pairs and each workload, it runs the unchanged
+Then, for each of N pairs and each of the three workloads, it runs the unchanged
 
     python3 bench/run.py --workload W --trace 0 --seconds S --seed 0
 
