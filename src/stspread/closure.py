@@ -263,24 +263,41 @@ def _holding_all(batch, full):
 
 # slots per chunk of _walk
 _CHUNK_CAP = 1 << 14
-# candidates per transposition: its string holds order * 2^12 characters
-_COLUMN_CAP = 1 << 12
 
 
 def _columns(batch, width):
-    """The candidates of a batch as masks, candidate j at index j.
+    """The first width candidates of a batch, transposed: (y, step), with
+    candidate j's mask int.from_bytes(y[j::step], "little").
 
-    Transposes up to _COLUMN_CAP candidates at a time: their bits of every
-    row, top point first, go into one string, and the slice of it with step
-    w that starts at w-1-j reads candidate j's mask, top point first.
+    Bits of the rows at width and above are dropped.  Each group of eight
+    points 8g + r is laid out as step // 8 words of 64 bits, byte r of word
+    b holding bits 8b to 8b + 7 of point 8g + r's row, and transpose8 of
+    Warren, Hacker's Delight (2nd ed., section 7-3), transposes every word
+    of the group at once: byte j of it then holds candidate j's bits of the
+    eight points.  y is the groups one after another, step bytes each.
     """
-    masks = []
-    for low in range(0, width, _COLUMN_CAP):
-        w = min(_COLUMN_CAP, width - low)
-        rows = "".join([format(s >> low & ((1 << w) - 1), "0%db" % w)
-                        for s in reversed(batch)])
-        masks += [int(rows[j::w], 2) for j in range(w - 1, -1, -1)]
-    return masks
+    size = (width + 7) >> 3
+    step = size << 3
+    low = (1 << width) - 1
+    words = ((1 << 8 * step) - 1) // ((1 << 64) - 1)  # bit 64 b for every word b
+    m7 = 0x00AA00AA00AA00AA * words
+    m14 = 0x0000CCCC0000CCCC * words
+    m28 = 0x00000000F0F0F0F0 * words
+    y = bytearray()
+    for g in range(0, len(batch), 8):
+        buf = bytearray(step)
+        for r, row in enumerate(batch[g:g + 8]):
+            buf[r::8] = (row & low).to_bytes(size, "little")
+        x = int.from_bytes(buf, "little")
+        # three delta swaps: 2x2 blocks of bits, then of 2x2 blocks, then of 4x4
+        t = (x ^ x >> 7) & m7
+        x ^= t ^ t << 7
+        t = (x ^ x >> 14) & m14
+        x ^= t ^ t << 14
+        t = (x ^ x >> 28) & m28
+        x ^= t ^ t << 28
+        y += x.to_bytes(step, "little")
+    return y, step
 
 
 def _pair_closures(ts):
@@ -319,8 +336,10 @@ def _walk(ts, seeds):
     operations per point and none per candidate.  The chunk is transposed
     by _columns only when some live candidate misses a point, and only
     after the whole set is yielded, so a caller that stops there never pays
-    for it.  Chunks start with one set, so an early hit stays cheap, and
-    double up to about _CHUNK_CAP slots, which bounds memory.
+    for it; then only those candidates are read out of the transposed
+    bytes, one mask at a time, and no list of every mask is built.  Chunks
+    start with one set, so an early hit stays cheap, and double up to about
+    _CHUNK_CAP slots, which bounds memory.
     """
     n, blocks = ts.order, ts.triples
     walked = list(seeds)
@@ -347,9 +366,9 @@ def _walk(ts, seeds):
             e, p = divmod((hits & -hits).bit_length() - 1, n)
             yield i + e, p, (1 << n) - 1
         if hits != live:
-            masks = _columns(batch, live.bit_length())
+            y, step = _columns(batch, live.bit_length())
             for j in _iter_bits(live ^ hits):
-                mask = masks[j]
+                mask = int.from_bytes(y[j::step], "little")
                 if mask not in seen:
                     seen.add(mask)
                     walked.append(mask)

@@ -257,7 +257,9 @@ def intersection_extremes(
     "how flat can the maximum be".  The scan is exhaustive; if the subset
     count times the hyperplane count would exceed budget the call refuses
     up front with BudgetExhaustedError.  The m-subsets come from
-    closure._colex_levels, decoded by closure._columns, in colex order.
+    closure._colex_levels in colex order; closure._columns transposes each
+    batch, and each candidate is read from it and met with every hyperplane
+    once, its counts giving both extremes.
     """
     n_cap = config.pg_dim_cap(config.MAX_EXTREMES_DIM)
     if n > n_cap:
@@ -282,9 +284,12 @@ def intersection_extremes(
     best_minmax = count + 1
     _, batches = next(islice(_colex_levels(count, _BATCH_CAP), m - 1, None))
     for full, batch in batches:
-        for mask in _columns(batch, full.bit_length()):
-            lo = min((mask & h).bit_count() for h in masks)
-            hi = max((mask & h).bit_count() for h in masks)
+        width = full.bit_length()
+        y, step = _columns(batch, width)
+        for j in range(width):
+            mask = int.from_bytes(y[j::step], "little")
+            us = list(map(int.bit_count, map(mask.__and__, masks)))
+            lo, hi = min(us), max(us)
             if lo > best_maxmin:
                 best_maxmin = lo
                 wit_maxmin = mask

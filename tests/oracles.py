@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 
-# -- colex order ----------------------------------------------------------
+# -- colex order and bit-sliced batches ------------------------------------
 
 
 def colex_subsets(n, k):
@@ -22,6 +22,19 @@ def colex_subsets(n, k):
     for top in range(k - 1, n):
         for rest in colex_subsets(top, k - 1):
             yield rest + (top,)
+
+
+def string_columns(batch, width):
+    """The first width candidates of a bit-sliced batch (one int per point,
+    bit j set when candidate j holds it) as masks, candidate j at index j.
+
+    Every row's bits below width, top point first, go into one string, and
+    the slice of it with step width that starts at width-1-j reads
+    candidate j's mask, top point first.
+    """
+    rows = "".join([format(s & ((1 << width) - 1), "0%db" % width)
+                    for s in reversed(batch)])
+    return [int(rows[j::width], 2) for j in range(width - 1, -1, -1)]
 
 
 # -- naive closure straight from the block list ----------------------------

@@ -1,10 +1,12 @@
 """The breadth-first lattice searches against scalar walks built on
 naive_closure: min_spreading_size and enumerate_closed_sets must return
 the same first hit, the same sets and the same truncations.  The walker
-they share is checked against its contract, and under other batchings."""
+they share is checked against its contract, and under other batchings, and
+its decoder against the string transpose."""
 
 import importlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,6 +23,7 @@ from stspread import (
 )
 from stspread.closure import (
     _closure_mask,
+    _columns,
     _iter_bits,
     _pair_closures,
     _to_set,
@@ -29,7 +32,7 @@ from stspread.closure import (
 )
 from stspread.spreading import _walk_min_spreading
 
-from oracles import bfs_closed_sets, bfs_min_spreading
+from oracles import bfs_closed_sets, bfs_min_spreading, string_columns
 
 SYSTEMS = [
     pytest.param(lambda v=v, s=s: random_sts(v, s), id="random_sts(%d,%d)" % (v, s))
@@ -134,12 +137,38 @@ def default_walk_answers():
     return _walk_answers()
 
 
-@pytest.mark.parametrize("caps", [
-    {"_CHUNK_CAP": 1}, {"_CHUNK_CAP": 64}, {"_COLUMN_CAP": 7},
-], ids=["chunk 1", "chunk 64", "column 7"])
-def test_the_walks_do_not_depend_on_the_batching(caps, default_walk_answers, monkeypatch):
+@pytest.mark.parametrize("cap", [1, 64], ids=["chunk 1", "chunk 64"])
+def test_the_walks_do_not_depend_on_the_batching(cap, default_walk_answers, monkeypatch):
     # the package's name closure is the function, so fetch the module itself
-    module = importlib.import_module("stspread.closure")
-    for name, value in caps.items():
-        monkeypatch.setattr(module, name, value)
+    monkeypatch.setattr(importlib.import_module("stspread.closure"), "_CHUNK_CAP", cap)
     assert _walk_answers() == default_walk_answers
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 13, 16, 31, 63, 127])
+def test_columns_match_the_string_transpose(n):
+    # rows carry bits above the width, as _walk's do when the last live
+    # candidate sits below the chunk's top slot: _columns must drop them
+    rng = random.Random(n)
+    for width in (1, 5, 8, 63, 64, 100, 4096, 5000, 9000):
+        batch = [rng.getrandbits(width + rng.randrange(1, 70)) for _ in range(n)]
+        batch[rng.randrange(n)] = -1  # every bit set
+        y, step = _columns(batch, width)
+        masks = [int.from_bytes(y[j::step], "little") for j in range(width)]
+        assert masks == string_columns(batch, width), width
+
+
+@pytest.mark.parametrize("walk", [
+    pytest.param(min_spreading_size, id="min"),
+    pytest.param(lambda ts: _walk_closed_sets(ts, 10 ** 5), id="closed sets"),
+])
+def test_the_pp5_walks_stay_small_in_memory(walk):
+    # each chunk is decoded one read candidate at a time from its transposed
+    # bytes; a string per chunk and a list of every mask peaked above 2 MB
+    ts = perturbed_pg(5, 0)
+    tracemalloc.start()
+    try:
+        walk(ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6, peak
