@@ -25,10 +25,11 @@ from .completion import random_sts, two_minimal_sizes_sts
 from .constructions import ag3, perturbed_pg, pg2, subsystem_free_sts15
 from .saturation import (
     _check_pg_dim,
-    deviating_hyperplane,
+    _deviation_report,
+    _hyperplane_counts,
+    _variance_sides,
     lunelli_sce_min,
     min_saturating_size,
-    variance_identity,
 )
 from .spreading import (
     check_projective,
@@ -136,9 +137,10 @@ def szoras(n=3, trials=100, seed=0):
     identity_fail = strict_fail = degenerate = 0
     for _ in range(trials):
         subset = rng.sample(range(points), rng.randint(0, points))
-        lhs, rhs = variance_identity(n, subset)
+        m, counts = _hyperplane_counts(n, subset)  # one pass serves both checks
+        lhs, rhs = _variance_sides(n, m, counts)
         identity_fail += lhs != rhs
-        dev = deviating_hyperplane(n, subset)
+        dev = _deviation_report(n, m, counts)
         degenerate += dev.degenerate
         strict_fail += not (dev.degenerate or dev.strict)
     yield ("variance_identity", identity_fail == 0,

@@ -538,11 +538,26 @@ def _write_atomic(path, pieces):
         raise
 
 
+def _sha256():
+    """A new sha256 hash object from CPython's built-in module: _sha2 from
+    3.12, _sha256 before.  import hashlib loads _hashlib, which maps
+    OpenSSL's libcrypto, 3.3 MB of resident memory that construct pg2
+    --dim 10 would hold beside its pair table; hashlib serves only an
+    interpreter built without either module."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
+
+
 def _write_manifest(path, argv, args, code, pieces, result, elapsed):
     """Write the run manifest; result is the sha256 of the files written,
     in order of their paths, or None when the run wrote none, and then the
     digest is that of the run's stdout, the strings of pieces in order."""
-    import hashlib
     import json
     import platform
     import stat
@@ -555,7 +570,7 @@ def _write_manifest(path, argv, args, code, pieces, result, elapsed):
         digest = None
         try:
             if stat.S_ISREG(os.stat(system_path).st_mode):
-                h = hashlib.sha256()
+                h = _sha256()
                 with open(system_path, "rb") as fh:
                     for block in iter(lambda: fh.read(1 << 20), b""):
                         h.update(block)
@@ -564,7 +579,7 @@ def _write_manifest(path, argv, args, code, pieces, result, elapsed):
             pass
         inputs[system_path] = digest
     if result is None:
-        result = hashlib.sha256()
+        result = _sha256()
         for piece in pieces:
             result.update(piece.encode())
     manifest = {
@@ -598,8 +613,7 @@ def main(argv=None) -> int:
             manifest_path = args.out + ".manifest.json"
         result = None
         if manifest_path and files:
-            import hashlib
-            result = hashlib.sha256()
+            result = _sha256()
         # each file's pieces go to its temp file, and to the one digest of
         # all of them in order of path, as they are made
         for path in sorted(files):

@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import config
@@ -112,6 +113,24 @@ def _build_hyperplanes(n: int) -> HyperplaneFamily:
 hyperplanes_pg2.cache_clear = _build_hyperplanes.cache_clear
 
 
+def _hyperplane_counts(n: int, points: Iterable[int]):
+    """(m, counts) for a point subset S of PG(n,2): m = |S| and counts the
+    list of u(H) = |S n H| over the hyperplanes in order of functional,
+    in one pass at C level."""
+    fam = hyperplanes_pg2(n)
+    mask = _mask_of((1 << (n + 1)) - 1, points)
+    return mask.bit_count(), list(map(int.bit_count, map(mask.__and__, fam.masks)))
+
+
+def _variance_sides(n, m, counts):
+    """The two sides of the variance identity from _hyperplane_counts:
+    sum (2u - m)^2 = 4 sum u^2 - 4 m sum u + |counts| m^2, over 4."""
+    lhs_times_4 = (4 * sum(map(mul, counts, counts)) - 4 * m * sum(counts)
+                   + len(counts) * m * m)
+    rhs = Fraction(-m * m, 4) + m * (1 << (n - 1))
+    return Fraction(lhs_times_4, 4), rhs
+
+
 def variance_identity(n: int, points: Iterable[int]):
     """Exact two sides of the hyperplane variance identity.
 
@@ -119,16 +138,7 @@ def variance_identity(n: int, points: Iterable[int]):
     (u(H) - m/2)^2 over all hyperplanes, rhs the closed form
     m 2^(n-1) - m^2/4.  They are equal for every point subset.
     """
-    fam = hyperplanes_pg2(n)
-    count = (1 << (n + 1)) - 1
-    mask = _mask_of(count, points)
-    m = mask.bit_count()
-    lhs_times_4 = 0
-    for h in fam.masks:
-        u = (mask & h).bit_count()
-        lhs_times_4 += (2 * u - m) ** 2
-    rhs = Fraction(-m * m, 4) + m * (1 << (n - 1))
-    return Fraction(lhs_times_4, 4), rhs
+    return _variance_sides(n, *_hyperplane_counts(n, points))
 
 
 class DeviationReport(NamedTuple):
@@ -150,19 +160,15 @@ class DeviationReport(NamedTuple):
     degenerate: bool
 
 
-def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
-    """Hyperplane whose intersection count strays farthest from m/2."""
+def _deviation_report(n, m, counts):
+    """The DeviationReport of _hyperplane_counts' (m, counts).  |2u - m| is
+    largest at the largest or the smallest count, so the winner is the
+    first hyperplane whose count is one of those two and reaches it."""
+    hi, lo = max(counts), min(counts)
+    up, down = 2 * hi - m, m - 2 * lo
+    best_abs = max(up, down)
+    best_idx = min(counts.index(u) for u, d in ((hi, up), (lo, down)) if d == best_abs)
     fam = hyperplanes_pg2(n)
-    count = (1 << (n + 1)) - 1
-    mask = _mask_of(count, points)
-    m = mask.bit_count()
-    best_abs = -1
-    best_idx = 0
-    for idx, h in enumerate(fam.masks):
-        a = abs(2 * (mask & h).bit_count() - m)
-        if a > best_abs:
-            best_abs = a
-            best_idx = idx
     deviation = Fraction(best_abs, 2)
     bound_sq = Fraction(m, 4) - Fraction(m * m, 1 << (n + 3))
     degenerate = m == 0
@@ -175,6 +181,11 @@ def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
         strict=strict,
         degenerate=degenerate,
     )
+
+
+def deviating_hyperplane(n: int, points: Iterable[int]) -> DeviationReport:
+    """Hyperplane whose intersection count strays farthest from m/2."""
+    return _deviation_report(n, *_hyperplane_counts(n, points))
 
 
 def lunelli_sce_min(n: int, q: int) -> int:

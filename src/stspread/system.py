@@ -26,7 +26,8 @@ import enum
 import os
 import re
 from array import array
-from operator import lt
+from itertools import compress, repeat
+from operator import getitem, lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import config
@@ -344,20 +345,18 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
 # -- text format ---------------------------------------------------------
 
 
-# Blocks per piece of text that serialize formats at once, at the least.
-_SERIALIZE_CHUNK = 1 << 14
-
-
 def _serialize_pieces(ts: TripleSystem):
-    """The canonical text of serialize, piece by piece: the header lines, then
-    the block lines of whole table rows joined into one string once they
-    hold _SERIALIZE_CHUNK blocks, and the rest.
+    """The canonical text of serialize, piece by piece: the header lines,
+    then the block lines of each table row that holds a block, one piece
+    per row.
 
     Row a gives the lines of the blocks (a, b, c) with a < b < c =
     third[a][b], in order of b, so the blocks come in lexicographic order
-    straight from the pair table and triples is never built.  No list of one
-    string per block is built either, and a writer that takes the pieces
-    one at a time never holds the whole text as a str.
+    straight from the pair table and triples is never built.  compress
+    picks the b of a row at C level, and one % over the flat tuple of its
+    (b, c) pairs formats the row, so no string per block is built.  A
+    writer that takes the pieces one at a time holds one row's text at a
+    time, never the whole text.
     """
     tag = ts.tag
     head = "v %d %s\n" % (ts.order, ts.kind.value)
@@ -366,20 +365,16 @@ def _serialize_pieces(ts: TripleSystem):
         param = "-" if tag.param is None else str(tag.param)
         head += "# tag %s %s%s\n" % (tag.variant, param, extra)
     yield head
-    rows, blocks = [], 0
+    # slices of one list of the points, so that the scan makes no int per b
+    points = list(range(ts.order))
     for a, row in enumerate(ts._third):
-        pairs = [(b, c) for b, c in enumerate(row[a + 1:], a + 1) if c > b]
-        rows.append("".join(map(("b %d %%d %%d\n" % a).__mod__, pairs)))
-        blocks += len(pairs)
-        if blocks >= _SERIALIZE_CHUNK:
-            # the row strings are freed before the piece is taken, and the
-            # piece once it is written, so a writer holds one piece at a time
-            piece = "".join(rows)
-            rows, blocks = [], 0
-            yield piece
-            del piece
-    if blocks:
-        yield "".join(rows)
+        later = points[a + 1:]
+        bs = list(compress(later, map(lt, later, row[a + 1:])))
+        if bs:
+            flat = bs + bs
+            flat[::2] = bs
+            flat[1::2] = map(getitem, repeat(row), bs)
+            yield ("b %d %%d %%d\n" % a) * len(bs) % tuple(flat)
 
 
 def serialize(ts: TripleSystem) -> str:

@@ -309,6 +309,18 @@ def variance_sum_by_enumeration(n, subset):
     return total
 
 
+def most_deviating_functional(n, subset):
+    """The least functional whose hyperplane meets subset in a count u
+    farthest from m/2, scanned from the definition."""
+    m = len(set(subset))
+    best, best_functional = -1, None
+    for functional in range(1, (1 << (n + 1))):
+        u = len(set(hyperplane_point_indices(n, functional)) & set(subset))
+        if abs(2 * u - m) > best:
+            best, best_functional = abs(2 * u - m), functional
+    return best_functional, Fraction(best, 2)
+
+
 # -- ternary affine space --------------------------------------------------
 
 
@@ -378,6 +390,23 @@ def line_serialize(ts):
     for a, b, c in ts.triples:
         lines.append("b %d %d %d" % (a, b, c))
     return "\n".join(lines) + "\n"
+
+
+def block_serialize(ts):
+    """The text format read from the pair table block by block: row a's
+    pairs (b, c) with a < b < c = third[a][b], each line formatted by its
+    own %, the rows joined in order."""
+    tag = ts.tag
+    head = "v %d %s\n" % (ts.order, ts.kind.value)
+    if tag.variant != "plain":
+        extra = "" if tag.seed is None else " seed=%d" % tag.seed
+        param = "-" if tag.param is None else str(tag.param)
+        head += "# tag %s %s%s\n" % (tag.variant, param, extra)
+    rows = [head]
+    for a, row in enumerate(ts._third):
+        pairs = [(b, c) for b, c in enumerate(row[a + 1:], a + 1) if c > b]
+        rows.append("".join(map(("b %d %%d %%d\n" % a).__mod__, pairs)))
+    return "".join(rows)
 
 
 def scalar_climb(order, frozen_blocks, rng, max_moves):

@@ -27,12 +27,13 @@ from stspread import (
     variance_identity,
 )
 
-from stspread import saturation
+from stspread import claims, saturation
 from stspread.closure import _colex_levels
 
 from oracles import (
     colex_subsets,
     hyperplane_point_indices,
+    most_deviating_functional,
     naive_saturates,
     variance_sum_by_enumeration,
     xor_saturates,
@@ -117,6 +118,33 @@ def test_deviating_hyperplane_random_strictness():
             assert report.bound_squared > 0
             assert report.strict
             assert report.deviation ** 2 > report.bound_squared
+
+
+def test_deviating_hyperplane_matches_the_scan_oracle():
+    rng = random.Random(33)
+    for n in (1, 2, 3, 4, 5):
+        count = (1 << (n + 1)) - 1
+        subsets = [(), tuple(range(count)), hyperplane_point_indices(n, 1),
+                   sorted(set(range(count)) - set(hyperplane_point_indices(n, 3)))]
+        subsets += [rng.sample(range(count), rng.randint(0, count)) for _ in range(40)]
+        for subset in subsets:
+            report = deviating_hyperplane(n, subset)
+            assert (report.functional, report.deviation) == most_deviating_functional(n, subset)
+            assert report.hyperplane == frozenset(hyperplane_point_indices(n, report.functional))
+
+
+def test_szoras_makes_one_hyperplane_pass_per_trial(monkeypatch):
+    passes = []
+    counts = claims._hyperplane_counts
+
+    def counted(n, points):
+        passes.append(n)
+        return counts(n, points)
+
+    monkeypatch.setattr(claims, "_hyperplane_counts", counted)
+    records = list(claims.szoras(n=4, trials=30, seed=5))
+    assert [ok for _, ok, _ in records] == [True, True]
+    assert passes == [4] * 30
 
 
 def test_deviating_hyperplane_degenerate_empty():

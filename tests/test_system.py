@@ -46,7 +46,7 @@ from stspread import (
 from stspread.cli import main
 from stspread.closure import _coordinates
 
-from oracles import line_serialize, scalar_parse, scalar_triple_system
+from oracles import block_serialize, line_serialize, scalar_parse, scalar_triple_system
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
@@ -257,17 +257,45 @@ def _serialize_cases():
     yield "section4_partial(4)", section4_partial(4).system
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, 8, system_module._SERIALIZE_CHUNK])
-def test_serialize_matches_line_join(monkeypatch, chunk):
-    monkeypatch.setattr(system_module, "_SERIALIZE_CHUNK", chunk)
+def test_serialize_matches_line_join():
     for name, ts in _serialize_cases():
         assert serialize(ts) == line_serialize(ts), name
 
 
-def test_serialize_pg8_spans_three_chunks():
+def test_serialize_pg8_gives_one_piece_per_table_row():
     ts = pg2(8)
-    assert 2 * system_module._SERIALIZE_CHUNK < len(ts.triples) <= 3 * system_module._SERIALIZE_CHUNK
-    assert serialize(ts) == line_serialize(ts)
+    head, *rows = system_module._serialize_pieces(ts)
+    assert head == "v 511 steiner\n# tag pg2 8\n"
+    firsts = sorted({a for a, _, _ in ts.triples})  # the rows that hold a block
+    assert len(rows) == len(firsts) == 255
+    for a, piece in zip(firsts, rows):
+        assert {line.split()[1] for line in piece.splitlines()} == {str(a)}
+    assert "".join(rows) == line_serialize(ts)[len(head):]
+
+
+def _thinned(ts, rng, keep):
+    """The partial system of ts's blocks each kept with probability keep,
+    with ts's tag."""
+    blocks = [t for t in ts.triples if rng.random() < keep]
+    return TripleSystem(ts.order, blocks, "partial", ts.tag)
+
+
+def test_serialize_matches_the_block_oracle():
+    rng = random.Random(33)
+    systems = [build_system(1, (), "steiner"), build_system(3, [(0, 1, 2)], "steiner"),
+               build_system(3, (), "partial"), pg2(2), ag3(2), build_system(7, FANO)]
+    for v in (7, 9, 13, 15, 19, 21, 31):
+        systems.append(random_sts(v, rng.randrange(100)))
+    systems += [perturbed_pg(4, 1), section4_partial(4).system]
+    systems.append(complete_partial(pg2(2), 15, seed=0).system)
+    for ts in list(systems):
+        for keep in (0.0, 0.3, 0.7, 0.95):
+            systems.append(_thinned(ts, rng, keep))
+    tags = {ts.tag.variant for ts in systems}
+    assert {"plain", "pg2", "ag3", "random", "perturbed_pg", "section4", "completed"} <= tags
+    for ts in systems:
+        assert serialize(ts) == block_serialize(ts), ts
+        assert "".join(system_module._serialize_pieces(ts)) == serialize(ts), ts
 
 
 def _no_tuples(third):
