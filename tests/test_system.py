@@ -295,7 +295,6 @@ def test_serialize_matches_the_block_oracle():
     assert {"plain", "pg2", "ag3", "random", "perturbed_pg", "section4", "completed"} <= tags
     for ts in systems:
         assert serialize(ts) == block_serialize(ts), ts
-        assert "".join(system_module._serialize_pieces(ts)) == serialize(ts), ts
 
 
 def _no_tuples(third):
