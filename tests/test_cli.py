@@ -62,7 +62,10 @@ def test_construct_manifest_digest_matches_files(tmp_path, capsys):
     assert "elapsed_seconds" in manifest
 
 
-def test_streamed_outputs_are_the_serialized_text(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_streamed_outputs_are_the_serialized_text(tmp_path, capsys, monkeypatch, chunk):
+    # chunk is the characters per chunk that embed reads its --system file in
+    monkeypatch.setattr(system_module, "_CHUNK", chunk)
     pieces = []
     serialize_pieces = system_module._serialize_pieces
 

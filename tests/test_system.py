@@ -257,9 +257,16 @@ def _serialize_cases():
     yield "section4_partial(4)", section4_partial(4).system
 
 
-def test_serialize_matches_line_join():
+@pytest.mark.parametrize("chunk", [1, 2, 7, 8, 1 << 14])
+def test_serialize_matches_line_join(monkeypatch, chunk):
+    # chunk is the characters per chunk that parse reads the text back in
+    monkeypatch.setattr(system_module, "_CHUNK", chunk)
     for name, ts in _serialize_cases():
-        assert serialize(ts) == line_serialize(ts), name
+        text = serialize(ts)
+        assert text == line_serialize(ts), name
+        back = parse(text)
+        # the text holds the tag but not its labels, which go to a sidecar file
+        assert (back, back.tag[:3]) == (ts, ts.tag[:3]), name
 
 
 def test_serialize_pg8_gives_one_piece_per_table_row():
