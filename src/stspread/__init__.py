@@ -31,7 +31,6 @@ from .errors import (
     BadOrderError,
     BudgetExhaustedError,
     DuplicatePairError,
-    FrozenConflictError,
     InadmissibleOrderError,
     NoTriangleError,
     NotPrimePowerError,
@@ -179,7 +178,6 @@ __all__ = [
     "BadOrderError",
     "BudgetExhaustedError",
     "DuplicatePairError",
-    "FrozenConflictError",
     "InadmissibleOrderError",
     "NoTriangleError",
     "NotPrimePowerError",

@@ -221,7 +221,7 @@ def _cmd_analyze(args):
         if args.trace:
             rep.say(trace.report())
         else:
-            rep.say("set=%s" % _fmt_set(args.set))
+            rep.say("set=%s" % _fmt_set(set(args.set)))
             rep.say("closure=%s" % _fmt_set(trace.points))
             rep.say("size=%d steps=%d" % (len(trace.points), len(trace.steps) - 1))
         rep.say("spreading=%s" % str(len(trace.points) == ts.order).lower())

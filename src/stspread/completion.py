@@ -15,8 +15,8 @@ complete_partial refuses such a target at once; a partial source is still
 climbed there.
 
 The climber keeps the pair table of TripleSystem, third[x][y] = z or -1,
-finds there the block a move displaces, and hands the finished table to
-TripleSystem as it is.
+from a copy of the source's rows, finds there the block a move displaces,
+and hands the finished table to TripleSystem as it is.
 
 Each move finds its third points with a few big-int operations instead of a
 scan over all n points.  The climber keeps one bitmask per point: cov[x] has
@@ -59,7 +59,6 @@ from . import config
 from .constructions import section4_partial
 from .errors import (
     BudgetExhaustedError,
-    FrozenConflictError,
     InadmissibleOrderError,
     TooLargeError,
     TrivialOrderError,
@@ -105,20 +104,17 @@ class CompletionReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _climb(order, frozen_blocks, rng, max_moves):
-    """One hill-climbing attempt; returns (the pair table of a Steiner system
-    or None, moves used)."""
+def _climb(order, source, rng, max_moves):
+    """One hill-climbing attempt from the blocks of source, a system of at
+    most order points; returns (the pair table of a Steiner system of that
+    order or None, moves used)."""
     n = order
     third = _empty_pair_table(n)
-    # frz[x] / cov[x]: bit z set when {x,z} is covered by a frozen block / covered
+    # frz[x] / cov[x]: bit z set when {x,z} is covered by a source block / covered
     frz = [0] * n
-    for x, y, z in frozen_blocks:
-        for u, v, w in ((x, y, z), (x, z, y), (y, z, x)):
-            if third[u][v] != -1:
-                raise FrozenConflictError("frozen blocks share the pair (%d,%d)" % (u, v))
-            third[u][v] = third[v][u] = w
-            frz[u] |= 1 << v
-            frz[v] |= 1 << u
+    for x, row in enumerate(source._third):
+        third[x][:source.order] = array(third[x].typecode, row)
+        frz[x] = sum(1 << z for z, c in enumerate(row) if c != -1)
     cov = frz[:]
     # fb[x]: the third points a pair through x never takes, x and its frozen partners
     fb = [m | 1 << x for x, m in enumerate(frz)]
@@ -301,10 +297,10 @@ def complete_partial(
         raise TooLargeError("completion capped at order %d" % cap)
     if moves_per_restart is None:
         moves_per_restart = config.default_moves(target_order)
-    rng, blocks = random.Random(seed), ts.triples
+    rng = random.Random(seed)
     total_moves = 0
     for attempt in range(1, restarts + 1):
-        third, moves = _climb(target_order, blocks, rng, moves_per_restart)
+        third, moves = _climb(target_order, ts, rng, moves_per_restart)
         total_moves += moves
         if third is None:
             continue
@@ -313,10 +309,9 @@ def complete_partial(
         system = TripleSystem._of_table(target_order, third,
                                         target_order * (target_order - 1) // 6,
                                         SystemKind.STEINER, tag)
-        checks = (
-            ("steiner", system.is_steiner()),
-            ("contains_source", all(system._third[a][b] == c for a, b, c in blocks)),
-        )
+        kept = all(c == -1 or c == d for row, out in zip(ts._third, system._third)
+                   for c, d in zip(row, out))
+        checks = (("steiner", system.is_steiner()), ("contains_source", kept))
         return CompletionReport(
             ts.order, target_order, seed, attempt, total_moves,
             True, system, checks,

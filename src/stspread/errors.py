@@ -52,10 +52,6 @@ class InadmissibleOrderError(StsError):
     lies strictly between a Steiner source's order u and 2u+1."""
 
 
-class FrozenConflictError(StsError):
-    """Frozen source blocks conflict with each other."""
-
-
 class BudgetExhaustedError(StsError):
     """An explicit work budget ran out.  When partial results exist they are
     attached as the ``partial`` attribute."""

@@ -197,11 +197,13 @@ class TripleSystem:
     (NotSteinerError).  Once no pair lies in two blocks, b blocks cover
     exactly 3b pairs, so coverage is total when 6b = order(order-1).
     Builders that fill a table themselves (pg2, ag3, perturbed_pg, the
-    STS(15) backtracker, the hill climb, parse and with_labels) hand it to
-    _of_table.  The constructor takes blocks instead: it deduplicates and
-    sorts them, and when the count finds a shared pair the blocks are
-    checked again one pair at a time (_shared_pair), so DuplicatePairError
-    names the same pair whatever form they came in.
+    STS(15) backtracker, parse's fast path, and with_labels, the hill climb
+    and induced_subsystem from their source's table) hand it to _of_table.
+    The constructor takes blocks from outside (parse's line loop, library
+    callers) and section4_partial's: it deduplicates and sorts them, and
+    when the count finds a shared pair the blocks are checked again one
+    pair at a time (_shared_pair), so DuplicatePairError names the same
+    pair whatever form they came in.
     """
 
     __slots__ = ("order", "tag", "block_count", "_third")
@@ -323,6 +325,7 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
     point kept[i] of ts becomes point i of sub.  sub contains exactly the
     blocks of ts lying fully inside the subset.  Closed subsets of Steiner
     systems therefore induce full Steiner systems and are tagged as such.
+    The table of sub is sliced out of that of ts, listing no block.
     """
     kept = sorted(set(points))
     for p in kept:
@@ -330,15 +333,12 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
     if not kept:
         raise OutOfRangeError("induced subsystem needs at least one point")
     rank = {p: i for i, p in enumerate(kept)}
-    # the blocks (a, b, c) with a < b < c = third[a][b] inside, in lexicographic order
-    sub_triples = []
-    for i, a in enumerate(kept):
-        row = ts._third[a]
-        for b in kept[i + 1:]:
-            c = row[b]
-            if c > b and c in rank:
-                sub_triples.append((i, rank[b], rank[c]))
-    sub = TripleSystem(len(kept), sub_triples, SystemKind.PARTIAL, PLAIN_TAG)
+    code = _typecode(len(kept))
+    # row i: the rank of third[kept[i]][kept[j]] at j, or -1 when it is not kept
+    third = [array(code, [rank.get(c, -1) for c in map(row.__getitem__, kept)])
+             for row in map(ts._third.__getitem__, kept)]
+    sub = TripleSystem._of_table(len(kept), third, _entries(third) // 6,
+                                 SystemKind.PARTIAL, PLAIN_TAG)
     return sub, tuple(kept)
 
 

@@ -412,11 +412,10 @@ def block_serialize(ts):
 def scalar_climb(order, frozen_blocks, rng, max_moves):
     """The hill climb with a per-move scan of every third point.
 
-    Same contract as completion._climb: returns (blocks or None, moves) and
-    makes the same calls on rng.
+    frozen_blocks share no pair.  Makes the moves and the calls on rng of
+    completion._climb from a source system with these blocks, and returns
+    (blocks or None, moves).
     """
-    from stspread.errors import FrozenConflictError
-
     n = order
     cover = [[-1] * n for _ in range(n)]
     blocks = {}
@@ -424,8 +423,6 @@ def scalar_climb(order, frozen_blocks, rng, max_moves):
     for bid, (x, y, z) in enumerate(frozen_blocks):
         blocks[bid] = (x, y, z)
         for u, v in ((x, y), (x, z), (y, z)):
-            if cover[u][v] != -1:
-                raise FrozenConflictError("frozen blocks share the pair (%d,%d)" % (u, v))
             cover[u][v] = bid
             cover[v][u] = bid
     next_id = nfrozen

@@ -123,6 +123,14 @@ def test_analyze_closure_and_trace(tmp_path, capsys):
     assert code == 0
     assert "closure=0,1,2" in stdout
     assert "spreading=false" in stdout
+    # a repeated point is one point of the set, as in the trace
+    code, stdout, _ = run(capsys, "analyze", "--system", str(out),
+                          "closure", "--set", "0,0,1")
+    assert (code, stdout) == (0, "set=0,1\nclosure=0,1,2\nsize=3 steps=1\n"
+                                 "spreading=false\n")
+    code, stdout, _ = run(capsys, "analyze", "--system", str(out),
+                          "closure", "--set", "0,0,1", "--trace")
+    assert code == 0 and stdout.startswith("step 0: start {0,1}\n")
     code, stdout, _ = run(capsys, "analyze", "--system", str(out),
                           "closure", "--set", "0,1,3", "--trace")
     assert code == 0
@@ -135,6 +143,9 @@ def test_analyze_spread_modes(tmp_path, capsys):
     run(capsys, "construct", "pg2", "--dim", "2", "--out", str(out))
     code, stdout, _ = run(capsys, "analyze", "--system", str(out), "spread", "greedy")
     assert code == 0 and "method=greedy" in stdout and "size=3" in stdout
+    code, stdout, _ = run(capsys, "analyze", "--system", str(out), "spread", "greedy",
+                          "--seed-pair", "2,5")
+    assert code == 0 and "size=3\nwitness=0,2,5\n" in stdout
     code, stdout, _ = run(capsys, "analyze", "--system", str(out), "spread", "min")
     assert code == 0 and stdout.splitlines()[0] == "size=3"
     code, stdout, _ = run(capsys, "analyze", "--system", str(out),
@@ -233,9 +244,16 @@ def test_saturate_variance_and_extremes(capsys):
     assert "lhs=15/4" in stdout and "rhs=15/4" in stdout
     assert "PASS identity" in stdout
     assert "PASS deviation_strict" in stdout
+    code, stdout, _ = run(capsys, "saturate", "variance", "--n", "2", "--set", ",")
+    assert code == 0
+    assert "n=2 m=0\n" in stdout and "strict=skipped (empty set)\n" in stdout
     code, stdout, _ = run(capsys, "saturate", "extremes", "--n", "2", "--m", "3")
     assert code == 0
     assert "max_min=1" in stdout and "min_max=2" in stdout
+    code, stdout, _ = run(capsys, "saturate", "extremes", "--n", "2", "--m", "0")
+    assert (code, stdout) == (0, "n=2 m=0\nmax_min=0 witness=\nmin_max=0 witness=\n")
+    assert run(capsys, "saturate", "extremes", "--n", "2", "--m", "8") == (
+        2, "", "error: m = 8 exceeds the 7 points\n")
 
 
 def test_embed_and_output_file(tmp_path, capsys):
@@ -301,6 +319,17 @@ def test_exit_codes_usage_and_invalid(tmp_path, capsys):
     assert "order" in err
 
 
+def test_construct_budget_exit_code(tmp_path, capsys, monkeypatch):
+    import stspread.constructions as constructions
+
+    monkeypatch.setattr(constructions, "STS15_NODE_BUDGET", 5)
+    monkeypatch.setattr(constructions, "STS15_MAX_RESTARTS", 3)
+    out = tmp_path / "free.txt"
+    assert run(capsys, "construct", "sts15-free", "--out", str(out)) == (
+        3, "", "error: no subsystem-free STS(15) found in 3 restarts\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
     system = tmp_path / "p3.txt"
     run(capsys, "construct", "pg2", "--dim", "3", "--out", str(system))
@@ -326,6 +355,7 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (1, ["--jobs", "0"] + spread + ["min"]),
         (2, ["demo", "szoras", "--n", "99"]),
         (2, ["demo", "szoras", "--n", "-5"]),
+        (2, ["saturate", "extremes", "--n", "2", "--m", "8"]),
         (2, ["analyze", "--system", str(binary), "projective"]),
         (2, ["construct", "pg2", "--dim", "2", "--out", str(tmp_path / "no" / "x.txt")]),
         (2, ["--manifest", str(tmp_path / "no" / "m.json"), "saturate", "bounds"]),

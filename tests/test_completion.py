@@ -13,14 +13,15 @@ from stspread import (
     TrivialOrderError,
     build_system,
     complete_partial,
+    induced_subsystem,
     is_spreading_set,
     next_admissible,
+    pg2,
     random_sts,
     section4_partial,
     two_minimal_sizes_sts,
 )
 from stspread.completion import _climb
-from stspread.errors import FrozenConflictError
 from stspread.system import _blocks_of, serialize
 
 from oracles import naive_is_spreading, scalar_climb
@@ -207,10 +208,12 @@ def test_two_sizes_is_the_first_completion(n, seed):
 def _same_climb(order, frozen, seed, max_moves=10 ** 6, attempts=1):
     """Run both climbs from one seed, attempt after attempt on one generator
     each, and require equal moves, equal generator states and the oracle's
-    blocks, which the climb's pair table holds."""
+    blocks, which the climb's pair table holds.  The climb starts from the
+    system of the frozen blocks on the points up to the largest of them."""
+    source = build_system(1 + max(map(max, frozen), default=0), frozen)
     fast_rng, ref_rng = random.Random(seed), random.Random(seed)
     for _ in range(attempts):
-        third, moves = _climb(order, frozen, fast_rng, max_moves)
+        third, moves = _climb(order, source, fast_rng, max_moves)
         got = (None if third is None else _blocks_of(third), moves)
         want = scalar_climb(order, frozen, ref_rng, max_moves)
         if want[0] is not None:
@@ -256,15 +259,6 @@ def test_climb_cut_short_matches_scalar_oracle():
     assert (blocks, moves) == (None, 2000)
 
 
-def test_climb_frozen_conflict_matches_scalar_oracle():
-    frozen = ((0, 1, 2), (3, 4, 5), (0, 1, 6))
-    with pytest.raises(FrozenConflictError) as got:
-        _climb(13, frozen, random.Random(0), 100)
-    with pytest.raises(FrozenConflictError) as want:
-        scalar_climb(13, frozen, random.Random(0), 100)
-    assert str(got.value) == str(want.value) == "frozen blocks share the pair (0,1)"
-
-
 def test_random_sts_255_is_pinned():
     # digest of the system the scalar climb built; the oracle itself takes
     # several seconds at this order
@@ -291,9 +285,9 @@ def test_two_sizes_n5_is_pinned():
 
 
 def test_builders_hand_over_canonical_blocks(monkeypatch):
-    # the climber, random_sts's one-point source and the STS(15) backtracker
-    # each hand a filled pair table to TripleSystem._of_table, so no block
-    # list goes through the constructor
+    # the climber, random_sts's one-point source, the STS(15) backtracker
+    # and induced_subsystem each hand a filled pair table to
+    # TripleSystem._of_table, so no block list goes through the constructor
     from stspread import system
     from stspread.constructions import subsystem_free_sts15
 
@@ -307,3 +301,4 @@ def test_builders_hand_over_canonical_blocks(monkeypatch):
     report = complete_partial(source, next_admissible(2 * source.order + 1), 0)
     assert report.success and all(ok for _, ok in report.checks)
     assert subsystem_free_sts15(0).is_steiner()
+    assert induced_subsystem(pg2(4), range(15))[0].is_steiner()

@@ -177,6 +177,8 @@ def test_induced_subsystem_relabels():
     sub, kept = induced_subsystem(ts, [14, 2, 7])
     assert sub.order == 3
     assert kept == (2, 7, 14)
+    with pytest.raises(OutOfRangeError, match="at least one point"):
+        induced_subsystem(ts, [])
 
 
 def test_induced_subsystem_keeps_the_blocks_inside():
@@ -214,6 +216,15 @@ def test_label_sidecar_round_trip():
     relabeled = with_labels(parse(serialize(ts)), labels)
     assert relabeled.tag.labels == ts.tag.labels
     assert relabeled.tag.label_of(3) == ts.tag.label_of(3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("l 1\n", "line 1: label line must be 'l <index> <vector>'"),
+    ("l x 101\n", "line 1: bad label line"),
+])
+def test_parse_labels_rejects_a_bad_line(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_labels(text)
 
 
 def test_parse_rejects_garbage():
@@ -344,8 +355,8 @@ def test_searches_read_the_blocks_once_and_keep_none(monkeypatch):
         (r15, lambda: enumerate_minimal_spreading_sets(r15), 1),
         (r15, lambda: min_spreading_size(r15), 1),  # not projective: the lattice walk
         (pg3, lambda: enumerate_closed_sets(pg3, 1), 1),  # fewer than its subspaces: the walk
-        (fano, lambda: complete_partial(fano, 15, seed=0), 1),
-        (fano, failed_completion, 1),  # three restarts, one read
+        (fano, lambda: complete_partial(fano, 15, seed=0), 0),  # a copy of the table
+        (fano, failed_completion, 0),
     ]
     reads = []
     blocks_of = system_module._blocks_of
