@@ -9,9 +9,15 @@ whose minimal spreading sets undercut the projective maximum, a two-sizes
 construction with minimal spreading sets of different cardinalities,
 hill-climbing completion of partial systems, and exact saturation bounds.
 
-Importing the package loads only the core modules (errors, system,
+Importing the package loads only the core modules (errors, config, system,
 closure); every other public name loads its submodule on first use, so a
-command line run pays only for the modules its subcommand calls.
+command line run compiles only the modules its subcommand calls.  The
+modules are split by role to the same end: the text format's write path
+(writer) and line-by-line reader (lineparse) apart from system's reader,
+the colex subset batches (colex) apart from closure's operators, and the
+greedy search (greedy) and the minimal spreading set scan (enumeration)
+apart from spreading's lattice searches.  system and spreading serve the
+public names that moved out of them on first use too.
 """
 
 import importlib
@@ -54,8 +60,6 @@ from .system import (
     induced_subsystem,
     parse,
     parse_labels,
-    serialize,
-    serialize_labels,
     steiner_admissible,
     with_labels,
 )
@@ -91,16 +95,24 @@ _LAZY = {name: module for module, names in {
         "min_saturating_size",
         "variance_identity",
     ),
+    "enumeration": (
+        "SpreadingEnumeration",
+        "enumerate_minimal_spreading_sets",
+    ),
+    "greedy": (
+        "SpreadingSearchResult",
+        "greedy_spreading_set",
+        "reduce_to_minimal",
+    ),
     "spreading": (
         "DimensionCheckReport",
-        "SpreadingEnumeration",
-        "SpreadingSearchResult",
         "check_projective",
-        "enumerate_minimal_spreading_sets",
-        "greedy_spreading_set",
         "min_spreading_size",
-        "reduce_to_minimal",
         "verify_dimension_theorem",
+    ),
+    "writer": (
+        "serialize",
+        "serialize_labels",
     ),
 }.items() for name in names}
 

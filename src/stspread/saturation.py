@@ -31,7 +31,8 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import config
-from .closure import _colex_levels, _columns, _mask_of, _to_set
+from .closure import _columns, _mask_of, _to_set
+from .colex import _colex_levels
 from .errors import (
     BudgetExhaustedError,
     NotPrimePowerError,
@@ -212,7 +213,7 @@ def min_saturating_size(ts: TripleSystem):
     saturates, so the scan terminates.  For ts = pg2(n) this computes the
     exact smallest saturating set size of PG(n,2).
 
-    The k-subsets come from closure._colex_levels in colex batches of at
+    The k-subsets come from colex._colex_levels in colex batches of at
     most _BATCH_CAP candidates, so the scan holds a bounded window whatever
     C(n, k) is, and the first batch with a hit holds the colex-first
     witness.  Each batch is checked point by point, from the top point
@@ -268,7 +269,7 @@ def intersection_extremes(
     "how flat can the maximum be".  The scan is exhaustive; if the subset
     count times the hyperplane count would exceed budget the call refuses
     up front with BudgetExhaustedError.  The m-subsets come from
-    closure._colex_levels in colex order; closure._columns transposes each
+    colex._colex_levels in colex order; closure._columns transposes each
     batch, and each candidate is read from it and met with every hyperplane
     once, its counts giving both extremes.
     """

@@ -18,6 +18,11 @@ canonical: each triple is sorted ascending and triples are emitted in
 lexicographic order, so equal systems produce byte-identical files.
 Coordinate labels attached by the geometric constructions travel in a sidecar
 file of "l <index> <vector>" lines rather than in the main format.
+
+This module holds the reader's fast path.  The write path (serialize,
+serialize_labels) lives in writer.py and the line-by-line reader in
+lineparse.py, which load on first use, so a run that only reads a system in
+the form serialize writes compiles neither.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ import enum
 import os
 import re
 from array import array
-from itertools import compress, repeat
-from operator import getitem, lt
+from operator import lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import config
@@ -345,64 +349,6 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
 # -- text format ---------------------------------------------------------
 
 
-def _serialize_pieces(ts: TripleSystem):
-    """The canonical text of serialize, piece by piece: the header lines,
-    then the block lines of each table row that holds a block, one piece
-    per row.
-
-    Row a gives the lines of the blocks (a, b, c) with a < b < c =
-    third[a][b], in order of b, so the blocks come in lexicographic order
-    straight from the pair table and triples is never built.  compress
-    picks the b of a row at C level, and one % over the flat tuple of its
-    (b, c) pairs formats the row, so no string per block is built.  A
-    writer that takes the pieces one at a time holds one row's text at a
-    time, never the whole text.
-    """
-    tag = ts.tag
-    head = "v %d %s\n" % (ts.order, ts.kind.value)
-    if tag.variant != "plain":
-        extra = "" if tag.seed is None else " seed=%d" % tag.seed
-        param = "-" if tag.param is None else str(tag.param)
-        head += "# tag %s %s%s\n" % (tag.variant, param, extra)
-    yield head
-    # slices of one list of the points, so that the scan makes no int per b
-    points = list(range(ts.order))
-    for a, row in enumerate(ts._third):
-        later = points[a + 1:]
-        bs = list(compress(later, map(lt, later, row[a + 1:])))
-        if bs:
-            flat = bs + bs
-            flat[::2] = bs
-            flat[1::2] = map(getitem, repeat(row), bs)
-            yield ("b %d %%d %%d\n" % a) * len(bs) % tuple(flat)
-
-
-def serialize(ts: TripleSystem) -> str:
-    """Canonical text form of a system (sorted triples, LF line endings).
-
-    The join of _serialize_pieces, so the peak is about twice the text: the
-    pieces plus the result.
-    """
-    return "".join(_serialize_pieces(ts))
-
-
-def serialize_labels(ts: TripleSystem) -> str:
-    """Sidecar text mapping point indices to coordinate vectors.
-
-    Empty string when the system carries no labels.  Vector coordinates are
-    the digits of the label tuple, e.g. (1,0,1) -> "101".
-    """
-    labels = ts.tag.labels
-    if not labels:
-        return ""
-    lines = []
-    for i, vec in enumerate(labels):
-        if vec is None:
-            continue
-        lines.append("l %d %s" % (i, "".join(str(d) for d in vec)))
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def _fmt_set(points) -> str:
     """A point set as its sorted indices, comma-separated: "0,1,3"."""
     return ",".join(str(p) for p in sorted(points))
@@ -498,9 +444,9 @@ def _fill_chunk(table, chunk, index):
 def _parse_fast(chunks, size, cap):
     """The system of a text in the form serialize writes, given as an
     iterable of line-aligned chunks and size, a bound on its length, or
-    None when any line might be read differently by _parse_lines, when two
-    lines share a pair (so that the error can name it) or when the order is
-    above cap.
+    None when any line might be read differently by lineparse._parse_lines,
+    when two lines share a pair (so that the error can name it) or when the
+    order is above cap.
 
     Accepts the header "v <order> <kind>", an optional comment on line 2 and
     then only lines "b <i> <j> <k>" with i < j < k in [0, order).  A chunk
@@ -550,60 +496,6 @@ def _parse_fast(chunks, size, cap):
         return None
 
 
-def _parse_lines(text: str):
-    """(order, triples, kind, tag) read line by line; raises ParseError with
-    the line number of the first malformed line."""
-    order = None
-    kind = None
-    tag = PLAIN_TAG
-    triples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if order is not None and tag is PLAIN_TAG:
-                maybe = _parse_tag_comment(line[1:].strip())
-                if maybe is not None:
-                    tag = maybe
-            continue
-        fields = line.split()
-        if fields[0] == "v":
-            if order is not None:
-                raise ParseError("line %d: repeated header" % lineno)
-            if len(fields) != 3:
-                raise ParseError("line %d: header must be 'v <order> <kind>'" % lineno)
-            try:
-                order = int(fields[1])
-            except ValueError:
-                raise ParseError("line %d: bad order %r" % (lineno, fields[1])) from None
-            if fields[2] not in ("steiner", "partial"):
-                raise ParseError(
-                    "line %d: kind must be 'steiner' or 'partial', got %r"
-                    % (lineno, fields[2])
-                )
-            kind = SystemKind(fields[2])
-        elif fields[0] == "b":
-            if order is None:
-                raise ParseError("line %d: block before header" % lineno)
-            if len(fields) != 4:
-                raise ParseError("line %d: block must be 'b <i> <j> <k>'" % lineno)
-            try:
-                t = tuple(int(f) for f in fields[1:])
-            except ValueError:
-                raise ParseError("line %d: non-integer point index" % lineno) from None
-            if len(set(t)) != 3:
-                raise ParseError("line %d: repeated index in block" % lineno)
-            if min(t) < 0 or max(t) >= order:
-                raise ParseError("line %d: point outside [0, %d)" % (lineno, order))
-            triples.append(t)
-        else:
-            raise ParseError("line %d: unknown record %r" % (lineno, fields[0]))
-    if order is None:
-        raise ParseError("line 0: missing 'v <order> <kind>' header")
-    return order, triples, kind, tag
-
-
 def _read(chunks, size, whole):
     """The system _parse_fast builds from chunks, or else the one that the
     line loop reads from whole(), which returns the whole text; the errors
@@ -613,6 +505,8 @@ def _read(chunks, size, whole):
         ts = _parse_fast(chunks, size, cap)
         if ts is not None:
             return ts
+        from .lineparse import _parse_lines
+
         order, triples, kind, tag = _parse_lines(whole())
         if order > cap:
             raise TooLargeError("system of order %d above the cap %d" % (order, cap))
@@ -633,10 +527,10 @@ def parse(text: str) -> TripleSystem:
     tokenises the block lines in line-aligned slices of about _CHUNK
     characters.  On any doubt about a slice, and when two blocks share a
     pair, it gives up and the whole text is read again line by line from the
-    start (_parse_lines), so every input yields the same system, or the same
-    ParseError message and line number, on either path.  Besides the text
-    and the pair table, the fast path holds the tokens of one slice at a
-    time.  _parse_file reads a file the same way without holding its
+    start (lineparse._parse_lines), so every input yields the same system,
+    or the same ParseError message and line number, on either path.  Besides
+    the text and the pair table, the fast path holds the tokens of one slice
+    at a time.  _parse_file reads a file the same way without holding its
     text.
 
     A header order above the construction cap raises TooLargeError once
@@ -667,7 +561,12 @@ def _parse_file(fh) -> TripleSystem:
 
 
 def parse_labels(text: str) -> dict:
-    """Parse a label sidecar into {point index: coordinate tuple}."""
+    """Parse a label sidecar into {point index: coordinate tuple}.
+
+    Each line is "l <index> <vector>", both in ASCII decimal digits, as
+    serialize_labels writes them; any other line raises ParseError with its
+    line number.
+    """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -676,18 +575,32 @@ def parse_labels(text: str) -> dict:
         fields = line.split()
         if len(fields) != 3 or fields[0] != "l":
             raise ParseError("line %d: label line must be 'l <index> <vector>'" % lineno)
-        try:
-            idx = int(fields[1])
-            vec = tuple(int(ch) for ch in fields[2])
-        except ValueError:
-            raise ParseError("line %d: bad label line" % lineno) from None
-        out[idx] = vec
+        # str.isdigit alone takes any Unicode digit, and int() a sign
+        if not all(f.isascii() and f.isdigit() for f in fields[1:]):
+            raise ParseError("line %d: bad label line" % lineno)
+        out[int(fields[1])] = tuple(map(int, fields[2]))
     return out
 
 
 def with_labels(ts: TripleSystem, labels: dict) -> TripleSystem:
     """Return ts with a tag that carries the given point labels; the two
-    systems share one pair table."""
+    systems share one pair table.  A label of a point outside [0, order)
+    raises OutOfRangeError."""
+    outside = [i for i in labels if not 0 <= i < ts.order]
+    if outside:
+        raise OutOfRangeError("label of point %r outside [0, %d)" % (min(outside), ts.order))
     full = tuple(labels.get(i) for i in range(ts.order))
     tag = GeometryTag(ts.tag.variant, ts.tag.param, ts.tag.seed, full)
     return TripleSystem._of_table(ts.order, ts._third, ts.block_count, ts.kind, tag)
+
+
+def __getattr__(name):
+    """serialize and serialize_labels, served from writer.py on first use
+    (PEP 562)."""
+    if name not in ("serialize", "serialize_labels"):
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import writer
+
+    value = getattr(writer, name)
+    globals()[name] = value
+    return value

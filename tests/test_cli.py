@@ -1,5 +1,6 @@
 """Command line interface: wiring, formats, manifests, exit codes."""
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -17,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import stspread.cli as cli_module
+import stspread.cli_files as cli_files
 import stspread.system as system_module
-from stspread import complete_partial, parse, pg2, serialize
+import stspread.writer as writer
+from stspread import complete_partial, parse, pg2, random_sts, serialize
 from stspread.cli import _load_system, main
 
 from oracles import f2_rank
@@ -67,14 +70,14 @@ def test_streamed_outputs_are_the_serialized_text(tmp_path, capsys, monkeypatch,
     # chunk is the characters per chunk that embed reads its --system file in
     monkeypatch.setattr(system_module, "_CHUNK", chunk)
     pieces = []
-    serialize_pieces = system_module._serialize_pieces
+    serialize_pieces = writer._serialize_pieces
 
     def kept(ts):
         for piece in serialize_pieces(ts):
             pieces.append(piece)
             yield piece
 
-    monkeypatch.setattr(cli_module, "_serialize_pieces", kept)
+    monkeypatch.setattr(cli_files, "_serialize_pieces", kept)
     out, fano, full = tmp_path / "pg4.txt", tmp_path / "fano.txt", tmp_path / "full.txt"
     manifest = tmp_path / "embed.json"
     assert run(capsys, "construct", "pg2", "--dim", "4", "--out", str(out))[0] == 0
@@ -330,13 +333,15 @@ def test_construct_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
+def _bad_invocations(tmp_path, capsys):
+    """(exit code, argv) of command lines that fail, each with one error
+    line: usage errors, and invalid input or output paths."""
     system = tmp_path / "p3.txt"
     run(capsys, "construct", "pg2", "--dim", "3", "--out", str(system))
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe\x00 not text")
     spread = ["analyze", "--system", str(system), "spread"]
-    cases = [
+    return [
         (1, spread + ["greedy", "--seed-pair", "1"]),
         (1, spread + ["greedy", "--seed-pair", "1,2,3"]),
         (1, spread + ["enumerate", "--max-size", "-3"]),
@@ -361,13 +366,62 @@ def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
         (2, ["--manifest", str(tmp_path / "no" / "m.json"), "saturate", "bounds"]),
         (2, ["--manifest", str(tmp_path / "no" / "m.json")] + spread + ["enumerate"]),
     ]
-    for expected, argv in cases:
+
+
+def test_bad_invocations_exit_with_one_error_line(tmp_path, capsys):
+    for expected, argv in _bad_invocations(tmp_path, capsys):
         code, stdout, err = run(capsys, *argv)
         assert code == expected, argv
         assert stdout == "", argv
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert errors == err.splitlines()[-1:], argv
+
+
+def _parser_paths(parser, path=()):
+    """(path, parser) for parser and every sub-parser below it, path the
+    command names that lead to it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_paths(sub, path + (name,))
+
+
+def _filled_parser(build=cli_module._build_parser):
+    """The command line parser with every command's arguments added up front."""
+    parser = build()
+    commands = next(a for a in parser._actions if isinstance(a, cli_module._Commands))
+    for name in commands.choices:
+        commands.fill(name)
+    return parser
+
+
+def test_the_lazy_parser_reads_as_one_filled_up_front(tmp_path, capsys, monkeypatch):
+    filled = {path: (p.format_help(), p.format_usage())
+              for path, p in _parser_paths(_filled_parser())}
+    assert len(filled) == 29  # the root and 28 sub-parsers
+    lazy = cli_module._build_parser()
+    assert list(dict(_parser_paths(lazy))) == [()] + [(name,) for name in cli_module._COMMANDS]
+    assert (lazy.format_help(), lazy.format_usage()) == filled[()]
+    for name in cli_module._COMMANDS:
+        lazy = cli_module._build_parser()
+        with pytest.raises(SystemExit) as exc:
+            lazy.parse_args([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == filled[(name,)][0]
+        # the command's parsers are filled in, and no other command's
+        paths = dict(_parser_paths(lazy))
+        got = {path: (p.format_help(), p.format_usage())
+               for path, p in paths.items() if path[:1] == (name,)}
+        assert got == {path: f for path, f in filled.items() if path[:1] == (name,)}, name
+        others = [p for path, p in paths.items() if path[:1] != (name,)]
+        assert [len(p._actions) for p in others] == [4] + [1] * 4  # the root; -h alone
+    # every usage error reads the same
+    cases = _bad_invocations(tmp_path, capsys)
+    lazy = [run(capsys, *argv) for _, argv in cases]
+    monkeypatch.setattr(cli_module, "_build_parser", _filled_parser)
+    assert [run(capsys, *argv) for _, argv in cases] == lazy
 
 
 def test_manifest_records_input_digest(tmp_path, capsys):
@@ -677,32 +731,96 @@ _LOADED = ("import sys\n"
            "print(' '.join(sorted(sys.modules)))\n"
            "sys.exit(code)\n")
 
+# Module groups for the absent lists below.
+_COMMAND_MODULES = ("cli_construct", "cli_analyze", "cli_saturate", "cli_embed", "cli_demo")
+_WRITE = ("cli_files", "writer")
+_SCANS = ("colex", "enumeration")
 
+
+def _others(own):
+    """The command modules other than own."""
+    return tuple(m for m in _COMMAND_MODULES if m != own)
+
+
+_ANALYZE = _others("cli_analyze") + _WRITE + (
+    "saturation", "completion", "constructions", "claims")
+_SATURATE = _others("cli_saturate") + _WRITE + (
+    "spreading", "greedy", "enumeration", "completion", "constructions", "claims")
+_CONSTRUCT = _others("cli_construct") + _SCANS + (
+    "saturation", "spreading", "greedy", "claims")
+
+
+# Every command of the benchmark's workloads and of their set-up, on inputs
+# of a few points: the modules a run loads follow from its command line,
+# not from the size of its input.
 @pytest.mark.parametrize("argv, absent", [
-    (["analyze", "--system", "{system}", "projective"],
-     ("saturation", "completion", "constructions", "claims")),
-    (["analyze", "--system", "{system}", "spread", "min"],
-     ("saturation", "completion", "constructions", "claims")),
-    (["saturate", "variance", "--n", "3", "--set", "0,1,2,6"],
-     ("completion", "constructions", "claims")),
-    (["construct", "pg2", "--dim", "3", "--out", "{out}"], ("saturation", "claims")),
-    (["--jobs", "2", "saturate", "min", "--system", "{system}"],
-     ("parallel", "completion", "claims")),
-    (["--jobs", "2", "analyze", "--system", "{system}", "spread", "enumerate",
+    (["analyze", "--system", "{pg3}", "projective"], _ANALYZE + ("greedy",) + _SCANS),
+    (["analyze", "--system", "{pg3}", "spread", "min"], _ANALYZE + ("greedy",) + _SCANS),
+    (["saturate", "variance", "--n", "3", "--set", "0,1,2,6"], _SATURATE),
+    (["construct", "pg2", "--dim", "3", "--out", "{out}"], _CONSTRUCT + ("completion",)),
+    (["--jobs", "2", "saturate", "min", "--system", "{r15}"], _SATURATE),
+    (["--jobs", "2", "analyze", "--system", "{pg3}", "spread", "enumerate",
       "--max-size", "3"],
-     ("parallel", "saturation", "completion", "constructions", "claims")),
-    (["demo", "bounds", "--max-n", "2"], ()),  # loads every module a command uses
+     _ANALYZE + ("spreading", "greedy")),
+    (["demo", "bounds", "--max-n", "2"], _others("cli_demo") + _WRITE + ("enumeration",)),
+    (["construct", "random", "--order", "15", "--seed", "1", "--out", "{out}"], _CONSTRUCT),
+    (["construct", "perturbed-pg", "--dim", "4", "--out", "{out}"],
+     _CONSTRUCT + ("completion",)),
+    (["construct", "ag3", "--dim", "2", "--out", "{out}"], _CONSTRUCT + ("completion",)),
+    (["construct", "section4", "--n", "4", "--out", "{out}"], _CONSTRUCT + ("completion",)),
+    (["analyze", "--system", "{pg3}", "spread", "enumerate", "--max-size", "3"],
+     _ANALYZE + ("spreading", "greedy")),
+    (["analyze", "--system", "{r15}", "spread", "enumerate"], _ANALYZE + ("spreading", "greedy")),
+    (["analyze", "--system", "{r15}", "spread", "min"], _ANALYZE + ("greedy",) + _SCANS),
+    (["analyze", "--system", "{pg3}", "subsystems"], _ANALYZE + ("spreading", "greedy") + _SCANS),
+    (["analyze", "--system", "{r15}", "subsystems"], _ANALYZE + ("spreading", "greedy") + _SCANS),
+    (["analyze", "--system", "{r15}", "projective"], _ANALYZE + ("greedy",) + _SCANS),
+    (["analyze", "--system", "{pg3}", "closure", "--set", "0,1,3"],
+     _ANALYZE + ("spreading", "greedy") + _SCANS),
+    (["analyze", "--system", "{pg3}", "spread", "greedy"], _ANALYZE + ("spreading",) + _SCANS),
+    (["saturate", "min", "--system", "{r15}"], _SATURATE),
+    (["embed", "--system", "{fano}", "--target", "15", "--seed", "0", "--out", "{out}"],
+     _others("cli_embed") + _SCANS + ("saturation", "spreading", "greedy", "claims")),
+    (["demo", "two-sizes", "--n", "4"], _others("cli_demo") + _WRITE + ("enumeration",)),
+    (["demo", "szoras", "--n", "3", "--trials", "5", "--seed", "0"],
+     _others("cli_demo") + _WRITE + ("enumeration",)),
 ])
 def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
-    system = tmp_path / "pg3.txt"
-    system.write_text(serialize(pg2(3)))
-    argv = [a.format(system=system, out=tmp_path / "out.txt") for a in argv]
+    systems = {"pg3": pg2(3), "r15": random_sts(15, 1), "fano": pg2(2)}
+    paths = {"out": tmp_path / "out.txt"}
+    for name, ts in systems.items():
+        paths[name] = tmp_path / (name + ".txt")
+        paths[name].write_text(serialize(ts))
+    argv = [a.format(**paths) for a in argv]
     proc = _python("-c", _LOADED, *argv, check=True)
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "stspread.cli" in loaded
-    unwanted = ({"stspread." + name for name in absent}
-                | {"multiprocessing", "dataclasses", "inspect"})
+    # nothing loads the line-by-line reader or the fork pool
+    unwanted = ({"stspread." + name for name in absent + ("lineparse", "parallel")}
+                | {"multiprocessing", "dataclasses", "inspect", "_hashlib"})
     assert not unwanted & loaded, sorted(unwanted & loaded)
+    command = argv[argv.index("--jobs") + 2] if "--jobs" in argv else argv[0]
+    assert {m for m in _COMMAND_MODULES if "stspread." + m in loaded} == {"cli_" + command}
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "pg2", "--dim", "2", "--out", "{out}"],
+    ["analyze", "--system", "{fano}", "projective"],
+    ["saturate", "variance", "--n", "3", "--set", "0,1,2,6"],
+    ["embed", "--system", "{fano}", "--target", "15"],
+    ["demo", "bounds", "--max-n", "2"],
+], ids=lambda argv: argv[0])
+def test_a_module_run_compiles_the_cli_once(tmp_path, argv):
+    # run as python -m stspread.cli, the cli is __main__; the command modules
+    # import it by name, which must find __main__ and not load it again
+    fano = tmp_path / "fano.txt"
+    fano.write_text(serialize(pg2(2)))
+    argv = [a.format(fano=fano, out=tmp_path / "out.txt") for a in argv]
+    proc = _python("-X", "importtime", "-m", "stspread.cli", *argv, check=True)
+    loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "stspread" in loaded
+    assert "stspread.cli" not in loaded
 
 
 def test_console_script_installed():

@@ -1,6 +1,5 @@
 """Saturating sets in binary projective space: bounds, identities, extremes."""
 
-import importlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +27,8 @@ from stspread import (
 )
 
 from stspread import claims, saturation
-from stspread.closure import _colex_levels
+from stspread import colex
+from stspread.colex import _colex_levels
 
 from oracles import (
     colex_subsets,
@@ -287,16 +287,14 @@ def test_subset_chunks_follow_colex_order(cap):
 def test_min_saturating_builds_each_pascal_row_once(monkeypatch):
     # the minimum 9 of PG(4,2) is found at level 9, which reads rows up to 8;
     # row 0 is given, and each later row is built once from the row before
-    # the package's name closure is the function, so fetch the module itself
-    closure = importlib.import_module("stspread.closure")
     built = []
-    pascal = closure._pascal
+    pascal = colex._pascal
 
     def recording(*args):
         built.append(args[1])
         return pascal(*args)
 
-    monkeypatch.setattr(closure, "_pascal", recording)
+    monkeypatch.setattr(colex, "_pascal", recording)
     assert min_saturating_size(pg2(4))[0] == 9
     assert built == list(range(1, 9))
 

@@ -23,10 +23,11 @@ from stspread import (
     pg2,
     random_sts,
     reduce_to_minimal,
-    spreading,
     subsystem_free_sts15,
     verify_dimension_theorem,
 )
+
+from stspread import enumeration
 
 from oracles import (
     all_minimal_spreading,
@@ -297,7 +298,7 @@ def test_enumerate_stops_once_a_whole_level_spreads(monkeypatch):
     # minimal and the scan closes no level above 4; the budget still
     # counts the levels up to 9 and runs out at level 7
     closed = []
-    close = spreading._batch_closure
+    close = enumeration._batch_closure
 
     def recording(triples, batch):
         # every candidate of a batch has the same size: the points it holds
@@ -305,7 +306,7 @@ def test_enumerate_stops_once_a_whole_level_spreads(monkeypatch):
         closed.append(sum(s.bit_count() for s in batch) // width)
         return close(triples, batch)
 
-    monkeypatch.setattr(spreading, "_batch_closure", recording)
+    monkeypatch.setattr(enumeration, "_batch_closure", recording)
     enum = enumerate_minimal_spreading_sets(random_sts(31, 1), max_size=9)
     assert max(closed) == 4
     assert len(enum.points) == 4340
@@ -317,14 +318,14 @@ def test_enumerate_closes_no_pair_above_order_three(monkeypatch):
     # above order 3 a pair closes to its block, so the pair level is only
     # counted against the budget; at order 3 the pair spreads
     sizes = []
-    close = spreading._batch_closure
+    close = enumeration._batch_closure
 
     def recording(triples, batch):
         width = max(batch).bit_length()
         sizes.append(sum(s.bit_count() for s in batch) // width)
         return close(triples, batch)
 
-    monkeypatch.setattr(spreading, "_batch_closure", recording)
+    monkeypatch.setattr(enumeration, "_batch_closure", recording)
     for ts in (pg2(2), ag3(2), random_sts(13, 0), pg2(3)):
         sizes.clear()
         enum = enumerate_minimal_spreading_sets(ts, max_size=3)

@@ -9,6 +9,7 @@ from array import array
 import pytest
 
 import stspread.system as system_module
+from stspread.lineparse import _parse_lines
 from stspread import (
     BadOrderError,
     BudgetExhaustedError,
@@ -45,6 +46,7 @@ from stspread import (
 )
 from stspread.cli import main
 from stspread.closure import _coordinates
+from stspread.writer import _serialize_pieces
 
 from oracles import block_serialize, line_serialize, scalar_parse, scalar_triple_system
 
@@ -221,10 +223,26 @@ def test_label_sidecar_round_trip():
 @pytest.mark.parametrize("text, message", [
     ("l 1\n", "line 1: label line must be 'l <index> <vector>'"),
     ("l x 101\n", "line 1: bad label line"),
+    ("l 0 11\nl -1 11\n", "line 2: bad label line"),
+    ("l +1 11\n", "line 1: bad label line"),
+    ("l 0 \u0661\u0660\n", "line 1: bad label line"),  # Arabic-Indic digits 1, 0
+    ("l \u0661 10\n", "line 1: bad label line"),
+    ("# c\nl 0 1x\n", "line 2: bad label line"),
 ])
 def test_parse_labels_rejects_a_bad_line(text, message):
     with pytest.raises(ParseError, match=message):
         parse_labels(text)
+
+
+def test_with_labels_refuses_a_point_outside_the_order():
+    fano = pg2(2)
+    with pytest.raises(OutOfRangeError, match=r"label of point 7 outside \[0, 7\)"):
+        with_labels(fano, {0: (1, 0, 0), 7: (1, 1, 1)})
+    with pytest.raises(OutOfRangeError, match="label of point 99"):
+        with_labels(fano, parse_labels("l 99 101\n"))
+    labelled = with_labels(fano, parse_labels("l 6 111\n"))
+    assert labelled.tag.labels == (None,) * 6 + ((1, 1, 1),)
+    assert labelled == fano
 
 
 def test_parse_rejects_garbage():
@@ -282,7 +300,7 @@ def test_serialize_matches_line_join(monkeypatch, chunk):
 
 def test_serialize_pg8_gives_one_piece_per_table_row():
     ts = pg2(8)
-    head, *rows = system_module._serialize_pieces(ts)
+    head, *rows = _serialize_pieces(ts)
     assert head == "v 511 steiner\n# tag pg2 8\n"
     firsts = sorted({a for a, _, _ in ts.triples})  # the rows that hold a block
     assert len(rows) == len(firsts) == 255
@@ -544,7 +562,7 @@ def _built_by(build, *args):
 
 
 def _line_built(text):
-    return TripleSystem(*system_module._parse_lines(text))
+    return TripleSystem(*_parse_lines(text))
 
 
 @pytest.mark.parametrize("chunk", [1 << 20, 9, 40])

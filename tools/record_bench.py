@@ -17,13 +17,17 @@ bench/run.py puts its own tree's src first.
 
 It writes BENCH_<L>.json at the root of the working tree.  Per workload it
 holds, for the parent and the tree, the median and quartiles of each gated
-end-to-end metric of BENCHMARK.json, the per-command medians, whether every
-run was correct and how many operations failed in all; per metric it counts
-the pairs the tree won (a tie is no win); the raw values of every run are
-kept too.  The header names the parent commit, the working tree's HEAD and
-the commit it was exported from (HEAD itself when the tree is clean), the
-Python version, os.cpu_count(), the seed and --seconds.  With --parent HEAD
-and a clean tree it is an A/A run, which shows the noise.
+end-to-end metric of BENCHMARK.json and of startup_s (the interpreter
+start-up probe that bench/run.py prints but leaves out of its last line),
+the per-command medians, whether every run was correct and how many
+operations failed in all; per gated metric it counts the pairs the tree won
+(a tie is no win); the raw values of every run are kept too.  The header
+names the parent commit, the working tree's HEAD and the commit it was
+exported from (HEAD itself when the tree is clean), the Python version,
+os.cpu_count(), the seed and --seconds, and whether PYTHONDONTWRITEBYTECODE
+was set: the runs inherit it, and with it set every CLI process compiles
+the package from source, so start-up numbers depend on it.  With --parent
+HEAD and a clean tree it is an A/A run, which shows the noise.
 
 Quartiles are statistics.quantiles(values, n=4, method="inclusive").  Only
 the standard library is used.
@@ -48,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scan31", "lattice63", "large")
 SEED = 0
 COMMAND_LINE = re.compile(r"^  cmd\.(\S+)\s+(\S+) s$")
+STARTUP_LINE = re.compile(r"^startup_s\s+(\S+) s$")
 
 
 def git(*args):
@@ -62,7 +67,8 @@ def export(rev, into):
 
 
 def run_bench(tree, workload, seconds):
-    """One run of bench/run.py in tree: (correct, failed, metrics, per-command seconds)."""
+    """One run of bench/run.py in tree: (correct, failed, metrics, per-command
+    seconds, startup seconds)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0",
             "--seconds", str(seconds), "--seed", str(SEED)]
@@ -74,7 +80,8 @@ def run_bench(tree, workload, seconds):
     last = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in last["metrics"].items()}
     per_command = {m[1]: float(m[2]) for m in map(COMMAND_LINE.match, lines) if m}
-    return last["correct"], last["failed"], metrics, per_command
+    startup = next(float(m[1]) for m in map(STARTUP_LINE.match, lines) if m)
+    return last["correct"], last["failed"], metrics, per_command, startup
 
 
 def spread(values):
@@ -97,6 +104,7 @@ def summary(runs, gated):
                 for side, rs in runs.items()}
     return {
         "metrics": metrics,
+        "startup_s": {side: spread([r[4] for r in rs]) for side, rs in runs.items()},
         "per_command_median_s": commands,
         "correct": {side: all(r[0] for r in rs) for side, rs in runs.items()},
         "failed": {side: sum(r[1] for r in rs) for side, rs in runs.items()},
@@ -126,6 +134,7 @@ def main(argv=None):
         "parent": {"rev": args.parent, "sha": shas["parent"]},
         "tree": {"head": head, "sha": shas["tree"], "dirty": shas["tree"] != head},
         "python": platform.python_version(),
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "cpu_count": os.cpu_count(),
         "seed": SEED,
         "seconds": args.seconds,
