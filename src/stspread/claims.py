@@ -11,7 +11,8 @@ render these records; the acceptance tests keep their own oracle checks.
 The constructions and the completion pipeline check none of these claims:
 they hold there by proof (see perturbed_pg, section4_partial and
 two_minimal_sizes_sts), and this module is the one place they are checked
-on the built systems.
+on the built systems.  Beyond the core (closure, system), each function
+imports the library modules it calls, so a demo loads only its own code.
 """
 
 from __future__ import annotations
@@ -21,22 +22,6 @@ import random
 from itertools import combinations, count
 
 from .closure import closure_points, is_saturating_set, is_spreading_set
-from .completion import random_sts, two_minimal_sizes_sts
-from .constructions import ag3, perturbed_pg, pg2, subsystem_free_sts15
-from .saturation import (
-    _check_pg_dim,
-    _deviation_report,
-    _hyperplane_counts,
-    _variance_sides,
-    lunelli_sce_min,
-    min_saturating_size,
-)
-from .spreading import (
-    check_projective,
-    greedy_spreading_set,
-    min_spreading_size,
-    verify_dimension_theorem,
-)
 from .system import _fmt_set, render
 
 
@@ -64,6 +49,10 @@ def report(title, records):
 def maxofmin(orders=(7, 9, 13, 15), seed=0):
     """Greedy spreading sets have at most floor(log2(n+1)) points, and
     exactly that many in PG(d,2)."""
+    from .completion import random_sts
+    from .constructions import pg2
+    from .greedy import greedy_spreading_set
+
     for i, order in enumerate(orders):
         size = greedy_spreading_set(random_sts(order, seed + i)).size
         yield ("greedy_bound order=%d" % order, size <= _log2(order),
@@ -77,6 +66,10 @@ def maxofmin(orders=(7, 9, 13, 15), seed=0):
 def unicity(trials=500, seed=0):
     """The minimum spreading-set size reaches log2(n+1) exactly on the
     projective spaces, whose closed sets obey the dimension identity."""
+    from .completion import random_sts
+    from .constructions import ag3, pg2, subsystem_free_sts15
+    from .spreading import check_projective, min_spreading_size, verify_dimension_theorem
+
     systems = [
         ("pg2(2)", pg2(2)),
         ("pg2(3)", pg2(3)),
@@ -100,6 +93,9 @@ def unicity(trials=500, seed=0):
 def almostmax(seed=0):
     """The perturbed PG(4,2) keeps the old basis v1..v4 as a minimal
     spreading set of size 4, below the projective size 5."""
+    from .constructions import perturbed_pg
+    from .spreading import min_spreading_size
+
     ts = perturbed_pg(4, seed)
     yield ("perturbed_steiner", ts.order == 31 and ts.is_steiner(),
            "order=%d blocks=%d" % (ts.order, ts.block_count))
@@ -118,6 +114,8 @@ def almostmax(seed=0):
 def two_sizes(n=4, seed=0):
     """A Steiner system with minimal spreading sets of sizes 3 and n; the
     order, base and b_triple come first, as facts."""
+    from .completion import two_minimal_sizes_sts
+
     ts, base, b_triple = two_minimal_sizes_sts(n, seed)
     yield "order", None, "order=%d blocks=%d seed=%d" % (ts.order, ts.block_count, seed)
     yield "base", None, "base=%s" % _fmt_set(base)
@@ -132,6 +130,8 @@ def two_sizes(n=4, seed=0):
 def szoras(n=3, trials=100, seed=0):
     """The hyperplane variance identity of PG(n,2) holds exactly on random
     subsets, and some hyperplane deviates strictly beyond its r.m.s."""
+    from .saturation import _check_pg_dim, _deviation_report, _hyperplane_counts, _variance_sides
+
     points = _check_pg_dim(n)  # before range(points) is sampled
     rng = random.Random(seed)
     identity_fail = strict_fail = degenerate = 0
@@ -152,6 +152,9 @@ def szoras(n=3, trials=100, seed=0):
 def bounds(max_n=10):
     """The Lunelli-Sce bounds match their closed forms, and PG(2,2), PG(3,2)
     need 4 and 5 points."""
+    from .constructions import pg2
+    from .saturation import _check_pg_dim, lunelli_sce_min, min_saturating_size
+
     dims = range(1, max_n + 1)
     for n in dims:
         _check_pg_dim(n)  # the q = 2 count loops about 2^(n/2+1) times

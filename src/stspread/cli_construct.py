@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from .cli import EXIT_OK, _Report
-from .cli_files import _encoded_pieces
 from .system import _fmt_set
-from .writer import serialize_labels
+from .writer import _encoded_pieces, serialize_labels
 
 
 def arguments(parser):

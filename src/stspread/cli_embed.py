@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import config
 from .cli import EXIT_BUDGET, EXIT_OK, _int_at_least, _load_system, _Report
-from .cli_files import _encoded_pieces
+from .writer import _encoded_pieces
 from .completion import complete_partial
 from .errors import BudgetExhaustedError
 

@@ -3,16 +3,17 @@ run manifest (stspread.cli).
 
 Every file is written atomically, piece by piece, and the manifest digests
 the files in order of their paths, or else the run's stdout.  Only a run
-that writes a system or a manifest loads this module.
+that writes a system or a manifest loads this module; the files come as
+byte pieces (writer._encoded_pieces), so it never loads the text writer.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 from . import __version__
-from .writer import _serialize_pieces
 
 
 def write_outputs(files, manifest_path, argv, args, code, out, start):
@@ -34,13 +35,6 @@ def write_outputs(files, manifest_path, argv, args, code, out, start):
         _write_manifest(manifest_path, argv, args, code, out, result,
                         time.perf_counter() - start)
     return out
-
-
-def _encoded_pieces(ts):
-    """The serialized text of ts as UTF-8 pieces, encoded one at a time as
-    they are taken, so neither the text nor its bytes are ever held
-    whole."""
-    return map(str.encode, _serialize_pieces(ts))
 
 
 def _hashed(pieces, digest):
@@ -97,7 +91,6 @@ def _write_manifest(path, argv, args, code, pieces, result, elapsed):
     in order of their paths, or None when the run wrote none, and then the
     digest is that of the run's stdout, the strings of pieces in order."""
     import json
-    import platform
     import stat
 
     inputs = {}
@@ -124,7 +117,8 @@ def _write_manifest(path, argv, args, code, pieces, result, elapsed):
         "argv": argv,
         "command": args.command,
         "version": __version__,
-        "python": platform.python_version(),
+        # platform.python_version(), without importing platform
+        "python": sys.version.split()[0],
         "seed": getattr(args, "seed", None),
         "jobs": getattr(args, "jobs", 1),
         "inputs": inputs,

@@ -46,7 +46,8 @@ construction: build the partial system whose spreading structure is rigged,
 and embed it into the first admissible order at least 2u+1, falling back to
 the next two admissible orders.  Every completion carries both minimal
 spreading sets (the proof is in its docstring), so it checks nothing; the
-claim itself is checked once, by claims.two_sizes.
+claim itself is checked once, by claims.two_sizes.  It alone imports the
+constructions, so random_sts and embed never load them.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from array import array
 from typing import NamedTuple, Optional
 
 from . import config
-from .constructions import section4_partial
 from .errors import (
     BudgetExhaustedError,
     InadmissibleOrderError,
@@ -366,6 +366,8 @@ def two_minimal_sizes_sts(n: int = 4, seed: int = 0):
       closed in every completion and keeps a_i out of cl(base - a_i); by
       monotonicity no smaller subset of the base spreads either.
     """
+    from .constructions import section4_partial
+
     art = section4_partial(n)
     source = art.system
     base = frozenset(art.base_points)

@@ -53,11 +53,11 @@ def enumerate_minimal_spreading_sets(
     Closes every k-subset for k = 2, 3, ... (from k = 1 at order 1, where
     the one point spreads), each batch decoded as soon as it is closed.
     The k-subsets come from colex._colex_levels, one batch per top
-    point.  The scan runs on the mirror image p -> n-1-p of the blocks, so
-    the colex batch of mirror top t holds the k-sets whose least point is
-    n-1-t, and its candidates, read from the highest bit down, are in
-    lexicographic order; the batches, taken from least point 0 upward,
-    list the level in its final order with no sort.  By monotonicity a
+    point, each read backwards, point n-1-p in the place of p: the batch
+    of top t then holds the k-sets whose least point is n-1-t, and its
+    candidates, read from the highest bit down, are in lexicographic
+    order; the batches, taken from least point 0 upward, list the level in
+    its final order with no sort.  By monotonicity a
     spreading k-set is minimal exactly when none of its (k-1)-subsets
     spreads, which is looked up in the spreading sets of the level before.
     Once every k-set spreads, every larger set holds a spreading k-subset
@@ -98,8 +98,8 @@ def _picked(rests, k, bits, size):
     """The entries of the candidates of a batch whose bits are set.
 
     rests holds one entry of k characters per candidate of a level, side
-    by side in lexicographic order, which is the reverse of mirror colex
-    order: the size candidates of a batch are its last size entries, and
+    by side in lexicographic order, which is the reverse of the colex
+    order of the backward batches: the size candidates of a batch are its last size entries, and
     candidate j is the (j+1)-th from the end.  So the digits of
     format(bits), top bit first and each repeated k times, select the
     picked entries character by character, in lexicographic order; they
@@ -150,13 +150,13 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
         max_size = (n + 1).bit_length() - 1
     count = 0
     levels = []
-    mirror = [(n - 1 - a, n - 1 - b, n - 1 - c) for a, b, c in ts.triples]
+    triples = ts.triples
     points = "".join(map(chr, range(n)))
     mark = chr(n)  # no point, so it can stand for the least point of a k-set
     truncated = False
     spent = 0
     whole = False  # every set of the last scanned level spreads
-    prev_bits = 0  # bit r: the r-th (k-1)-subset in mirror colex order spreads
+    prev_bits = 0  # bit r: the r-th (k-1)-subset in backward colex order spreads
     prev = set()  # the spreading (k-1)-subsets
     top = min(max_size, n)  # no subset has more than n points
     # cap = budget: a level within the budget has at most budget subsets, so
@@ -184,7 +184,7 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
         for t, (full, batch) in enumerate(batches, k - 1):
             # candidate j of the batch is the (j+1)-th entry of rests from the
             # end, with its least point n-1-t in place of the mark
-            spread = _holding_all(_batch_closure(mirror, batch), full)
+            spread = _holding_all(_batch_closure(triples, batch[::-1]), full)
             spread_bits |= spread << math.comb(t, k)
             spreads.append(spread)
             # prev_bits drops the k-sets whose points above the least already

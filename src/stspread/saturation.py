@@ -18,21 +18,20 @@ hyperplanes, so some hyperplane lies outside the deviation window: it
 deviates from m/2 by more than sqrt(m/4 - m^2 / 2^(n+3)).
 
 All hyperplane arithmetic is exact: counts are integers and the identity is
-compared through fractions, never floats.
+compared through fractions, never floats.  fractions and colex are
+imported only by the functions that use them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import config
 from .closure import _columns, _mask_of, _to_set
-from .colex import _colex_levels
 from .errors import (
     BudgetExhaustedError,
     NotPrimePowerError,
@@ -41,6 +40,9 @@ from .errors import (
     TrivialOrderError,
 )
 from .system import TripleSystem
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PRIME_POWERS = frozenset(
     [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -126,6 +128,8 @@ def _hyperplane_counts(n: int, points: Iterable[int]):
 def _variance_sides(n, m, counts):
     """The two sides of the variance identity from _hyperplane_counts:
     sum (2u - m)^2 = 4 sum u^2 - 4 m sum u + |counts| m^2, over 4."""
+    from fractions import Fraction
+
     lhs_times_4 = (4 * sum(map(mul, counts, counts)) - 4 * m * sum(counts)
                    + len(counts) * m * m)
     rhs = Fraction(-m * m, 4) + m * (1 << (n - 1))
@@ -165,6 +169,8 @@ def _deviation_report(n, m, counts):
     """The DeviationReport of _hyperplane_counts' (m, counts).  |2u - m| is
     largest at the largest or the smallest count, so the winner is the
     first hyperplane whose count is one of those two and reaches it."""
+    from fractions import Fraction
+
     hi, lo = max(counts), min(counts)
     up, down = 2 * hi - m, m - 2 * lo
     best_abs = max(up, down)
@@ -225,6 +231,8 @@ def min_saturating_size(ts: TripleSystem):
     point above its greatest one, so most batches are left after a few
     points.
     """
+    from .colex import _colex_levels
+
     n = ts.order
     cap = config.order_cap(config.MAX_ENUMERATION_ORDER)
     if n > cap:
@@ -273,6 +281,8 @@ def intersection_extremes(
     batch, and each candidate is read from it and met with every hyperplane
     once, its counts giving both extremes.
     """
+    from .colex import _colex_levels
+
     n_cap = config.pg_dim_cap(config.MAX_EXTREMES_DIM)
     if n > n_cap:
         raise TooLargeError("intersection_extremes capped at n = %d" % n_cap)

@@ -167,8 +167,6 @@ def verify_dimension_theorem(
     return DimensionCheckReport(trials, tuple(bad))
 
 
-# Public names of the greedy search and of the subset scan, served from their
-# modules on first use (PEP 562).
 _ELSEWHERE = {
     "SpreadingSearchResult": "greedy",
     "greedy_spreading_set": "greedy",
@@ -179,6 +177,9 @@ _ELSEWHERE = {
 
 
 def __getattr__(name):
+    """Public names of the greedy search and of the subset scan, served from
+    their modules on first use (PEP 562).  Only bench/layers.py reads them
+    here; this goes with ROADMAP direction 3."""
     try:
         module = _ELSEWHERE[name]
     except KeyError:

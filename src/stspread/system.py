@@ -596,7 +596,8 @@ def with_labels(ts: TripleSystem, labels: dict) -> TripleSystem:
 
 def __getattr__(name):
     """serialize and serialize_labels, served from writer.py on first use
-    (PEP 562)."""
+    (PEP 562).  Only bench/layers.py reads them here; this goes with ROADMAP
+    direction 3."""
     if name not in ("serialize", "serialize_labels"):
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     from . import writer

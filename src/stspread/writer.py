@@ -1,9 +1,10 @@
 """The write path of the text format of system.py.
 
 serialize gives the canonical text of a system, built from its pair table
-one row at a time (_serialize_pieces), and serialize_labels the sidecar of
-its coordinate labels.  Only a run that writes a system needs them, so they
-live apart from the reader: stspread.system serves both names on first use.
+one row at a time (_serialize_pieces, encoded by _encoded_pieces), and
+serialize_labels the sidecar of its coordinate labels.  Only a run that
+writes a system needs them, so they live apart from the reader:
+stspread.system serves both names on first use.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ def _serialize_pieces(ts: TripleSystem):
             flat[::2] = bs
             flat[1::2] = map(getitem, repeat(row), bs)
             yield ("b %d %%d %%d\n" % a) * len(bs) % tuple(flat)
+
+
+def _encoded_pieces(ts):
+    """The serialized text of ts as UTF-8 pieces, encoded one at a time as
+    they are taken, so neither the text nor its bytes are ever held
+    whole."""
+    return map(str.encode, _serialize_pieces(ts))
 
 
 def serialize(ts: TripleSystem) -> str:

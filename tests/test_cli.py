@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shutil
 import stat
 import subprocess
@@ -18,7 +19,6 @@ from pathlib import Path
 import pytest
 
 import stspread.cli as cli_module
-import stspread.cli_files as cli_files
 import stspread.system as system_module
 import stspread.writer as writer
 from stspread import complete_partial, parse, pg2, random_sts, serialize
@@ -65,6 +65,14 @@ def test_construct_manifest_digest_matches_files(tmp_path, capsys):
     assert "elapsed_seconds" in manifest
 
 
+def test_manifest_records_the_python_version(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    code, _, _ = run(capsys, "--manifest", str(manifest), "saturate", "variance",
+                     "--n", "2", "--set", "0,1")
+    assert code == 0
+    assert json.loads(manifest.read_text())["python"] == platform.python_version()
+
+
 @pytest.mark.parametrize("chunk", [7, 1 << 14])
 def test_streamed_outputs_are_the_serialized_text(tmp_path, capsys, monkeypatch, chunk):
     # chunk is the characters per chunk that embed reads its --system file in
@@ -77,18 +85,20 @@ def test_streamed_outputs_are_the_serialized_text(tmp_path, capsys, monkeypatch,
             pieces.append(piece)
             yield piece
 
-    monkeypatch.setattr(cli_files, "_serialize_pieces", kept)
     out, fano, full = tmp_path / "pg4.txt", tmp_path / "fano.txt", tmp_path / "full.txt"
     manifest = tmp_path / "embed.json"
-    assert run(capsys, "construct", "pg2", "--dim", "4", "--out", str(out))[0] == 0
+    # only the runs go through kept: serialize below calls _serialize_pieces too
+    with monkeypatch.context() as patched:
+        patched.setattr(writer, "_serialize_pieces", kept)
+        assert run(capsys, "construct", "pg2", "--dim", "4", "--out", str(out))[0] == 0
+        run(capsys, "construct", "pg2", "--dim", "2", "--out", str(fano))
+        code, _, _ = run(capsys, "--manifest", str(manifest), "embed", "--system", str(fano),
+                         "--target", "15", "--out", str(full))
     text = out.read_bytes()
     assert text == serialize(pg2(4)).encode()
     digest = json.loads((tmp_path / "pg4.txt.manifest.json").read_text())["result_digest"]
     labels = (tmp_path / "pg4.txt.labels").read_bytes()
     assert digest == hashlib.sha256(text + labels).hexdigest()
-    run(capsys, "construct", "pg2", "--dim", "2", "--out", str(fano))
-    code, _, _ = run(capsys, "--manifest", str(manifest), "embed", "--system", str(fano),
-                     "--target", "15", "--out", str(full))
     assert code == 0
     text = full.read_bytes()
     report = complete_partial(parse(fano.read_text()), 15, seed=0,
@@ -756,14 +766,16 @@ _CONSTRUCT = _others("cli_construct") + _SCANS + (
 @pytest.mark.parametrize("argv, absent", [
     (["analyze", "--system", "{pg3}", "projective"], _ANALYZE + ("greedy",) + _SCANS),
     (["analyze", "--system", "{pg3}", "spread", "min"], _ANALYZE + ("greedy",) + _SCANS),
-    (["saturate", "variance", "--n", "3", "--set", "0,1,2,6"], _SATURATE),
+    (["saturate", "variance", "--n", "3", "--set", "0,1,2,6"], _SATURATE + ("colex",)),
     (["construct", "pg2", "--dim", "3", "--out", "{out}"], _CONSTRUCT + ("completion",)),
     (["--jobs", "2", "saturate", "min", "--system", "{r15}"], _SATURATE),
     (["--jobs", "2", "analyze", "--system", "{pg3}", "spread", "enumerate",
       "--max-size", "3"],
      _ANALYZE + ("spreading", "greedy")),
-    (["demo", "bounds", "--max-n", "2"], _others("cli_demo") + _WRITE + ("enumeration",)),
-    (["construct", "random", "--order", "15", "--seed", "1", "--out", "{out}"], _CONSTRUCT),
+    (["demo", "bounds", "--max-n", "2"],
+     _others("cli_demo") + _WRITE + ("enumeration", "completion", "spreading", "greedy")),
+    (["construct", "random", "--order", "15", "--seed", "1", "--out", "{out}"],
+     _CONSTRUCT + ("constructions",)),
     (["construct", "perturbed-pg", "--dim", "4", "--out", "{out}"],
      _CONSTRUCT + ("completion",)),
     (["construct", "ag3", "--dim", "2", "--out", "{out}"], _CONSTRUCT + ("completion",)),
@@ -780,14 +792,26 @@ _CONSTRUCT = _others("cli_construct") + _SCANS + (
     (["analyze", "--system", "{pg3}", "spread", "greedy"], _ANALYZE + ("spreading",) + _SCANS),
     (["saturate", "min", "--system", "{r15}"], _SATURATE),
     (["embed", "--system", "{fano}", "--target", "15", "--seed", "0", "--out", "{out}"],
-     _others("cli_embed") + _SCANS + ("saturation", "spreading", "greedy", "claims")),
-    (["demo", "two-sizes", "--n", "4"], _others("cli_demo") + _WRITE + ("enumeration",)),
+     _others("cli_embed") + _SCANS + ("saturation", "spreading", "greedy", "claims",
+                                      "constructions")),
+    (["demo", "two-sizes", "--n", "4"],
+     _others("cli_demo") + _WRITE + _SCANS + ("saturation", "spreading", "greedy")),
     (["demo", "szoras", "--n", "3", "--trials", "5", "--seed", "0"],
-     _others("cli_demo") + _WRITE + ("enumeration",)),
+     _others("cli_demo") + _WRITE + _SCANS + ("completion", "constructions", "spreading",
+                                              "greedy")),
+    # a manifest loads the manifest writer, and never the text writer
+    (["--manifest", "{man}", "analyze", "--system", "{pg3}", "projective"],
+     _others("cli_analyze") + _SCANS + ("writer", "saturation", "completion", "constructions",
+                                        "claims", "greedy")),
+    (["--manifest", "{man}", "saturate", "min", "--system", "{r15}"],
+     _others("cli_saturate") + ("writer", "spreading", "greedy", "enumeration", "completion",
+                                "constructions", "claims")),
+    (["--manifest", "{man}", "demo", "bounds", "--max-n", "2"],
+     _others("cli_demo") + ("writer", "enumeration", "completion", "spreading", "greedy")),
 ])
 def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
     systems = {"pg3": pg2(3), "r15": random_sts(15, 1), "fano": pg2(2)}
-    paths = {"out": tmp_path / "out.txt"}
+    paths = {"out": tmp_path / "out.txt", "man": tmp_path / "m.json"}
     for name, ts in systems.items():
         paths[name] = tmp_path / (name + ".txt")
         paths[name].write_text(serialize(ts))
@@ -795,11 +819,14 @@ def test_commands_load_only_the_modules_they_use(tmp_path, argv, absent):
     proc = _python("-c", _LOADED, *argv, check=True)
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "stspread.cli" in loaded
-    # nothing loads the line-by-line reader or the fork pool
+    # nothing loads the line-by-line reader or the fork pool, and only the
+    # variance identity and the deviation report need fractions
     unwanted = ({"stspread." + name for name in absent + ("lineparse", "parallel")}
-                | {"multiprocessing", "dataclasses", "inspect", "_hashlib"})
+                | {"multiprocessing", "dataclasses", "inspect", "_hashlib", "platform"})
+    if not {"variance", "szoras"} & set(argv):
+        unwanted |= {"fractions", "decimal"}
     assert not unwanted & loaded, sorted(unwanted & loaded)
-    command = argv[argv.index("--jobs") + 2] if "--jobs" in argv else argv[0]
+    command = next(a for a in argv if "cli_" + a in _COMMAND_MODULES)
     assert {m for m in _COMMAND_MODULES if "stspread." + m in loaded} == {"cli_" + command}
 
 

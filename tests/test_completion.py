@@ -22,7 +22,8 @@ from stspread import (
     two_minimal_sizes_sts,
 )
 from stspread.completion import _climb
-from stspread.system import _blocks_of, serialize
+from stspread.system import _blocks_of
+from stspread.writer import serialize
 
 from oracles import naive_is_spreading, scalar_climb
 

@@ -135,13 +135,13 @@ def test_deviating_hyperplane_matches_the_scan_oracle():
 
 def test_szoras_makes_one_hyperplane_pass_per_trial(monkeypatch):
     passes = []
-    counts = claims._hyperplane_counts
+    counts = saturation._hyperplane_counts
 
     def counted(n, points):
         passes.append(n)
         return counts(n, points)
 
-    monkeypatch.setattr(claims, "_hyperplane_counts", counted)
+    monkeypatch.setattr(saturation, "_hyperplane_counts", counted)
     records = list(claims.szoras(n=4, trials=30, seed=5))
     assert [ok for _, ok, _ in records] == [True, True]
     assert passes == [4] * 30

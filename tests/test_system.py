@@ -405,7 +405,7 @@ def test_parse_peak_memory_stays_near_the_text_size():
 
 
 def test_serialize_peak_memory_stays_near_the_text_size():
-    ts = pg2(9)
+    ts = pg2(8)
     tracemalloc.start()
     try:
         text = serialize(ts)
