@@ -57,9 +57,9 @@ def enumerate_minimal_spreading_sets(
     of top t then holds the k-sets whose least point is n-1-t, and its
     candidates, read from the highest bit down, are in lexicographic
     order; the batches, taken from least point 0 upward, list the level in
-    its final order with no sort.  By monotonicity a
-    spreading k-set is minimal exactly when none of its (k-1)-subsets
-    spreads, which is looked up in the spreading sets of the level before.
+    its final order with no sort.  By monotonicity a spreading k-set is
+    minimal exactly when none of its (k-1)-subsets spreads, which is
+    looked up in the spreading sets of the level before.
     Once every k-set spreads, every larger set holds a spreading k-subset
     and is not minimal, so the larger levels are not scanned.
 
@@ -99,11 +99,11 @@ def _picked(rests, k, bits, size):
 
     rests holds one entry of k characters per candidate of a level, side
     by side in lexicographic order, which is the reverse of the colex
-    order of the backward batches: the size candidates of a batch are its last size entries, and
-    candidate j is the (j+1)-th from the end.  So the digits of
-    format(bits), top bit first and each repeated k times, select the
-    picked entries character by character, in lexicographic order; they
-    are taken a few thousand candidates at a time.
+    order of the backward batches: the size candidates of a batch are its
+    last size entries, and candidate j is the (j+1)-th from the end.  So
+    the digits of format(bits), top bit first and each repeated k times,
+    select the picked entries character by character, in lexicographic
+    order; they are taken a few thousand candidates at a time.
     """
     if not bits:
         return ""
