@@ -16,58 +16,60 @@ modules are split by role to the same end: the text format's write path
 (writer) and line-by-line reader (lineparse) apart from system's reader,
 the colex subset batches (colex) apart from closure's operators, and the
 greedy search (greedy) and the minimal spreading set scan (enumeration)
-apart from spreading's lattice searches.  system and spreading serve the
-public names that moved out of them on first use too.
+apart from spreading's lattice searches.
+
+_LAZY is the one table of public names: it maps each to its home submodule,
+and __all__ is read off it.  _served answers every PEP 562 lookup from it:
+the package's, and those of system and spreading, which serve the names that
+moved out of them.  Only the function closure is imported eagerly, since it
+names a submodule too, and a lookup would find the submodule.  The table and
+_served come before that import, because system and spreading import _served
+while the package is still initialising.
 """
 
 import importlib
 
-from .closure import (
-    ClosedSetEnumeration,
-    ClosureTrace,
-    closure,
-    closure_points,
-    enumerate_closed_sets,
-    is_saturating_set,
-    is_spreading_set,
-    is_spreading_system,
-    neighbors,
-)
-from .errors import (
-    BadOrderError,
-    BudgetExhaustedError,
-    DuplicatePairError,
-    InadmissibleOrderError,
-    NoTriangleError,
-    NotPrimePowerError,
-    NotProjectiveTagError,
-    NotSpreadingError,
-    NotSteinerError,
-    OutOfRangeError,
-    ParseError,
-    SamePointError,
-    SearchExhaustedError,
-    StsError,
-    TooLargeError,
-    TrivialOrderError,
-)
-from .system import (
-    GeometryTag,
-    PointSet,
-    SystemKind,
-    TripleSystem,
-    build_system,
-    induced_subsystem,
-    parse,
-    parse_labels,
-    steiner_admissible,
-    with_labels,
-)
-
-# Public names served on first use, by home submodule (PEP 562).  closure
-# stays eager above: it names both a submodule and a function, and a lazy
-# lookup would find the submodule.
 _LAZY = {name: module for module, names in {
+    "errors": (
+        "BadOrderError",
+        "BudgetExhaustedError",
+        "DuplicatePairError",
+        "InadmissibleOrderError",
+        "NoTriangleError",
+        "NotPrimePowerError",
+        "NotProjectiveTagError",
+        "NotSpreadingError",
+        "NotSteinerError",
+        "OutOfRangeError",
+        "ParseError",
+        "SamePointError",
+        "SearchExhaustedError",
+        "StsError",
+        "TooLargeError",
+        "TrivialOrderError",
+    ),
+    "system": (
+        "GeometryTag",
+        "PointSet",
+        "SystemKind",
+        "TripleSystem",
+        "build_system",
+        "induced_subsystem",
+        "parse",
+        "parse_labels",
+        "steiner_admissible",
+        "with_labels",
+    ),
+    "closure": (
+        "ClosedSetEnumeration",
+        "ClosureTrace",
+        "closure_points",
+        "enumerate_closed_sets",
+        "is_saturating_set",
+        "is_spreading_set",
+        "is_spreading_system",
+        "neighbors",
+    ),
     "completion": (
         "CompletionReport",
         "complete_partial",
@@ -117,89 +119,27 @@ _LAZY = {name: module for module, names in {
 }.items() for name in names}
 
 
-def __getattr__(name):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+def _served(namespace, name, homes):
+    """The public name from its home submodule, cached in the module whose
+    globals are namespace; AttributeError unless its home is one of homes."""
+    module = _LAZY.get(name)
+    if module not in homes:
+        raise AttributeError("module %r has no attribute %r" % (namespace["__name__"], name))
     value = getattr(importlib.import_module("." + module, __name__), name)
-    globals()[name] = value
+    namespace[name] = value
     return value
+
+
+def __getattr__(name):
+    return _served(globals(), name, _LAZY.values())
 
 
 def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
+from .closure import closure  # noqa: E402
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedSetEnumeration",
-    "ClosureTrace",
-    "CompletionReport",
-    "DeviationReport",
-    "DimensionCheckReport",
-    "ExtremesReport",
-    "GeometryTag",
-    "HyperplaneFamily",
-    "PointSet",
-    "Section4Artifacts",
-    "SpreadingEnumeration",
-    "SpreadingSearchResult",
-    "SystemKind",
-    "TripleSystem",
-    "ag3",
-    "build_system",
-    "check_projective",
-    "closure",
-    "closure_points",
-    "complete_partial",
-    "deviating_hyperplane",
-    "enumerate_closed_sets",
-    "enumerate_minimal_spreading_sets",
-    "find_triangle",
-    "greedy_spreading_set",
-    "hyperplanes_pg2",
-    "induced_subsystem",
-    "intersection_extremes",
-    "is_saturating_set",
-    "is_spreading_set",
-    "is_spreading_system",
-    "lunelli_sce_min",
-    "min_saturating_size",
-    "min_spreading_size",
-    "neighbors",
-    "next_admissible",
-    "parse",
-    "parse_labels",
-    "perturbed_pg",
-    "pg2",
-    "random_sts",
-    "reduce_to_minimal",
-    "section4_partial",
-    "serialize",
-    "serialize_labels",
-    "steiner_admissible",
-    "subsystem_free_sts15",
-    "two_minimal_sizes_sts",
-    "variance_identity",
-    "verify_dimension_theorem",
-    "with_labels",
-    # errors
-    "StsError",
-    "BadOrderError",
-    "BudgetExhaustedError",
-    "DuplicatePairError",
-    "InadmissibleOrderError",
-    "NoTriangleError",
-    "NotPrimePowerError",
-    "NotProjectiveTagError",
-    "NotSpreadingError",
-    "NotSteinerError",
-    "OutOfRangeError",
-    "ParseError",
-    "SamePointError",
-    "SearchExhaustedError",
-    "TooLargeError",
-    "TrivialOrderError",
-]
+__all__ = sorted([*_LAZY, "closure"])

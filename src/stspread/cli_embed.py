@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from . import config
 from .cli import EXIT_BUDGET, EXIT_OK, _int_at_least, _load_system, _Report
-from .writer import _encoded_pieces
 from .completion import complete_partial
 from .errors import BudgetExhaustedError
 
@@ -19,6 +18,10 @@ def arguments(parser):
 
 
 def run(args):
+    if args.out:
+        # before the system loads, so the compile does not add to the memory
+        # peak that the pair table sets
+        from .writer import _encoded_pieces
     rep = _Report()
     ts = _load_system(args.system)
     try:

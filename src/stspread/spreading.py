@@ -33,10 +33,9 @@ module serves on first use, so a lattice search compiles neither.
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import NamedTuple
 
-from . import config
+from . import _served, config
 from .closure import _coordinates, _pair_closures, _walk, closure_points
 from .errors import NotProjectiveTagError, NotSteinerError, TooLargeError
 from .system import TripleSystem
@@ -167,23 +166,9 @@ def verify_dimension_theorem(
     return DimensionCheckReport(trials, tuple(bad))
 
 
-_ELSEWHERE = {
-    "SpreadingSearchResult": "greedy",
-    "greedy_spreading_set": "greedy",
-    "reduce_to_minimal": "greedy",
-    "SpreadingEnumeration": "enumeration",
-    "enumerate_minimal_spreading_sets": "enumeration",
-}
-
-
 def __getattr__(name):
     """Public names of the greedy search and of the subset scan, served from
-    their modules on first use (PEP 562).  Only bench/layers.py reads them
-    here; this goes with ROADMAP direction 3."""
-    try:
-        module = _ELSEWHERE[name]
-    except KeyError:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
-    value = getattr(import_module("." + module, __package__), name)
-    globals()[name] = value
-    return value
+    their modules on first use through the package's table.  Only
+    bench/layers.py reads them here; this forwarder goes with ROADMAP
+    direction 3."""
+    return _served(globals(), name, ("greedy", "enumeration"))

@@ -34,7 +34,7 @@ from array import array
 from operator import lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import config
+from . import _served, config
 from .errors import (
     BadOrderError,
     DuplicatePairError,
@@ -171,7 +171,8 @@ def _check_order(order, kind):
         raise BadOrderError("unknown system kind %r" % (kind,)) from None
     if not isinstance(order, int) or order < 1:
         raise BadOrderError("order must be a positive integer, got %r" % (order,))
-    if kind is SystemKind.STEINER and order > 3 and order % 6 not in (1, 3):
+    # order 2 is left to the coverage check, which raises NotSteinerError
+    if kind is SystemKind.STEINER and order > 3 and not steiner_admissible(order):
         raise BadOrderError(
             "no Steiner triple system of order %d exists (order mod 6 must be 1 or 3)"
             % order
@@ -596,12 +597,6 @@ def with_labels(ts: TripleSystem, labels: dict) -> TripleSystem:
 
 def __getattr__(name):
     """serialize and serialize_labels, served from writer.py on first use
-    (PEP 562).  Only bench/layers.py reads them here; this goes with ROADMAP
-    direction 3."""
-    if name not in ("serialize", "serialize_labels"):
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import writer
-
-    value = getattr(writer, name)
-    globals()[name] = value
-    return value
+    through the package's table.  Only bench/layers.py reads them here; this
+    forwarder goes with ROADMAP direction 3."""
+    return _served(globals(), name, ("writer",))

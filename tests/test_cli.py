@@ -794,6 +794,9 @@ _CONSTRUCT = _others("cli_construct") + _SCANS + (
     (["embed", "--system", "{fano}", "--target", "15", "--seed", "0", "--out", "{out}"],
      _others("cli_embed") + _SCANS + ("saturation", "spreading", "greedy", "claims",
                                       "constructions")),
+    (["embed", "--system", "{fano}", "--target", "15", "--seed", "0"],
+     _others("cli_embed") + _WRITE + _SCANS + ("saturation", "spreading", "greedy", "claims",
+                                               "constructions")),
     (["demo", "two-sizes", "--n", "4"],
      _others("cli_demo") + _WRITE + _SCANS + ("saturation", "spreading", "greedy")),
     (["demo", "szoras", "--n", "3", "--trials", "5", "--seed", "0"],
