@@ -95,13 +95,14 @@ def _grow(third, mask, members, i):
     thirds already inside are dropped by a flag per point.  The flag past
     the last point is set, so an uncovered pair's -1 is dropped too.  The
     thirds of one row are distinct, so taking a row at once adds the same
-    points in the same order as taking its pairs one by one.
+    points in the same order as taking its pairs one by one.  Once every
+    point is a member nothing can be added, so the rows left are not read.
     """
     inside = [False] * (len(third) + 1)
     inside[-1] = True
     for p in members:
         inside[p] = True
-    while i < len(members):
+    while i < len(members) < len(third):
         thirds = map(getitem, repeat(third[members[i]], i), islice(members, i))
         for z in list(filterfalse(inside.__getitem__, thirds)):
             inside[z] = True

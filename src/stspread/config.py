@@ -5,10 +5,10 @@ raising TooLargeError.  The environment variable STS_MAX_ORDER, when set,
 must be a positive integer and overrides every order cap at once; callers
 that need a one-off override can also pass explicit keyword arguments where
 offered.  Caps given as a dimension or a parameter (MAX_HYPERPLANE_DIM,
-MAX_EXTREMES_DIM, MAX_DIMENSION_CHECK_DIM, MAX_SECTION_N) go through the
-order of the space they stand for (pg_dim_cap, section_n_cap), so
-STS_MAX_ORDER moves them too; MAX_EXTREMES_SUBSET bounds a subset size, not
-an order, and stays fixed.
+MAX_DIMENSION_CHECK_DIM, MAX_SECTION_N) go through the order of the space
+they stand for (pg_dim_cap, section_n_cap), so STS_MAX_ORDER moves them too.
+The minimal spreading set listing and the hyperplane-intersection extremes
+have no cap here: each stops at its own work budget, at any order.
 """
 
 import os
@@ -21,16 +21,11 @@ MAX_CONSTRUCTION_ORDER = 2047
 # The lattice walk of min_spreading_size (a certified PG(d,2) takes none).
 MAX_MIN_SPREAD_ORDER = 63
 
-# Full subset enumerations (minimal spreading sets, saturating sets).
+# The saturating-set scan (min_saturating_size), which has no work budget.
 MAX_ENUMERATION_ORDER = 31
 
 # PG(n,2) hyperplane families and the related bounds.
 MAX_HYPERPLANE_DIM = 10
-
-# Exhaustive hyperplane-intersection scans (intersection_extremes): PG(n,2)
-# up to this n, subsets of at most MAX_EXTREMES_SUBSET points.
-MAX_EXTREMES_DIM = 3
-MAX_EXTREMES_SUBSET = 8
 
 # Dimension-theorem spot checks run on PG(d,2) up to this d.
 MAX_DIMENSION_CHECK_DIM = 5

@@ -13,10 +13,9 @@ import math
 from itertools import combinations, compress, islice
 from typing import NamedTuple, Optional
 
-from . import config
 from .closure import _SELECTOR, _batch_closure, _holding_all
 from .colex import _colex_levels
-from .errors import NotSteinerError, TooLargeError
+from .errors import NotSteinerError
 from .system import TripleSystem
 
 
@@ -66,8 +65,11 @@ def enumerate_minimal_spreading_sets(
     budget caps the total number of subsets considered, the levels not
     scanned after such a stop included: a size level that would push past
     it is skipped entirely and flagged with truncated, so truncated does
-    not depend on the stop.  The scan runs in the calling process: jobs is
-    accepted for compatibility and ignored.
+    not depend on the stop.  The budget is the scan's only limit, at any
+    order: a system whose first level it refuses, such as PG(10,2) with
+    its C(2047, 2) pairs, returns no sets at once, and its blocks are never
+    read.  The scan runs in the calling process: jobs is accepted for
+    compatibility and ignored.
 
     The result stores each set as the tuple of its points in ascending
     order (points), the tuples ordered by size and then lexicographically;
@@ -143,14 +145,11 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
     if not ts.is_steiner():
         raise NotSteinerError("spreading-set enumeration needs a Steiner system")
     n = ts.order
-    if n > config.order_cap(config.MAX_ENUMERATION_ORDER):
-        raise TooLargeError("enumeration capped at order %d"
-                            % config.order_cap(config.MAX_ENUMERATION_ORDER))
     if max_size is None:
         max_size = (n + 1).bit_length() - 1
     count = 0
     levels = []
-    triples = ts.triples
+    triples = None  # the blocks, read when a level is first scanned
     points = "".join(map(chr, range(n)))
     mark = chr(n)  # no point, so it can stand for the least point of a k-set
     truncated = False
@@ -174,6 +173,8 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
         if whole or k == 2 and n > 3:
             # above order 3 a pair closes to its block and never spreads
             continue
+        if triples is None:
+            triples = ts.triples
         # the mark plus each (k-1)-subset of points 1, ..., n-1: a k-set
         # once the mark stands for a least point below the subset
         rests = _packed(map(mark.__add__, map("".join, combinations(points[1:], k - 1))))
@@ -200,7 +201,7 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
         whole = spread_bits == (1 << level) - 1
         # only a level that is scanned next looks up the spreading k-sets
         spreading = set()
-        if k < top and not whole:
+        if k < top and not whole and spent + math.comb(n, k + 1) <= budget:
             for t, spread in enumerate(spreads, k - 1):
                 sets = _picked(rests, k, spread, math.comb(t, k - 1))
                 spreading.update(_split(sets.replace(mark, points[n - 1 - t]), k))

@@ -1,8 +1,8 @@
 """A fork pool that the package no longer calls.
 
-Every scan of the package runs in one process; at the orders the subset
-scans are capped at, forking and merging cost more than they save.  This
-module stays only because bench/layers.py still times run_jobs in its
+Every scan of the package runs in one process; within the caps and work
+budgets of the subset scans, forking and merging cost more than they
+save.  This module stays only because bench/layers.py times run_jobs in its
 traced probe, and goes when that probe does.  It maps fn over args_list in
 order, so any jobs value gives the serial result, falls back to serial
 execution when fork is not available, and imports multiprocessing only

@@ -276,20 +276,17 @@ def intersection_extremes(
     max_min answers "how evenly can m points meet every hyperplane", min_max
     "how flat can the maximum be".  The scan is exhaustive; if the subset
     count times the hyperplane count would exceed budget the call refuses
-    up front with BudgetExhaustedError.  The m-subsets come from
+    up front with BudgetExhaustedError.  The budget is the scan's only
+    limit on n and m: before it, only the hyperplane family's cap
+    (hyperplanes_pg2, TooLargeError), which bounds the memory of the
+    family, and m above the point count (OutOfRangeError) refuse.  The
+    m-subsets come from
     colex._colex_levels in colex order; closure._columns transposes each
     batch, and each candidate is read from it and met with every hyperplane
     once, its counts giving both extremes.
     """
     from .colex import _colex_levels
 
-    n_cap = config.pg_dim_cap(config.MAX_EXTREMES_DIM)
-    if n > n_cap:
-        raise TooLargeError("intersection_extremes capped at n = %d" % n_cap)
-    if m > config.MAX_EXTREMES_SUBSET:
-        raise TooLargeError(
-            "intersection_extremes capped at m = %d" % config.MAX_EXTREMES_SUBSET
-        )
     fam = hyperplanes_pg2(n)
     count = (1 << (n + 1)) - 1
     if m > count:

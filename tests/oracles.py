@@ -297,6 +297,22 @@ def hyperplane_point_indices(n, functional):
     return out
 
 
+def brute_extremes(n, m):
+    """(max_min, max_min_witness, min_max, min_max_witness) over the
+    m-subsets U of PG(n,2), of the least and the greatest |U n H| over the
+    hyperplanes H, each witness the colex-first subset attaining its
+    extreme; every subset is met with every hyperplane as a set."""
+    planes = [set(hyperplane_point_indices(n, f)) for f in range(1, 1 << (n + 1))]
+    best_low, best_high = -1, len(planes) + 1
+    for subset in colex_subsets((1 << (n + 1)) - 1, m):
+        counts = [len(h.intersection(subset)) for h in planes]
+        if min(counts) > best_low:
+            best_low, low_witness = min(counts), frozenset(subset)
+        if max(counts) < best_high:
+            best_high, high_witness = max(counts), frozenset(subset)
+    return best_low, low_witness, best_high, high_witness
+
+
 def variance_sum_by_enumeration(n, subset):
     """Sum over hyperplanes of (|subset on H| - m/2)^2, straight from the
     definition with Fractions."""

@@ -21,13 +21,14 @@ from stspread import (
 )
 from stspread.cli import main
 
+from oracles import brute_extremes
+
 
 def test_caps_without_override(monkeypatch):
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
     assert config.order_cap(31) == 31
     assert config.section_n_cap() == config.MAX_SECTION_N == 6
-    for dim in (config.MAX_HYPERPLANE_DIM, config.MAX_EXTREMES_DIM,
-                config.MAX_DIMENSION_CHECK_DIM):
+    for dim in (config.MAX_HYPERPLANE_DIM, config.MAX_DIMENSION_CHECK_DIM):
         assert config.pg_dim_cap(dim) == dim
 
 
@@ -69,28 +70,24 @@ def test_bad_override_exits_with_one_error_line(monkeypatch, tmp_path, capsys):
                                       ("100", 5), ("127", 6), ("4095", 11)])
 def test_pg_dim_cap_follows_the_override(monkeypatch, raw, dim):
     monkeypatch.setenv("STS_MAX_ORDER", raw)
-    for default in (config.MAX_HYPERPLANE_DIM, config.MAX_EXTREMES_DIM):
-        assert config.pg_dim_cap(default) == dim
+    assert config.pg_dim_cap(config.MAX_HYPERPLANE_DIM) == dim
 
 
 def test_extremes_caps_come_from_config(monkeypatch):
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
-    with pytest.raises(TooLargeError, match="capped at n = 3"):
-        intersection_extremes(4, 2)
-    with pytest.raises(TooLargeError, match="capped at m = 8"):
-        intersection_extremes(3, 9)
+    # below the hyperplane family's cap only the work budget bounds n and m
+    for n, m in ((4, 2), (3, 9)):
+        assert tuple(intersection_extremes(n, m))[2:] == brute_extremes(n, m)
     with pytest.raises(TooLargeError):
         intersection_extremes(10 ** 9, 2)
     monkeypatch.setenv("STS_MAX_ORDER", "7")
-    with pytest.raises(TooLargeError, match="capped at n = 2"):
+    with pytest.raises(TooLargeError, match=re.escape("PG(3,2) hyperplane family above the cap")):
         intersection_extremes(3, 2)
     assert intersection_extremes(2, 3).max_min == 1
     monkeypatch.setenv("STS_MAX_ORDER", "31")
     assert intersection_extremes(4, 2).min_max == 2
-    # the subset cap is not an order cap
     monkeypatch.setenv("STS_MAX_ORDER", "4095")
-    with pytest.raises(TooLargeError, match="capped at m = 8"):
-        intersection_extremes(3, 9)
+    assert tuple(intersection_extremes(3, 9))[2:] == brute_extremes(3, 9)
 
 
 def test_hyperplane_cap_holds_for_a_cached_family(monkeypatch):
@@ -211,7 +208,17 @@ def test_dimension_check_cap_follows_the_override(monkeypatch):
 
 def test_default_cap_errors_are_unchanged(monkeypatch, capsys):
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
-    assert main(["saturate", "extremes", "--n", "4", "--m", "2"]) == 2
-    assert capsys.readouterr().err == "error: intersection_extremes capped at n = 3\n"
-    assert main(["saturate", "extremes", "--n", "3", "--m", "9"]) == 2
-    assert capsys.readouterr().err == "error: intersection_extremes capped at m = 8\n"
+    # below the hyperplane family's cap and within the budget these answer
+    for n, m in ((4, 2), (3, 9)):
+        assert main(["saturate", "extremes", "--n", str(n), "--m", str(m)]) == 0
+        low, low_witness, high, high_witness = brute_extremes(n, m)
+        assert capsys.readouterr() == (
+            "n=%d m=%d\nmax_min=%d witness=%s\nmin_max=%d witness=%s\n"
+            % (n, m, low, ",".join(map(str, sorted(low_witness))),
+               high, ",".join(map(str, sorted(high_witness)))), "")
+    # the work budget and the hyperplane family's cap remain
+    assert main(["saturate", "extremes", "--n", "4", "--m", "6"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: scan of 22824711 subset-hyperplane pairs exceeds budget 10000000\n")
+    assert main(["saturate", "extremes", "--n", "11", "--m", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: PG(11,2) hyperplane family above the cap\n")

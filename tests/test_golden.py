@@ -98,6 +98,7 @@ SYSTEMS = {
     "pg4": ("construct", "pg2", "--dim", "4"),
     "r31": ("construct", "random", "--order", "31", "--seed", "1"),
     "pp4": ("construct", "perturbed-pg", "--dim", "4", "--seed", "0"),
+    "r63": ("construct", "random", "--order", "63", "--seed", "1"),
 }
 
 # (system, analyze argv after --system): the digest of stdout
@@ -116,6 +117,9 @@ LISTINGS = {
     # its level 6 has the largest batches, one per top point: C(30, 5)
     ("pp4", "spread", "enumerate", "--max-size", "6"):
         "5b7ea75fb2f2dcd69ad8ea773dbd3ad87b0286635f2f730e689e67dc4842fdd7",
+    # above order 31 the budget alone bounds the scan: truncated=true
+    ("r63", "spread", "enumerate"):
+        "025b2546287dd3d3a6d5c78d55f77e9d8a2d288f8f3997033abbeaa9303b555c",
 }
 
 

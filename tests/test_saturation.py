@@ -31,6 +31,7 @@ from stspread import colex
 from stspread.colex import _colex_levels
 
 from oracles import (
+    brute_extremes,
     colex_subsets,
     hyperplane_point_indices,
     most_deviating_functional,
@@ -364,6 +365,12 @@ def test_extremes_match_direct_scan():
         assert report.min_max == min(highs)
         assert report.max_min_witness == frozenset(subsets[lows.index(max(lows))])
         assert report.min_max_witness == frozenset(subsets[highs.index(min(highs))])
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (4, 3), (3, 9), (5, 2)])
+def test_extremes_past_the_old_caps_match_the_oracle(n, m):
+    # no cap bounds n or m below the hyperplane family's: only the budget
+    assert tuple(intersection_extremes(n, m)) == (n, m, *brute_extremes(n, m))
 
 
 def test_extremes_budget_refusal():

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import sys
 import time
 from itertools import accumulate, combinations
 from math import comb
@@ -12,6 +13,7 @@ from stspread import (
     NotProjectiveTagError,
     SamePointError,
     TooLargeError,
+    TripleSystem,
     ag3,
     build_system,
     check_projective,
@@ -89,6 +91,23 @@ def test_greedy_seed_pair_validation():
     res = greedy_spreading_set(ts, (4, 6))
     assert is_spreading_set(ts, res.witness)
     assert {4, 6} <= set(res.witness)
+
+
+def test_greedy_reads_no_row_once_its_closure_is_whole(monkeypatch):
+    # the seventh point of the greedy set of PG(6,2) closes it to all 127
+    # points with most members' rows unread: growth stops there, after
+    # 2,016 pair lookups
+    lookups = []
+
+    def counted(row, p):
+        lookups.append(p)
+        return row[p]
+
+    ts = pg2(6)
+    # the module: the attribute stspread.closure is the function
+    monkeypatch.setattr(sys.modules["stspread.closure"], "getitem", counted)
+    assert greedy_spreading_set(ts).size == 7
+    assert len(lookups) == 2016
 
 
 def test_reduce_to_minimal():
@@ -371,6 +390,55 @@ def test_enumerate_lists_only_minimal_sets_on_perturbed_pg4():
     for s in enum.points:
         assert is_spreading_set(ts, s)
         assert not any(is_spreading_set(ts, sub) for sub in combinations(s, len(s) - 1))
+
+
+def test_enumerate_refuses_the_first_level_of_pg2_10_unread(monkeypatch):
+    # C(2047, 2) pairs exceed the default budget, which is the scan's only
+    # limit at any order: it lists nothing, and never reads the blocks
+    ts = pg2(10)
+
+    def refuse(self):
+        raise AssertionError("the blocks were read")
+
+    monkeypatch.setattr(TripleSystem, "triples", property(refuse))
+    assert enumerate_minimal_spreading_sets(ts) == ((), 11, True)
+
+
+def test_enumerate_keeps_no_spreading_sets_for_a_refused_level(monkeypatch):
+    # the C(127, 4) 4-sets of r127 exceed the budget, so its spreading
+    # 3-sets, which only a scan of the 4-sets would look up, are not kept
+    split = []
+    real = enumeration._split
+
+    def recording(sets, k):
+        split.append(k)
+        return real(sets, k)
+
+    monkeypatch.setattr(enumeration, "_split", recording)
+    enum = enumerate_minimal_spreading_sets(random_sts(127, 1))
+    assert (len(enum.points), enum.truncated) == (330708, True)
+    assert split == []
+
+
+@pytest.mark.parametrize("make, count, size, max_size", [
+    pytest.param(lambda: random_sts(63, 1), 39060, 3, 6, id="r63"),
+    pytest.param(lambda: perturbed_pg(5, 0), 416640, 4, 6, id="pp5"),
+    pytest.param(lambda: random_sts(127, 1), 330708, 3, 7, id="r127"),
+])
+def test_enumerate_above_order_31_meets_independent_counts(make, count, size, max_size):
+    # the counts are those of a separate search for the minimal transversals
+    # of the complements of the maximal closed sets (ROADMAP direction 6);
+    # the budget stops the scan below max_size, so the result is truncated
+    ts = make()
+    enum = enumerate_minimal_spreading_sets(ts)
+    assert (len(enum.points), enum.max_size, enum.truncated) == (count, max_size, True)
+    assert {len(s) for s in enum.points} == {size}
+    triples = ts.triples
+    rng = random.Random(ts.order)
+    for s in [enum.points[0], enum.points[-1], *rng.sample(enum.points, 8)]:
+        assert naive_is_spreading(ts.order, triples, s)
+        assert not any(naive_is_spreading(ts.order, triples, sub)
+                       for sub in combinations(s, size - 1))
 
 
 # -- projectivity and dimension ----------------------------------------------
