@@ -156,7 +156,7 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
     spent = 0
     whole = False  # every set of the last scanned level spreads
     prev_bits = 0  # bit r: the r-th (k-1)-subset in backward colex order spreads
-    prev = set()  # the spreading (k-1)-subsets
+    spreads = []  # spreads[i]: the spreading candidates of batch i of level k-1
     top = min(max_size, n)  # no subset has more than n points
     # cap = budget: a level within the budget has at most budget subsets, so
     # each of its top points is one batch
@@ -175,13 +175,18 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
             continue
         if triples is None:
             triples = ts.triples
+        # the spreading (k-1)-subsets, looked up only once level k is scanned
+        prev = set()
+        for t, spread in enumerate(spreads, k - 2):
+            sets = _picked(rests, k - 1, spread, math.comb(t, k - 2))
+            prev.update(_split(sets.replace(mark, points[n - 1 - t]), k - 1))
         # the mark plus each (k-1)-subset of points 1, ..., n-1: a k-set
         # once the mark stands for a least point below the subset
         rests = _packed(map(mark.__add__, map("".join, combinations(points[1:], k - 1))))
         # found[i]: the minimal k-sets whose least point is n-k-i, side by side
         found = []
         spread_bits = 0
-        spreads = []  # spreads[i]: the spreading candidates of batch i
+        spreads = []
         for t, (full, batch) in enumerate(batches, k - 1):
             # candidate j of the batch is the (j+1)-th entry of rests from the
             # end, with its least point n-1-t in place of the mark
@@ -199,11 +204,5 @@ def _minimal_spreading_levels(ts, max_size=None, budget=2_000_000):
         count += sum(map(len, found)) // k
         levels.append((k, found))
         whole = spread_bits == (1 << level) - 1
-        # only a level that is scanned next looks up the spreading k-sets
-        spreading = set()
-        if k < top and not whole and spent + math.comb(n, k + 1) <= budget:
-            for t, spread in enumerate(spreads, k - 1):
-                sets = _picked(rests, k, spread, math.comb(t, k - 1))
-                spreading.update(_split(sets.replace(mark, points[n - 1 - t]), k))
-        prev_bits, prev = spread_bits, spreading
+        prev_bits = spread_bits
     return count, levels, max_size, truncated

@@ -275,7 +275,8 @@ def intersection_extremes(
 
     max_min answers "how evenly can m points meet every hyperplane", min_max
     "how flat can the maximum be".  The scan is exhaustive; if the subset
-    count times the hyperplane count would exceed budget the call refuses
+    count times the hyperplane count, or that plus the bits of the Pascal
+    table the subsets are cut from, would exceed budget the call refuses
     up front with BudgetExhaustedError.  The budget is the scan's only
     limit on n and m: before it, only the hyperplane family's cap
     (hyperplanes_pg2, TooLargeError), which bounds the memory of the
@@ -296,6 +297,14 @@ def intersection_extremes(
         raise BudgetExhaustedError(
             "scan of %d subset-hyperplane pairs exceeds budget %d" % (work, budget)
         )
+    # level m is cut from m - 1 Pascal rows, row j of at most count - 1
+    # entries of at most min(_BATCH_CAP, C(count - 1, j)) bits (colex.py)
+    table = work
+    for j in range(1, m):
+        table += (count - 1) * min(_BATCH_CAP, math.comb(count - 1, j))
+        if table > budget:
+            raise BudgetExhaustedError("scan of %d subset-hyperplane pairs plus its Pascal"
+                                       " table exceeds budget %d" % (work, budget))
     if m == 0:
         return ExtremesReport(n, m, 0, frozenset(), 0, frozenset())
     masks = fam.masks

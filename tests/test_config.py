@@ -222,3 +222,11 @@ def test_default_cap_errors_are_unchanged(monkeypatch, capsys):
         "", "error: scan of 22824711 subset-hyperplane pairs exceeds budget 10000000\n")
     assert main(["saturate", "extremes", "--n", "11", "--m", "1"]) == 2
     assert capsys.readouterr() == ("", "error: PG(11,2) hyperplane family above the cap\n")
+
+
+def test_extremes_near_the_point_count_are_refused_by_the_budget(capsys):
+    # 2047 subsets of 2046 points, but a Pascal table of 2045 rows
+    assert main(["saturate", "extremes", "--n", "10", "--m", "2046"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: scan of 4190209 subset-hyperplane pairs plus its Pascal table exceeds"
+            " budget 10000000\n")

@@ -376,3 +376,37 @@ def test_extremes_past_the_old_caps_match_the_oracle(n, m):
 def test_extremes_budget_refusal():
     with pytest.raises(BudgetExhaustedError):
         intersection_extremes(3, 8, budget=1000)
+
+
+def test_extremes_budget_counts_the_pascal_table(monkeypatch):
+    # m near the point count: few subsets, but level m needs m - 1 Pascal
+    # rows, so the budget refuses before any row is built
+    def no_row(*args):
+        raise AssertionError("a Pascal row was built")
+
+    monkeypatch.setattr(colex, "_pascal", no_row)
+    for n, m, pairs in ((8, 510, 261121), (10, 2046, 4190209)):
+        with pytest.raises(BudgetExhaustedError,
+                           match="^scan of %d subset-hyperplane pairs plus its Pascal table"
+                                 " exceeds budget 10000000$" % pairs):
+            intersection_extremes(n, m)
+
+
+def test_extremes_budget_bounds_the_rows_built(monkeypatch):
+    # the budget counts each of the 11 rows of level 12 of PG(3,2) as 14
+    # entries of C(14, j) bits; the rows built hold no more
+    bits = []
+    pascal = colex._pascal
+
+    def counted(below, j, m):
+        row = pascal(below, j, m)
+        bits.append(sum(map(int.bit_length, row)))
+        return row
+
+    monkeypatch.setattr(colex, "_pascal", counted)
+    work = comb(15, 12) * 15 + 14 * sum(comb(14, j) for j in range(1, 12))
+    with pytest.raises(BudgetExhaustedError):
+        intersection_extremes(3, 12, budget=work - 1)
+    assert not bits
+    assert tuple(intersection_extremes(3, 12, budget=work)) == (3, 12, *brute_extremes(3, 12))
+    assert len(bits) == 11 and sum(bits) <= work - comb(15, 12) * 15
