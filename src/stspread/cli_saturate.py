@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from . import config
 from .cli import (
     EXIT_OK,
     EXIT_VIOLATION,
@@ -12,6 +11,7 @@ from .cli import (
     _load_system,
     _Report,
 )
+from .errors import BudgetExhaustedError
 from .saturation import (
     _check_pg_dim,
     deviating_hyperplane,
@@ -50,17 +50,21 @@ def run(args):
         return EXIT_OK, rep, {}
     if args.what == "bounds":
         rows = []
+        scan = args.exact
         for n in range(1, args.max_n + 1):
             # PG(n,2) stays within the hyperplane cap; lunelli_sce_min alone
             # would loop about 2^(n/2+1) times on a large n
             _check_pg_dim(n)
-            # the exact minimum is a subset scan of PG(n,2), which has
-            # 2^(n+1)-1 points; the column stops at the enumeration cap
+            # the exact minimum is a subset scan of PG(n,2) within the work
+            # budget; a larger space's first level costs more, so the column
+            # stops at the first space the budget refuses
             exact = None
-            if args.exact and (1 << (n + 1)) - 1 <= config.order_cap(
-                    config.MAX_ENUMERATION_ORDER):
+            if scan:
                 from .constructions import pg2
-                exact, _ = min_saturating_size(pg2(n))
+                try:
+                    exact, _ = min_saturating_size(pg2(n))
+                except BudgetExhaustedError:
+                    scan = False
             rows.append((n, lunelli_sce_min(n, 2), lunelli_sce_min(n, 3), exact))
         if args.format == "csv":
             rep.say("n,lunelli_q2,lunelli_q3,exact_q2")

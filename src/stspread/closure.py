@@ -30,7 +30,7 @@ from itertools import combinations, compress, count, filterfalse, islice, produc
 from operator import getitem
 from typing import Iterable, NamedTuple
 
-from .errors import NotSteinerError, OutOfRangeError, TrivialOrderError
+from .errors import BudgetExhaustedError, NotSteinerError, OutOfRangeError, TrivialOrderError
 from .system import TripleSystem, _fmt_set
 
 DEFAULT_CLOSED_SET_BUDGET = 100000
@@ -261,7 +261,7 @@ def _pair_closures(ts):
     return seeds
 
 
-def _walk(ts, seeds):
+def _walk(ts, seeds, budget=None):
     """Breadth-first walk of the closure lattice above seeds.
 
     seeds are distinct closed masks.  The walked sets are the seeds, then
@@ -282,8 +282,16 @@ def _walk(ts, seeds):
     bytes, one mask at a time, and no list of every mask is built.  Chunks
     start with one set, so an early hit stays cheap, and double up to about
     _CHUNK_CAP slots, which bounds memory.
+
+    With a budget, each chunk adds its slots times (points + blocks), the
+    candidate steps of checking every slot against every point and block,
+    to a running total before it is closed, and the walk raises
+    BudgetExhaustedError, naming the total, once that passes the budget.
+    The count depends on the input only, never on time.
     """
     n, blocks = ts.order, ts.triples
+    steps = n + ts.block_count
+    spent = 0
     walked = list(seeds)
     seen = set(walked)
     whole = True  # the whole set is still to be yielded
@@ -291,6 +299,10 @@ def _walk(ts, seeds):
     while i < len(walked):
         entries = walked[i:i + size]
         width = len(entries) * n
+        spent += width * steps
+        if budget is not None and spent > budget:
+            raise BudgetExhaustedError("lattice walk of %d candidate steps exceeds budget %d"
+                                       % (spent, budget))
         ones = (1 << width) - 1
         rep = ones // ((1 << n) - 1)  # bit e * n for every entry e
         side = 0

@@ -7,8 +7,11 @@ that need a one-off override can also pass explicit keyword arguments where
 offered.  Caps given as a dimension or a parameter (MAX_HYPERPLANE_DIM,
 MAX_DIMENSION_CHECK_DIM, MAX_SECTION_N) go through the order of the space
 they stand for (pg_dim_cap, section_n_cap), so STS_MAX_ORDER moves them too.
-The minimal spreading set listing and the hyperplane-intersection extremes
-have no cap here: each stops at its own work budget, at any order.
+The subset and lattice searches have no order cap here: each stops at a
+work budget instead, at any order.  The minimal spreading set listing and
+the hyperplane-intersection extremes take their own budgets; the lattice
+walk of min_spreading_size and the saturating-set scan share
+DEFAULT_WORK_BUDGET, which STS_MAX_ORDER does not move.
 """
 
 import os
@@ -18,11 +21,12 @@ from .errors import BadOrderError
 # Largest system any construction will build.
 MAX_CONSTRUCTION_ORDER = 2047
 
-# The lattice walk of min_spreading_size (a certified PG(d,2) takes none).
-MAX_MIN_SPREAD_ORDER = 63
-
-# The saturating-set scan (min_saturating_size), which has no work budget.
-MAX_ENUMERATION_ORDER = 31
+# Candidate steps allowed to the lattice walk of min_spreading_size and to
+# the saturating-set scan: one step is one candidate set checked against one
+# point or one block, so a candidate costs order + blocks steps.  The walk on
+# perturbed_pg(6, 0) takes 4.9e9 and a scan of any STS(31) through level 10
+# 1.35e10; a Steiner scan of order 63 needs 4.4e14 at its first level.
+DEFAULT_WORK_BUDGET = 2 * 10 ** 10
 
 # PG(n,2) hyperplane families and the related bounds.
 MAX_HYPERPLANE_DIM = 10

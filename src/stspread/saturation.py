@@ -217,7 +217,17 @@ def min_saturating_size(ts: TripleSystem):
 
     Exhaustive scan over subset sizes 1, 2, ...; the whole point set always
     saturates, so the scan terminates.  For ts = pg2(n) this computes the
-    exact smallest saturating set size of PG(n,2).
+    exact smallest saturating set size of PG(n,2).  A k-set covers at most
+    k + C(k,2) points, itself and one third per pair, so the levels below
+    that counting bound are passed over unread.
+
+    The scan is bounded by work, not by order: level k is admitted only
+    while the candidate steps so far plus its C(n,k) candidates times
+    (points + blocks) stay within config.DEFAULT_WORK_BUDGET, and is
+    otherwise refused with BudgetExhaustedError before it is read.  The
+    first level is checked before the stars and the Pascal rows are built,
+    so an STS(63), whose first level counts 4.4e14 steps, is refused at
+    once.
 
     The k-subsets come from colex._colex_levels in colex batches of at
     most _BATCH_CAP candidates, so the scan holds a bounded window whatever
@@ -234,12 +244,20 @@ def min_saturating_size(ts: TripleSystem):
     from .colex import _colex_levels
 
     n = ts.order
-    cap = config.order_cap(config.MAX_ENUMERATION_ORDER)
-    if n > cap:
-        raise TooLargeError("min_saturating_size capped at order %d" % cap)
-    # stars[p]: the pairs (b, c), b < c, that complete a block with p, top point first
-    stars = [[(b, c) for b, c in enumerate(row) if c > b] for row in reversed(ts._third)]
+    steps, budget = n + ts.block_count, config.DEFAULT_WORK_BUDGET
+    work = 0
+    stars = None
     for k, batches in _colex_levels(n, _BATCH_CAP):
+        if k + k * (k - 1) // 2 < n:  # the counting bound: no k-set saturates
+            continue
+        work += math.comb(n, k) * steps
+        if work > budget:
+            raise BudgetExhaustedError("saturating-set scan of %d candidate steps through"
+                                       " level %d exceeds budget %d" % (work, k, budget))
+        if stars is None:
+            # stars[p]: the pairs (b, c), b < c, that complete a block with p, top point first
+            stars = [[(b, c) for b, c in enumerate(row) if c > b]
+                     for row in reversed(ts._third)]
         for full, batch in batches:
             hits = full
             for p, star in zip(range(n - 1, -1, -1), stars):

@@ -57,7 +57,9 @@ def min_spreading_size(ts: TripleSystem):
     finds outside the closure of the points labelled so far, taking the
     points in index order, so the points with a one-bit label are the
     chain, and no other point has one.  Every other input takes the walk
-    of _walk_min_spreading; only the walk is capped in order.
+    of _walk_min_spreading, at any order: it stops at
+    config.DEFAULT_WORK_BUDGET candidate steps (closure._walk) with
+    BudgetExhaustedError.
     """
     if not ts.is_steiner():
         raise NotSteinerError("min_spreading_size needs a Steiner system")
@@ -67,9 +69,6 @@ def min_spreading_size(ts: TripleSystem):
     label = _coordinates(ts)
     if label is not None:
         return n.bit_length(), frozenset(p for p, v in enumerate(label) if not v & (v - 1))
-    if n > config.order_cap(config.MAX_MIN_SPREAD_ORDER):
-        raise TooLargeError("min_spreading_size capped at order %d"
-                            % config.order_cap(config.MAX_MIN_SPREAD_ORDER))
     return _walk_min_spreading(ts)
 
 
@@ -91,7 +90,7 @@ def _walk_min_spreading(ts):
         if mask == full:
             return 2, frozenset({a, b})
         gens.append((a, b))
-    for e, p, mask in _walk(ts, [mask for _, _, mask in seeds]):
+    for e, p, mask in _walk(ts, [mask for _, _, mask in seeds], config.DEFAULT_WORK_BUDGET):
         if mask == full:
             return len(gens[e]) + 1, frozenset(gens[e] + (p,))
         gens.append(gens[e] + (p,))

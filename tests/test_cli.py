@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import stspread.cli as cli_module
+import stspread.config as config
 import stspread.system as system_module
 import stspread.writer as writer
 from stspread import complete_partial, parse, pg2, random_sts, serialize
@@ -205,15 +206,77 @@ def test_spread_min_witnesses_at_order_63(tmp_path, capsys):
 
 
 def test_spread_min_answers_certified_orders_above_the_walk_cap(tmp_path, capsys):
-    # only the walk is capped at order 63: PG(6,2) is answered from its labels,
-    # while an uncertified system of the same order is still refused
+    # PG(6,2) is answered from its labels, and an uncertified system of the
+    # same order by the walk, which only the work budget bounds
     for family, code, stdout, err in (
             ("pg2", 0, "size=7\nwitness=0,1,3,7,15,31,63\n", ""),
-            ("perturbed-pg", 2, "", "error: min_spreading_size capped at order 63\n")):
+            ("perturbed-pg", 0, "size=5\nwitness=0,1,15,31,63\n", "")):
         out = tmp_path / (family + ".txt")
         run(capsys, "construct", family, "--dim", "6", "--out", str(out))
         assert run(capsys, "analyze", "--system", str(out), "spread", "min") == (
             code, stdout, err)
+
+
+def test_spread_min_walks_random_systems_above_order_63(tmp_path, capsys):
+    out = tmp_path / "r127.txt"
+    run(capsys, "construct", "random", "--order", "127", "--seed", "1", "--out", str(out))
+    assert run(capsys, "analyze", "--system", str(out), "spread", "min") == (
+        0, "size=3\nwitness=0,1,2\n", "")
+
+
+@pytest.mark.parametrize("construct,search,steps,stdout,err", [
+    pytest.param(("perturbed-pg", "--dim", "5", "--seed", "0"),
+                 ("analyze", "--system", None, "spread", "min"),
+                 34681122, "size=4\nwitness=0,1,15,31\n",
+                 "error: lattice walk of 34681122 candidate steps exceeds budget 34681121\n",
+                 id="walk-pp5"),
+    pytest.param(("random", "--order", "31", "--seed", "1"),
+                 ("saturate", "min", "--system", None),
+                 1467302850, "size=8\nwitness=2,3,4,6,10,12,13,18\n",
+                 "error: saturating-set scan of 1467302850 candidate steps through level 8"
+                 " exceeds budget 1467302849\n", id="scan-r31"),
+])
+def test_searches_stop_at_the_work_budget(construct, search, steps, stdout, err, tmp_path,
+                                          capsys, monkeypatch):
+    # the walk adds slots times (points + blocks) per chunk, the scan
+    # C(n, k) times (points + blocks) per level: steps is their exact total,
+    # and None in search stands for the system file
+    out = tmp_path / "s.txt"
+    run(capsys, "construct", *construct, "--out", str(out))
+    argv = [str(out) if arg is None else arg for arg in search]
+    monkeypatch.setattr(config, "DEFAULT_WORK_BUDGET", steps - 1)
+    assert run(capsys, *argv) == (3, "", err)
+    monkeypatch.setattr(config, "DEFAULT_WORK_BUDGET", steps)
+    assert run(capsys, *argv) == (0, stdout, "")
+
+
+def test_saturate_min_refuses_order_63_at_once_under_any_hash_seed(tmp_path, capsys,
+                                                                   monkeypatch):
+    out = tmp_path / "pg5.txt"
+    run(capsys, "construct", "pg2", "--dim", "5", "--out", str(out))
+    errs = set()
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = _python("-m", "stspread.cli", "saturate", "min", "--system", str(out))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        errs.add(proc.stderr)
+    assert errs == {"error: saturating-set scan of 439674243371622 candidate steps"
+                    " through level 11 exceeds budget 20000000000\n"}
+
+
+def test_packed_rows_write_points_above_255():
+    # the spread scan holds each point as chr(p); its rows must read as "%d"
+    # would write them, at every order
+    from stspread.cli_analyze import _packed_rows
+
+    sets = [(0, 256, 299), (0, 257, 280), (255, 256, 298), (256, 257, 258), (256, 290, 299)]
+    by_least = {}
+    for s in sets:
+        by_least[s[0]] = by_least.get(s[0], "") + "".join(map(chr, s))
+    for row, line in (("{1}", "%d,%d,%d\n"), ('{0},"{1}"', '3,"%d,%d,%d"\n')):
+        # the pieces of the greatest least point first, as the scan leaves them
+        levels = [(3, [by_least[p] for p in sorted(by_least, reverse=True)])]
+        assert "".join(_packed_rows(row, levels, 300)) == "".join(line % s for s in sets)
 
 
 def test_saturate_min_and_bounds(tmp_path, capsys):

@@ -164,7 +164,7 @@ def test_closed_set_shortcut_equals_the_walk(make):
 
 
 def test_certified_inputs_take_no_walk(monkeypatch):
-    def refuse(ts, seeds):
+    def refuse(ts, seeds, budget=None):
         raise AssertionError("lattice walk on a certified input")
 
     # the package's name closure is the function, so fetch the module itself;
@@ -182,8 +182,8 @@ def test_certified_inputs_take_no_walk(monkeypatch):
     pytest.param(lambda: _relabelled(pg2(6), 2), id="relabelled pg2(6)"),
 ])
 def test_min_spreading_answers_certified_orders_above_the_walk_cap(make, monkeypatch):
-    # the cap of order 63 bounds the walk only
-    def refuse(ts, seeds):
+    # a certified input takes no walk, at any order
+    def refuse(ts, seeds, budget=None):
         raise AssertionError("lattice walk on a certified input")
 
     monkeypatch.setattr(importlib.import_module("stspread.spreading"), "_walk", refuse)

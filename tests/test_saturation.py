@@ -300,6 +300,55 @@ def test_min_saturating_builds_each_pascal_row_once(monkeypatch):
     assert built == list(range(1, 9))
 
 
+def test_min_saturating_reads_no_level_below_the_counting_bound(monkeypatch):
+    # a k-set covers at most k + C(k,2) points, so the levels below that
+    # bound are passed over unread, and the colex-first witness stays
+    read = []
+    levels = colex._colex_levels
+
+    def reading(k, batches):
+        for batch in batches:
+            read.append(k)
+            yield batch
+
+    def recording(n, cap):
+        for k, batches in levels(n, cap):
+            yield k, reading(k, batches)
+
+    monkeypatch.setattr(colex, "_colex_levels", recording)
+    known = [(pg2(4), (9, frozenset({2, 3, 5, 7, 9, 11, 13, 15, 16}))),
+             (random_sts(31, 1), (8, frozenset({2, 3, 4, 6, 10, 12, 13, 18})))]
+    known += [(ts, _colex_first_saturating(ts)) for ts in (pg2(2), *_partial_systems())]
+    for ts, answer in known:
+        read.clear()
+        assert min_saturating_size(ts) == answer, ts
+        bound = next(k for k in range(1, ts.order + 1) if k + comb(k, 2) >= ts.order)
+        assert read[0] == bound, ts
+
+
+def test_min_saturating_refuses_order_63_before_reading_the_system(monkeypatch):
+    # the first level of PG(5,2) by the counting bound is 11: C(63, 11)
+    # candidates times 63 points plus 651 blocks exceed the work budget,
+    # so neither the pair table nor a Pascal row is read
+    ts = pg2(5)
+
+    class Unread:
+        order, block_count = ts.order, ts.block_count
+
+        @property
+        def _third(self):
+            raise AssertionError("pair table read")
+
+    def refuse(*args):
+        raise AssertionError("Pascal row built")
+
+    monkeypatch.setattr(colex, "_pascal", refuse)
+    steps = comb(63, 11) * (63 + 651)
+    with pytest.raises(BudgetExhaustedError, match="^saturating-set scan of %d candidate steps"
+                       " through level 11 exceeds budget 20000000000$" % steps):
+        min_saturating_size(Unread())
+
+
 def test_min_saturating_in_tiny_batches_keeps_its_witness(monkeypatch):
     # the first batch with a hit must still hold the colex-first witness
     monkeypatch.setattr(saturation, "_BATCH_CAP", 3)

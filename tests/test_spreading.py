@@ -12,7 +12,6 @@ import pytest
 from stspread import (
     NotProjectiveTagError,
     SamePointError,
-    TooLargeError,
     TripleSystem,
     ag3,
     build_system,
@@ -175,9 +174,12 @@ def test_min_trivial_systems():
     assert naive_is_spreading(3, line.triples, witness)
 
 
-def test_min_refuses_oversized_order():
-    with pytest.raises(TooLargeError):
-        min_spreading_size(random_sts(67, 0))
+def test_min_walks_uncertified_orders_above_63():
+    # no order cap: the work budget alone bounds the walk
+    ts = random_sts(67, 0)
+    size, witness = min_spreading_size(ts)
+    assert (size, len(witness)) == (3, 3)
+    assert is_spreading_set(ts, witness)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -373,10 +375,9 @@ def test_enumerate_order_one_lists_its_point():
     assert enumerate_minimal_spreading_sets(line, budget=2).truncated
 
 
-def test_enumerate_takes_points_above_255(monkeypatch):
-    # the scan holds each point as a character, which must fit every order:
-    # no pair of an STS(259) spreads, and its 3-sets exceed the budget
-    monkeypatch.setenv("STS_MAX_ORDER", "259")
+def test_enumerate_takes_points_above_255():
+    # no level of an STS(259) is scanned: its pairs are passed over, since no
+    # pair spreads, and its 3-sets exceed the budget
     enum = enumerate_minimal_spreading_sets(random_sts(259, 0), max_size=3)
     assert enum == ((), 3, True)
 
