@@ -52,7 +52,7 @@ def run(args):
         rows = []
         scan = args.exact
         for n in range(1, args.max_n + 1):
-            # PG(n,2) stays within the hyperplane cap; lunelli_sce_min alone
+            # PG(n,2) stays within the construction cap; lunelli_sce_min alone
             # would loop about 2^(n/2+1) times on a large n
             _check_pg_dim(n)
             # the exact minimum is a subset scan of PG(n,2) within the work

@@ -292,7 +292,7 @@ def complete_partial(
             "no Steiner system of order %d contains one of order %d: a proper"
             " subsystem has at most (v-1)/2 points" % (target_order, ts.order)
         )
-    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    cap = config.order_cap()
     if target_order > cap:
         raise TooLargeError("completion capped at order %d" % cap)
     if moves_per_restart is None:

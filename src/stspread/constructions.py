@@ -90,7 +90,7 @@ def pg2(d: int) -> TripleSystem:
     """
     if d < 1:
         raise TrivialOrderError("pg2 needs dimension >= 1")
-    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    cap = config.order_cap()
     if d > (cap + 1).bit_length() - 2:  # 2^(d+1) - 1 > cap, without the power
         raise TooLargeError("PG(%d,2) has order above the cap %d" % (d, cap))
     order = (1 << (d + 1)) - 1
@@ -119,7 +119,7 @@ def ag3(d: int) -> TripleSystem:
     """
     if d < 1:
         raise TrivialOrderError("ag3 needs dimension >= 1")
-    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    cap = config.order_cap()
     if d > cap.bit_length() or 3 ** d > cap:  # the power only once d is small
         raise TooLargeError("AG(%d,3) has order above the cap %d" % (d, cap))
     order = 3 ** d
@@ -307,11 +307,11 @@ def section4_partial(n: int = 4) -> Section4Artifacts:
       coordinate and sum 1, and X_(j+1) minus the others those whose only
       zero is x_j and whose sum is not 1: both exist once n - 1 >= 2;
     - no added triple has two points in one X_i (pinned by the tests).
+    The only size cap is ag3's: AG(n-1,3) above the construction cap is
+    refused before its order is computed.
     """
     if n <= 3:
         raise TrivialOrderError("two-sizes construction needs n > 3")
-    if n > config.section_n_cap():
-        raise TooLargeError("two-sizes construction capped at n = %d" % config.section_n_cap())
 
     ambient = ag3(n - 1)
     labels = ambient.tag.labels

@@ -82,9 +82,12 @@ class HyperplaneFamily:
 
 
 def _check_pg_dim(n: int) -> int:
+    """The order of PG(n,2), once n is at least 1 and the space is within
+    the construction cap; n is compared as a dimension, so a huge n is
+    refused before its order is computed."""
     if n < 1:
         raise TrivialOrderError("PG(n,2) needs n >= 1")
-    if n > config.pg_dim_cap(config.MAX_HYPERPLANE_DIM):
+    if n > (config.order_cap() + 1).bit_length() - 2:  # as in constructions.pg2
         raise TooLargeError("PG(%d,2) hyperplane family above the cap" % n)
     return (1 << (n + 1)) - 1
 

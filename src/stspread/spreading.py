@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import _served, config
 from .closure import _coordinates, _pair_closures, _walk, closure_points
-from .errors import NotProjectiveTagError, NotSteinerError, TooLargeError
+from .errors import NotProjectiveTagError, NotSteinerError
 from .system import TripleSystem
 
 
@@ -137,14 +137,12 @@ def verify_dimension_theorem(
     """Randomized check of the dimension identity on PG(d,2).
 
     Any system that closure._coordinates certifies is accepted, whatever its
-    tag or point order, and d is read from its order.
+    tag or point order, and d is read from its order.  There is no size
+    cap: the input's pair table already exists, and trials bounds the work.
     """
     if _coordinates(ts) is None:
         raise NotProjectiveTagError("dimension checks need a binary projective space")
     d = ts.order.bit_length() - 1
-    d_cap = config.pg_dim_cap(config.MAX_DIMENSION_CHECK_DIM)
-    if d > d_cap:
-        raise TooLargeError("dimension checks capped at d = %d" % d_cap)
     import random
 
     rng = random.Random(seed)

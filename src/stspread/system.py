@@ -501,7 +501,7 @@ def _read(chunks, size, whole):
     """The system _parse_fast builds from chunks, or else the one that the
     line loop reads from whole(), which returns the whole text; the errors
     are those of parse."""
-    cap = config.order_cap(config.MAX_CONSTRUCTION_ORDER)
+    cap = config.order_cap()
     try:
         ts = _parse_fast(chunks, size, cap)
         if ts is not None:

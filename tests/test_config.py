@@ -26,20 +26,25 @@ from oracles import brute_extremes
 
 def test_caps_without_override(monkeypatch):
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
-    assert config.order_cap(31) == 31
-    assert config.section_n_cap() == config.MAX_SECTION_N == 6
-    for dim in (config.MAX_HYPERPLANE_DIM, config.MAX_DIMENSION_CHECK_DIM):
-        assert config.pg_dim_cap(dim) == dim
+    assert config.order_cap() == config.MAX_CONSTRUCTION_ORDER == 2047
+    # the construction cap alone bounds the two-sizes n and the PG(n,2) family
+    with pytest.raises(TooLargeError, match=re.escape("AG(7,3) has order above the cap 2047")):
+        section4_partial(8)
+    assert len(hyperplanes_pg2(10)) == 2047
+    with pytest.raises(TooLargeError, match=re.escape("PG(11,2) hyperplane family above the cap")):
+        hyperplanes_pg2(11)
 
 
 def test_override_raises_and_lowers_caps(monkeypatch):
     monkeypatch.setenv("STS_MAX_ORDER", "100")
-    assert config.order_cap(31) == 100
-    assert config.section_n_cap() == 5
-    monkeypatch.setenv("STS_MAX_ORDER", "243")
-    assert config.section_n_cap() == 6
-    monkeypatch.setenv("STS_MAX_ORDER", "729")
-    assert config.section_n_cap() == 7
+    assert config.order_cap() == 100
+    # section4_partial(n) builds while AG(n-1,3) is within the cap
+    for raw, n in (("100", 5), ("243", 6), ("729", 7)):
+        monkeypatch.setenv("STS_MAX_ORDER", raw)
+        assert section4_partial(n).system.tag.param == n
+        with pytest.raises(TooLargeError,
+                           match=re.escape("AG(%d,3) has order above the cap %s" % (n, raw))):
+            section4_partial(n + 1)
     monkeypatch.setenv("STS_MAX_ORDER", "20")
     with pytest.raises(TooLargeError):
         section4_partial(4)
@@ -47,13 +52,14 @@ def test_override_raises_and_lowers_caps(monkeypatch):
         pg2(4)
 
 
-@pytest.mark.parametrize("raw", ["garbage", "0", "-5", "3.5", ""])
+@pytest.mark.parametrize("raw", ["garbage", "0", "-5", "3.5", "",
+                                 "+63", " 63", "6_3", "\u0666\u0663"])
 def test_override_must_be_a_positive_integer(monkeypatch, raw):
     monkeypatch.setenv("STS_MAX_ORDER", raw)
+    with pytest.raises(BadOrderError, match=re.escape("must be a positive integer, got %r" % raw)):
+        config.order_cap()
     with pytest.raises(BadOrderError):
-        config.order_cap(31)
-    with pytest.raises(BadOrderError):
-        config.section_n_cap()
+        section4_partial(4)
 
 
 def test_bad_override_exits_with_one_error_line(monkeypatch, tmp_path, capsys):
@@ -70,7 +76,12 @@ def test_bad_override_exits_with_one_error_line(monkeypatch, tmp_path, capsys):
                                       ("100", 5), ("127", 6), ("4095", 11)])
 def test_pg_dim_cap_follows_the_override(monkeypatch, raw, dim):
     monkeypatch.setenv("STS_MAX_ORDER", raw)
-    assert config.pg_dim_cap(config.MAX_HYPERPLANE_DIM) == dim
+    # PG(dim,2) is the largest space within the cap: its family is admitted
+    if dim:
+        assert len(hyperplanes_pg2(dim)) == (1 << (dim + 1)) - 1
+    with pytest.raises(TooLargeError, match=re.escape(
+            "PG(%d,2) hyperplane family above the cap" % (dim + 1))):
+        hyperplanes_pg2(dim + 1)
 
 
 def test_extremes_caps_come_from_config(monkeypatch):
@@ -151,7 +162,7 @@ def test_completion_is_capped(monkeypatch, tmp_path, capsys):
 
     def watched(order):
         orders.append(order)
-        if order > config.order_cap(config.MAX_CONSTRUCTION_ORDER):
+        if order > config.order_cap():
             raise AssertionError("pair table of order %d above the cap" % order)
         return empty_table(order)
 
@@ -184,6 +195,15 @@ def test_construction_dimension_is_capped_before_the_order(monkeypatch, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, space", [("8", "AG(7,3)"), ("99999999999", "AG(99999999998,3)")])
+def test_section4_is_capped_through_ag3(monkeypatch, tmp_path, capsys, n, space):
+    monkeypatch.delenv("STS_MAX_ORDER", raising=False)
+    out = tmp_path / "s4.txt"
+    assert main(["construct", "section4", "--n", n, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: %s has order above the cap 2047\n" % space)
+    assert not out.exists()
+
+
 def test_construction_caps_follow_the_override(monkeypatch):
     for d in range(1, 7):
         for order, build, name in (((1 << (d + 1)) - 1, pg2, "PG(%d,2)" % d),
@@ -196,12 +216,13 @@ def test_construction_caps_follow_the_override(monkeypatch):
 
 
 def test_dimension_check_cap_follows_the_override(monkeypatch):
+    # no cap: the input's pair table already exists, and trials bound the work
     monkeypatch.delenv("STS_MAX_ORDER", raising=False)
     pg4 = pg2(4)
     assert verify_dimension_theorem(pg4, trials=5).ok
+    assert verify_dimension_theorem(pg2(6), trials=100).ok
     monkeypatch.setenv("STS_MAX_ORDER", "15")
-    with pytest.raises(TooLargeError, match="capped at d = 3"):
-        verify_dimension_theorem(pg4, trials=5)
+    assert verify_dimension_theorem(pg4, trials=5).ok
     monkeypatch.setenv("STS_MAX_ORDER", "127")
     assert verify_dimension_theorem(pg2(6), trials=5).ok
 

@@ -221,9 +221,12 @@ def test_section4_pinned_union_has_22_points():
 
 
 def test_section4_added_triples_meet_each_pinned_set_at_most_once():
-    # section4_partial leaves this unchecked; 6 is the default cap on n
-    for n in (4, 5, 6):
+    # section4_partial leaves this unchecked; 7 is the largest n whose
+    # AG(n-1,3) is within the default construction cap
+    for n in (4, 5, 6, 7):
         art = section4_partial(n)
+        if n == 7:
+            assert (art.system.order, len(art.system.triples)) == (697, 49641)
         pinned = [set(x) for x in art.hyperplane_sets]
         inside = {t for t in art.system.triples
                   if any(set(t) <= x for x in pinned)}
