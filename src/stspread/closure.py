@@ -26,8 +26,9 @@ one point at a time in bit-sliced chunks and yields each new closure once.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, count, filterfalse, islice, product, repeat
-from operator import getitem
+from bisect import bisect
+from itertools import chain, combinations, compress, count, filterfalse, product, repeat
+from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExhaustedError, NotSteinerError, OutOfRangeError, TrivialOrderError
@@ -91,23 +92,31 @@ def _grow(third, mask, members, i):
     new.  So adjoining one point p to a closed set is members.append(p)
     followed by _grow(third, mask | 1 << p, members, len(members) - 1).
 
-    Each member's row is looked up at all earlier members at once, and the
-    thirds already inside are dropped by a flag per point.  The flag past
-    the last point is set, so an uncovered pair's -1 is dropped too.  The
-    thirds of one row are distinct, so taking a row at once adds the same
-    points in the same order as taking its pairs one by one.  Once every
+    Each member x is looked up at all earlier members at once, in
+    ascending order: those below x in x's row, those above in their rows
+    at x, since the table holds each pair below the diagonal.  The earlier
+    members are kept sorted for that.  The thirds already inside are
+    dropped by a flag per point.  The flag past the last point is set, so
+    an uncovered pair's -1 is dropped too.  The thirds of one member are
+    distinct, so taking them at once adds the same points in the same order
+    as taking its pairs one by one in that order.  Once every
     point is a member nothing can be added, so the rows left are not read.
     """
     inside = [False] * (len(third) + 1)
     inside[-1] = True
     for p in members:
         inside[p] = True
+    done = sorted(members[:i])
     while i < len(members) < len(third):
-        thirds = map(getitem, repeat(third[members[i]], i), islice(members, i))
+        x = members[i]
+        k = bisect(done, x)
+        thirds = chain(map(getitem, repeat(third[x], k), done[:k]),
+                       map(itemgetter(x), map(third.__getitem__, done[k:])))
         for z in list(filterfalse(inside.__getitem__, thirds)):
             inside[z] = True
             mask |= 1 << z
             members.append(z)
+        done.insert(k, x)
         i += 1
     return mask, members
 
@@ -120,7 +129,7 @@ def _coordinates(ts):
     label[x] ^ label[y]; such labels exist exactly when the system is
     PG(d,2).  The points are taken in index order and each unlabelled one
     gets the next basis bit; the labelled set then grows as in _grow, with
-    each new pair (x, y) labelling third[x][y] as label[x] ^ label[y].  A
+    each new pair (x, y) labelling its third point as label[x] ^ label[y].  A
     clash with an existing label, a label owned by another point or a basis
     bit past the order means no labelling exists.  Every pair is looked up
     once, so the certificate costs O(order^2) lookups and no closure.
@@ -145,9 +154,8 @@ def _coordinates(ts):
         while i < len(members):
             x = members[i]
             row, lx = third[x], label[x]
-            for j in range(i):
-                y = members[j]
-                z, v = row[y], lx ^ label[y]
+            for y in members[:i]:
+                z, v = row[y] if y < x else third[y][x], lx ^ label[y]
                 if label[z]:
                     if label[z] != v:
                         return None
@@ -161,7 +169,8 @@ def _coordinates(ts):
 
 
 def _cover_mask(third, mask):
-    """S u N(S) for one point set S, as a mask."""
+    """S u N(S) for one point set S, as a mask.  The points come in
+    ascending order, so each pair is read in the row of its greater point."""
     cover = mask
     inside = list(_iter_bits(mask))
     for i, x in enumerate(inside):
@@ -253,7 +262,7 @@ def _pair_closures(ts):
     third = ts._third
     seeds = []
     for a in range(ts.order):
-        for b, c in enumerate(third[a][a + 1:], a + 1):
+        for b, c in enumerate(map(getitem, third[a + 1:], repeat(a)), a + 1):
             if c > b:
                 seeds.append((a, b, 1 << a | 1 << b | 1 << c))
             elif c < 0:
@@ -395,7 +404,7 @@ def closure(ts: TripleSystem, points: Iterable[int]) -> ClosureTrace:
         for i, x in enumerate(fresh):
             row = third[x]
             for y in older + fresh[:i]:
-                z = row[y]
+                z = row[y] if y < x else third[y][x]
                 if z >= 0 and not (mask >> z) & 1:
                     new_mask |= 1 << z
                     fired.add(tuple(sorted((x, y, z))))

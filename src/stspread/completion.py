@@ -14,9 +14,10 @@ proper subsystem of an STS(v) has at most (v-1)/2 points, and
 complete_partial refuses such a target at once; a partial source is still
 climbed there.
 
-The climber keeps the pair table of TripleSystem, third[x][y] = z or -1,
-from a copy of the source's rows, finds there the block a move displaces,
-and hands the finished table to TripleSystem as it is.
+The climber keeps a square pair table, third[x][y] = third[y][x] = z or
+-1, filled from the source's table, finds there the block a move
+displaces, and hands the finished table to TripleSystem folded below the
+diagonal, as TripleSystem keeps it.
 
 Each move finds its third points with a few big-int operations instead of a
 scan over all n points.  The climber keeps one bitmask per point: cov[x] has
@@ -69,6 +70,7 @@ from .system import (
     SystemKind,
     TripleSystem,
     _empty_pair_table,
+    _typecode,
     steiner_admissible,
 )
 
@@ -109,12 +111,16 @@ def _climb(order, source, rng, max_moves):
     most order points; returns (the pair table of a Steiner system of that
     order or None, moves used)."""
     n = order
-    third = _empty_pair_table(n)
+    blank = array(_typecode(n), [-1]) * n
+    third = [blank[:] for _ in range(n)]
     # frz[x] / cov[x]: bit z set when {x,z} is covered by a source block / covered
     frz = [0] * n
     for x, row in enumerate(source._third):
-        third[x][:source.order] = array(third[x].typecode, row)
-        frz[x] = sum(1 << z for z, c in enumerate(row) if c != -1)
+        for y, z in enumerate(row):
+            if z != -1:
+                third[x][y] = third[y][x] = z
+                frz[x] |= 1 << y
+                frz[y] |= 1 << x
     cov = frz[:]
     # fb[x]: the third points a pair through x never takes, x and its frozen partners
     fb = [m | 1 << x for x, m in enumerate(frz)]
@@ -255,6 +261,8 @@ def _climb(order, source, rng, max_moves):
 
     if uncov:
         return None, moves
+    for x, row in enumerate(third):
+        third[x] = row[:x]
     return third, moves
 
 

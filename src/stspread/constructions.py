@@ -48,7 +48,7 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .system import GeometryTag, SystemKind, TripleSystem, _empty_pair_table, _typecode
+from .system import GeometryTag, SystemKind, TripleSystem, _typecode
 
 STS15_NODE_BUDGET = 10 ** 6
 STS15_MAX_RESTARTS = 100
@@ -80,13 +80,38 @@ def _cayley_rows(q, n, first, code):
     return rows
 
 
+def _lower_cayley_rows(q, n, first, code):
+    """The rows of _cayley_rows below the diagonal: row a holds L_a[v] for
+    v < a, and the full rows are never held.
+
+    Let s = q^(n-1), and tops[k] the Cayley rows of size s over
+    first[k s:(k+1) s].  Point t s + a, t its top digit, has L[u s + v] =
+    tops[(t + u) % q][a][v], so its lower row is tops[(t + j) % q][a] for
+    j < t, then tops[2t % q][a][:a].  Row a of each top table is freed once
+    it is read, so the build holds little beyond the tops, 1/q of the full
+    rows.
+    """
+    s = q ** (n - 1)
+    tops = [_cayley_rows(q, n - 1, first[k * s:(k + 1) * s], code) for k in range(q)]
+    rows = [None] * (q * s)
+    for a in range(s):
+        for t in range(q):
+            row = tops[2 * t % q][a][:a]
+            for j in reversed(range(t)):
+                row = tops[(t + j) % q][a] + row
+            rows[t * s + a] = row
+        for top in tops:
+            top[a] = None
+    return rows
+
+
 def pg2(d: int) -> TripleSystem:
     """The projective Steiner triple system PG(d,2) of order 2^(d+1) - 1.
 
     The blocks are {a-1, b-1, c-1} for labels c = a xor b, and the pair
-    table is built without them: row a-1 is [(a ^ b) - 1 for b in 1..order],
-    whose diagonal comes out as -1 by itself.  These are the rows of
-    _cayley_rows with q = 2 and first[v] = v - 1, less label 0.
+    table is built without them: row a-1 is [(a ^ b) - 1 for b in 1..a-1].
+    These are the rows of _lower_cayley_rows with q = 2 and first[v] =
+    v - 1, less label 0.
     """
     if d < 1:
         raise TrivialOrderError("pg2 needs dimension >= 1")
@@ -94,8 +119,8 @@ def pg2(d: int) -> TripleSystem:
     if d > (cap + 1).bit_length() - 2:  # 2^(d+1) - 1 > cap, without the power
         raise TooLargeError("PG(%d,2) has order above the cap %d" % (d, cap))
     order = (1 << (d + 1)) - 1
-    rows = _cayley_rows(2, d + 1, range(-1, order), _typecode(order))
-    for row in rows:
+    rows = _lower_cayley_rows(2, d + 1, range(-1, order), _typecode(order))
+    for row in rows[1:]:
         del row[0]
     labels = tuple(
         tuple((v >> i) & 1 for i in range(d + 1)) for v in range(1, order + 1)
@@ -113,9 +138,9 @@ def ag3(d: int) -> TripleSystem:
     """The affine Steiner triple system AG(d,3) of order 3^d.
 
     The blocks are {a, b, c} with c = -(a + b) digit by digit mod 3, and the
-    pair table is built without them: its rows are those of _cayley_rows
-    with q = 3 and first[v] = -v, with -1 put on the diagonal, where the
-    rule gives -2a = a.
+    pair table is built without them: its rows are those of
+    _lower_cayley_rows with q = 3 and first[v] = -v.  The diagonal, where
+    the rule gives -2a = a, is not stored.
     """
     if d < 1:
         raise TrivialOrderError("ag3 needs dimension >= 1")
@@ -126,9 +151,7 @@ def ag3(d: int) -> TripleSystem:
     powers = [3 ** i for i in range(d)]
     digits = [_f3_digits(v, d) for v in range(order)]
     negated = [sum(-x % 3 * p for x, p in zip(dv, powers)) for dv in digits]
-    rows = _cayley_rows(3, d, negated, _typecode(order))
-    for a, row in enumerate(rows):
-        row[a] = -1
+    rows = _lower_cayley_rows(3, d, negated, _typecode(order))
     labels = tuple(digits)
     tag = GeometryTag("ag3", d, None, labels)
     return TripleSystem._of_table(order, rows, order * (order - 1) // 6,
@@ -150,8 +173,8 @@ def find_triangle(ts: TripleSystem):
         raise NoTriangleError("no triangle in orders below 7")
     third = ts._third
     for a, b, c in combinations(range(ts.order), 3):
-        if third[a][b] != c:
-            return (a, b, c), (third[a][b], third[b][c], third[a][c])
+        if third[b][a] != c:
+            return (a, b, c), (third[b][a], third[c][b], third[c][a])
     raise NoTriangleError("system has no non-block triple")
 
 
@@ -161,8 +184,10 @@ class _NodesExhausted(Exception):
 
 def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
     """One randomized pair-covering backtracking run; the pair table of a
-    Steiner system, or None."""
-    third = _empty_pair_table(order)
+    Steiner system, or None.  The run keeps both orders of each pair in a
+    square scratch table, folded below the diagonal on success."""
+    row = array(_typecode(order), [-1]) * order
+    third = [row[:] for _ in range(order)]
     nodes = 0
 
     def least_uncovered():
@@ -205,7 +230,7 @@ def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
         return False
 
     try:
-        return third if extend() else None
+        return [row[:x] for x, row in enumerate(third)] if extend() else None
     except _NodesExhausted:
         return None
 
@@ -268,13 +293,15 @@ def perturbed_pg(d: int, seed: int = 0) -> TripleSystem:
     relabel.update(zip(rest_src, rest_dst))
 
     # W, points 0..14, is closed, so the blocks with two points in W are the
-    # blocks inside it: those are the entries of W x W, which take the
-    # relabelled STS(15) in place of PG(3,2)
-    third = [row[:] for row in base._third]
-    for x in range(15):
-        row, into = sts._third[x], third[relabel[x]]
-        for y in range(15):
-            into[relabel[y]] = -1 if x == y else relabel[row[y]]
+    # blocks inside it: those are the entries of rows 0..14, which take the
+    # relabelled STS(15) in place of PG(3,2); the other rows are base's
+    blank = array(_typecode(base.order), [-1]) * 15
+    inner = [blank[:x] for x in range(15)]
+    for x, row in enumerate(sts._third):
+        for y, z in enumerate(row):
+            u, v = relabel[x], relabel[y]
+            inner[max(u, v)][min(u, v)] = relabel[z]
+    third = inner + base._third[15:]
     tag = GeometryTag("perturbed_pg", d, seed, base.tag.labels)
     return TripleSystem._of_table(base.order, third, base.block_count, SystemKind.STEINER, tag)
 

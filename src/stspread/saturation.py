@@ -258,9 +258,15 @@ def min_saturating_size(ts: TripleSystem):
             raise BudgetExhaustedError("saturating-set scan of %d candidate steps through"
                                        " level %d exceeds budget %d" % (work, k, budget))
         if stars is None:
-            # stars[p]: the pairs (b, c), b < c, that complete a block with p, top point first
-            stars = [[(b, c) for b, c in enumerate(row) if c > b]
-                     for row in reversed(ts._third)]
+            # stars[p]: the pairs that complete a block with p, top point first
+            stars = [[] for _ in range(n)]
+            for c, row in enumerate(ts._third):
+                for a, b in enumerate(row):
+                    if b > a:  # the block a < b < c
+                        stars[a].append((b, c))
+                        stars[b].append((a, c))
+                        stars[c].append((a, b))
+            stars.reverse()
         for full, batch in batches:
             hits = full
             for p, star in zip(range(n - 1, -1, -1), stars):

@@ -31,7 +31,8 @@ import enum
 import os
 import re
 from array import array
-from operator import lt
+from itertools import repeat
+from operator import getitem, lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import _served, config
@@ -119,25 +120,27 @@ def _typecode(order):
 
 
 def _empty_pair_table(order):
-    """The pair table with no block: order array rows of order entries -1."""
+    """The pair table with no block: row x is an array of x entries -1, one
+    for each y < x."""
     row = array(_typecode(order), [-1]) * order
-    return [row[:] for _ in range(order)]
+    return [row[:x] for x in range(order)]
 
 
 def _blocks_of(third):
-    """The blocks (a, b, c) of a pair table, a < b < c = third[a][b], in
-    lexicographic order."""
-    return [(a, b, c) for a, row in enumerate(third)
-            for b, c in enumerate(row[a + 1:], a + 1) if c > b]
+    """The blocks (a, b, c) of a pair table, a < b < c = third[b][a], in
+    lexicographic order: those with least point a come from column a."""
+    return [(a, b, c) for a in range(len(third))
+            for b, c in enumerate(map(getitem, third[a + 1:], repeat(a)), a + 1) if c > b]
 
 
 def _fill(third, triples):
-    """Store the six entries of each block, with no test per pair."""
+    """Store the three entries of each block a < b < c, one per pair, with no
+    test per pair."""
     for a, b, c in triples:
-        ta, tb, tc = third[a], third[b], third[c]
-        ta[b] = tb[a] = c
-        ta[c] = tc[a] = b
-        tb[c] = tc[b] = a
+        tc = third[c]
+        third[b][a] = c
+        tc[a] = b
+        tc[b] = a
 
 
 def _entries(third):
@@ -146,7 +149,8 @@ def _entries(third):
     # of 0xff bytes is whole -1 entries plus fewer than itemsize bytes of a
     # neighbour, and its itemsize-byte pieces count its -1 entries
     empty = b"\xff" * third[0].itemsize
-    return len(third) ** 2 - sum(r.tobytes().count(empty) for r in third)
+    n = len(third)
+    return n * (n - 1) // 2 - sum(r.tobytes().count(empty) for r in third)
 
 
 def _shared_pair(order, triples):
@@ -156,9 +160,9 @@ def _shared_pair(order, triples):
     third = _empty_pair_table(order)
     for a, b, c in triples:
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            if third[x][y] != -1:
+            if third[y][x] != -1:
                 return DuplicatePairError("pair (%d, %d) lies in two blocks" % (x, y))
-            third[x][y] = third[y][x] = z
+            third[y][x] = z
     raise AssertionError("unreachable: the count found a shared pair")
 
 
@@ -190,14 +194,16 @@ class TripleSystem:
     block count: Steiner exactly when every pair is covered.  Attributes
     must not be mutated after construction.
 
-    The pair table _third is the only store of the blocks: third[x][y] = z
-    when {x,y,z} is a block, else -1, in one array row per point, 2 bytes an
-    entry below order 2^15 (8.4 MB at PG(10,2)).  The state of a system is
-    the table plus order, tag and block_count, the number of blocks.
+    The pair table _third is the only store of the blocks, kept below the
+    diagonal: for y < x, third[x][y] = z when {x,y,z} is a block, else -1.
+    Row x is an array of x entries, 2 bytes each below order 2^15, so each
+    pair has one cell (4.2 MB at PG(10,2)); third_point reads either order.
+    The state of a system is the table plus order, tag and block_count, the
+    number of blocks.
 
     Every table goes through the same checks, in this order: the kind and
     the order (BadOrderError), then one count of the entries other than -1,
-    which is 6 * block_count exactly when no cell was written twice
+    which is 3 * block_count exactly when no cell was written twice
     (DuplicatePairError), then full coverage when the kind is Steiner
     (NotSteinerError).  Once no pair lies in two blocks, b blocks cover
     exactly 3b pairs, so coverage is total when 6b = order(order-1).
@@ -235,7 +241,7 @@ class TripleSystem:
 
     def _settle(self, order, third, size, kind, tag, blocks=None):
         """The checks that follow the order's, then the attributes."""
-        if _entries(third) != 6 * size:
+        if _entries(third) != 3 * size:
             if blocks is None:
                 raise DuplicatePairError("two of the %d blocks share a pair" % size)
             raise _shared_pair(order, blocks)
@@ -287,7 +293,7 @@ class TripleSystem:
         self.check_point(y)
         if x == y:
             raise SamePointError("third_point needs two distinct points, got %d twice" % x)
-        z = self._third[x][y]
+        z = self._third[x][y] if y < x else self._third[y][x]
         return None if z == -1 else z
 
     def block_through(self, x: int, y: int):
@@ -330,7 +336,8 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
     point kept[i] of ts becomes point i of sub.  sub contains exactly the
     blocks of ts lying fully inside the subset.  Closed subsets of Steiner
     systems therefore induce full Steiner systems and are tagged as such.
-    The table of sub is sliced out of that of ts, listing no block.
+    The table of sub is read out of that of ts, listing no block: kept is
+    sorted, so row i of sub takes row kept[i] of ts at kept[:i].
     """
     kept = sorted(set(points))
     for p in kept:
@@ -339,10 +346,10 @@ def induced_subsystem(ts: TripleSystem, points: Iterable[int]):
         raise OutOfRangeError("induced subsystem needs at least one point")
     rank = {p: i for i, p in enumerate(kept)}
     code = _typecode(len(kept))
-    # row i: the rank of third[kept[i]][kept[j]] at j, or -1 when it is not kept
-    third = [array(code, [rank.get(c, -1) for c in map(row.__getitem__, kept)])
-             for row in map(ts._third.__getitem__, kept)]
-    sub = TripleSystem._of_table(len(kept), third, _entries(third) // 6,
+    # row i: the rank of third[kept[i]][kept[j]] at j < i, or -1 when it is not kept
+    third = [array(code, [rank.get(c, -1) for c in map(row.__getitem__, kept[:i])])
+             for i, row in enumerate(map(ts._third.__getitem__, kept))]
+    sub = TripleSystem._of_table(len(kept), third, _entries(third) // 3,
                                  SystemKind.PARTIAL, PLAIN_TAG)
     return sub, tuple(kept)
 

@@ -1,7 +1,7 @@
 """The write path of the text format of system.py.
 
 serialize gives the canonical text of a system, built from its pair table
-one row at a time (_serialize_pieces, encoded by _encoded_pieces), and
+one column at a time (_serialize_pieces, encoded by _encoded_pieces), and
 serialize_labels the sidecar of its coordinate labels.  Only a run that
 writes a system needs them, so they live apart from the reader:
 stspread.system serves both names on first use.
@@ -9,24 +9,24 @@ stspread.system serves both names on first use.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import getitem, lt
+from itertools import compress
+from operator import itemgetter, lt
 
 from .system import TripleSystem
 
 
 def _serialize_pieces(ts: TripleSystem):
     """The canonical text of serialize, piece by piece: the header lines,
-    then the block lines of each table row that holds a block, one piece
-    per row.
+    then the block lines of each point that is the least of a block, one
+    piece per point.
 
-    Row a gives the lines of the blocks (a, b, c) with a < b < c =
-    third[a][b], in order of b, so the blocks come in lexicographic order
-    straight from the pair table and triples is never built.  compress
-    picks the b of a row at C level, and one % over the flat tuple of its
-    (b, c) pairs formats the row, so no string per block is built.  A
-    writer that takes the pieces one at a time holds one row's text at a
-    time, never the whole text.
+    Point a gives the lines of the blocks (a, b, c) with a < b < c =
+    third[b][a], in order of b, so the blocks come in lexicographic order
+    straight from column a of the pair table and triples is never built.
+    The column is gathered, and its b and c picked by compress, at C level,
+    and one % over the flat tuple of its (b, c) pairs formats the piece, so
+    no string per block is built.  A writer that takes the pieces one at a
+    time holds one piece's text at a time, never the whole text.
     """
     tag = ts.tag
     head = "v %d %s\n" % (ts.order, ts.kind.value)
@@ -37,13 +37,16 @@ def _serialize_pieces(ts: TripleSystem):
     yield head
     # slices of one list of the points, so that the scan makes no int per b
     points = list(range(ts.order))
-    for a, row in enumerate(ts._third):
+    third = ts._third
+    for a in points:
         later = points[a + 1:]
-        bs = list(compress(later, map(lt, later, row[a + 1:])))
+        column = list(map(itemgetter(a), third[a + 1:]))
+        least = list(map(lt, later, column))
+        bs = list(compress(later, least))
         if bs:
             flat = bs + bs
             flat[::2] = bs
-            flat[1::2] = map(getitem, repeat(row), bs)
+            flat[1::2] = compress(column, least)
             yield ("b %d %%d %%d\n" % a) * len(bs) % tuple(flat)
 
 

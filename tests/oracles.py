@@ -409,9 +409,9 @@ def line_serialize(ts):
 
 
 def block_serialize(ts):
-    """The text format read from the pair table block by block: row a's
-    pairs (b, c) with a < b < c = third[a][b], each line formatted by its
-    own %, the rows joined in order."""
+    """The text format read pair by pair through third_point: point a's
+    pairs (b, c) with a < b < c = third_point(a, b), each line formatted by
+    its own %, the points joined in order.  No table layout decides it."""
     tag = ts.tag
     head = "v %d %s\n" % (ts.order, ts.kind.value)
     if tag.variant != "plain":
@@ -419,8 +419,9 @@ def block_serialize(ts):
         param = "-" if tag.param is None else str(tag.param)
         head += "# tag %s %s%s\n" % (tag.variant, param, extra)
     rows = [head]
-    for a, row in enumerate(ts._third):
-        pairs = [(b, c) for b, c in enumerate(row[a + 1:], a + 1) if c > b]
+    for a in range(ts.order):
+        thirds = [(b, ts.third_point(a, b)) for b in range(a + 1, ts.order)]
+        pairs = [(b, c) for b, c in thirds if c is not None and c > b]
         rows.append("".join(map(("b %d %%d %%d\n" % a).__mod__, pairs)))
     return "".join(rows)
 
@@ -607,25 +608,34 @@ def scalar_triple_system(order, triples, kind):
     return tuple(out), kind, third
 
 
-def scalar_grow(third, mask, members, i):
-    """closure._grow as a loop over one pair at a time: members[i:] meet
-    every earlier member in turn, and each third point not yet in mask is
-    appended as it is found.  Returns (mask, members), with members a new
-    list."""
+def pair_square(ts):
+    """Every pair of ts read through third_point, in both orders, as the
+    square table of scalar_triple_system: -1 on the diagonal and at an
+    uncovered pair."""
+    third = ts.third_point
+    return [[-1 if x == y or (z := third(x, y)) is None else z for y in range(ts.order)]
+            for x in range(ts.order)]
+
+
+def scalar_grow(ts, mask, members, i):
+    """closure._grow as a loop over one pair at a time, read through
+    third_point: each of members[i:] meets the earlier members in ascending
+    order, and each third point not yet in mask is appended as it is
+    found.  Returns (mask, members), with members a new list."""
     members = list(members)
     while i < len(members):
-        row = third[members[i]]
-        for j in range(i):
-            z = row[members[j]]
-            if z >= 0 and not (mask >> z) & 1:
+        x = members[i]
+        for y in sorted(members[:i]):
+            z = ts.third_point(x, y)
+            if z is not None and not (mask >> z) & 1:
                 mask |= 1 << z
                 members.append(z)
         i += 1
     return mask, members
 
 
-def scalar_closure(third, seeds):
+def scalar_closure(ts, seeds):
     """closure._closure_mask by scalar_grow: the distinct seeds in their
     order, then every pair."""
     members = list(dict.fromkeys(seeds))
-    return scalar_grow(third, sum(1 << p for p in members), members, 0)
+    return scalar_grow(ts, sum(1 << p for p in members), members, 0)

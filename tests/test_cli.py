@@ -107,7 +107,7 @@ def test_streamed_outputs_are_the_serialized_text(tmp_path, capsys, monkeypatch,
     assert text == serialize(report.system).encode()
     digest = json.loads(manifest.read_text())["result_digest"]
     assert digest == hashlib.sha256(text).hexdigest()
-    # no piece holds more than one table row
+    # no piece holds the lines of more than one least point
     assert sum(p.startswith("v ") for p in pieces) == 3  # the headers of three files
     rows = [p for p in pieces if not p.startswith("v ")]
     assert all(len({line.split()[1] for line in p.splitlines()}) == 1 for p in rows)
@@ -590,12 +590,21 @@ def test_loading_a_system_never_holds_its_text(tmp_path):
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
+def test_loading_a_system_stays_within_its_pair_table(tmp_path):
+    path = tmp_path / "pg9.txt"
+    path.write_text(serialize(pg2(9)))
+    ts, peak = _traced_peak(_load_system, str(path))
+    table = sum(map(sys.getsizeof, ts._third))
+    # the bound of the construct test below: a chunk and the index table besides
+    assert peak <= 1.25 * table, (peak, table)
+
+
 def test_construct_never_holds_the_text_beside_the_table(tmp_path, capsys):
     out = tmp_path / "pg9.txt"
     table = sum(map(sys.getsizeof, pg2(9)._third))
     code, peak = _traced_peak(main, ["construct", "pg2", "--dim", "9", "--out", str(out)])
     assert code == 0
-    # the text is written a table row at a time, so the peak stays near the table
+    # the text is written a table column at a time, so the peak stays near the table
     assert peak < 1.25 * table, (peak, table)
 
 

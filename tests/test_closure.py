@@ -218,12 +218,12 @@ def test_closure_growth_matches_scalar_pair_loop(name, v):
     rng = random.Random(n)
     for size in (1, 2, 3, 4, n // 3, n):
         seeds = rng.sample(range(n), size) + rng.sample(range(n), 1)
-        assert _closure_mask(third, seeds) == scalar_closure(third, seeds), seeds
+        assert _closure_mask(third, seeds) == scalar_closure(ts, seeds), seeds
     # one point at a time, as greedy_spreading_set adjoins them
     mask, members = _closure_mask(third, rng.sample(range(n), 2))
     for p in rng.sample(range(n), n):
         if not (mask >> p) & 1:
-            expected = scalar_grow(third, mask | 1 << p, members + [p], len(members))
+            expected = scalar_grow(ts, mask | 1 << p, members + [p], len(members))
             members.append(p)
             assert _grow(third, mask | 1 << p, members, len(members) - 1) == expected
             mask = expected[0]

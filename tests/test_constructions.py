@@ -25,6 +25,7 @@ from stspread import (
 from oracles import (
     ag_block_set,
     f3_affine_span,
+    pair_square,
     pairwise_ag3_triples,
     pairwise_pg2_triples,
     pg_block_set,
@@ -75,10 +76,12 @@ def test_ag3_block_sets_match_oracle():
 
 
 def _matches_pairwise_loop(ts, want):
-    """ts holds the blocks of the pairwise loop, in its pair table as the
-    direct route fills it and in triples, in the loop's order."""
+    """ts holds the blocks of the pairwise loop, at every pair as the direct
+    route fills its table, in rows of 2-byte cells below the diagonal, and
+    in triples, in the loop's order."""
     triples, kind, third = scalar_triple_system(ts.order, want, SystemKind.STEINER)
-    assert [list(r) for r in ts._third] == third
+    assert pair_square(ts) == third
+    assert [len(r) for r in ts._third] == list(range(ts.order))
     assert all(r.typecode == "h" for r in ts._third)
     assert ts.triples == tuple(want) == triples
     assert ts.kind is kind is SystemKind.STEINER

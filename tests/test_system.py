@@ -48,7 +48,13 @@ from stspread.cli import main
 from stspread.closure import _coordinates
 from stspread.writer import _serialize_pieces
 
-from oracles import block_serialize, line_serialize, scalar_parse, scalar_triple_system
+from oracles import (
+    block_serialize,
+    line_serialize,
+    pair_square,
+    scalar_parse,
+    scalar_triple_system,
+)
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
@@ -354,7 +360,7 @@ def test_large_paths_never_build_triples(monkeypatch):
 
 
 def _table_blocks(ts):
-    third = ts._third
+    third = pair_square(ts)
     return tuple(sorted({tuple(sorted((x, y, third[x][y])))
                          for x in range(ts.order) for y in range(ts.order)
                          if x != y and third[x][y] != -1}))
@@ -686,7 +692,7 @@ def _built(order, triples, kind):
         ts = TripleSystem(order, triples, kind)
     except (DuplicatePairError, NotSteinerError, SamePointError, OutOfRangeError) as exc:
         return type(exc).__name__, str(exc)
-    return ts.triples, ts.kind, [list(r) for r in ts._third]
+    return ts.triples, ts.kind, pair_square(ts)
 
 
 def _direct(order, triples, kind):
@@ -742,11 +748,12 @@ def test_complete_partial_input_upgrades_to_steiner():
 
 
 def test_pair_table_rows_are_two_byte_arrays():
+    # row x holds the pairs (x, y) with y < x, one cell each
     for ts in (build_system(1, (), "partial"), build_system(7, FANO, "steiner"),
                pg2(8), section4_partial(4).system):
         assert len(ts._third) == ts.order
-        assert all(type(r) is array and r.itemsize == 2 and len(r) == ts.order
-                   for r in ts._third)
+        assert all(type(r) is array and r.itemsize == 2 and len(r) == x
+                   for x, r in enumerate(ts._third))
 
 
 @pytest.mark.parametrize("d", [7, 8])
@@ -769,7 +776,33 @@ def test_partial_system_keeps_minus_one_at_uncovered_pairs():
     ts = TripleSystem(511, kept)
     _, kind, third = scalar_triple_system(511, kept, SystemKind.PARTIAL)
     assert ts.kind is kind is SystemKind.PARTIAL
-    assert [list(r) for r in ts._third] == third
+    assert pair_square(ts) == third
     for a, b, c in blocks[::7]:
-        assert ts._third[a][b] == ts._third[c][a] == ts._third[b][c] == -1
-        assert ts.third_point(b, a) is None
+        assert ts._third[b][a] == ts._third[c][a] == ts._third[c][b] == -1
+        assert ts.third_point(a, b) is ts.third_point(b, a) is None
+
+
+@pytest.mark.parametrize("extra", [(2, 5, 8), (2, 7, 8), (5, 7, 8), (1, 2, 5), (1, 2, 7), (1, 5, 7)])
+def test_a_second_block_on_any_cell_is_a_shared_pair(extra):
+    # the block (2, 5, 7) has the cells [5][2], [7][2] and [7][5]; extra
+    # shares exactly one of them, and sorts after the block or before it
+    blocks = [(0, 3, 6), (2, 5, 7), extra]
+    message = "pair (%d, %d) lies in two blocks" % tuple(sorted({2, 5, 7} & set(extra)))
+    table = system_module._empty_pair_table(9)
+    system_module._fill(table, sorted(blocks))
+    assert system_module._entries(table) == 3 * len(blocks) - 1
+    with pytest.raises(DuplicatePairError, match="^two of the 3 blocks share a pair$"):
+        TripleSystem._of_table(9, table, 3, SystemKind.PARTIAL, system_module.PLAIN_TAG)
+    assert _built(9, blocks, SystemKind.PARTIAL) == ("DuplicatePairError", message)
+    assert _direct(9, blocks, SystemKind.PARTIAL) == ("DuplicatePairError", message)
+    text = "v 9 partial\n" + "".join("b %d %d %d\n" % t for t in sorted(blocks))
+    assert _fast(text, config.MAX_CONSTRUCTION_ORDER) is None
+    assert _outcome(parse, text) == _outcome(scalar_parse, text) == (
+        "ParseError", "invalid system: " + message)
+
+
+def test_pickle_round_trip_keeps_the_table():
+    for ts in (pg2(4), section4_partial(4).system):
+        back = pickle.loads(pickle.dumps(ts))
+        assert back == ts and back._third == ts._third
+        assert (back.kind, back.tag, back.block_count) == (ts.kind, ts.tag, ts.block_count)
