@@ -262,7 +262,7 @@ def _pair_closures(ts):
     third = ts._third
     seeds = []
     for a in range(ts.order):
-        for b, c in enumerate(map(getitem, third[a + 1:], repeat(a)), a + 1):
+        for b, c in enumerate(map(itemgetter(a), third[a + 1:]), a + 1):
             if c > b:
                 seeds.append((a, b, 1 << a | 1 << b | 1 << c))
             elif c < 0:

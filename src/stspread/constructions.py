@@ -186,8 +186,8 @@ def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
     """One randomized pair-covering backtracking run; the pair table of a
     Steiner system, or None.  The run keeps both orders of each pair in a
     square scratch table, folded below the diagonal on success."""
-    row = array(_typecode(order), [-1]) * order
-    third = [row[:] for _ in range(order)]
+    blank = array(_typecode(order), [-1]) * order
+    third = [blank[:] for _ in range(order)]
     nodes = 0
 
     def least_uncovered():
@@ -298,8 +298,9 @@ def perturbed_pg(d: int, seed: int = 0) -> TripleSystem:
     blank = array(_typecode(base.order), [-1]) * 15
     inner = [blank[:x] for x in range(15)]
     for x, row in enumerate(sts._third):
+        u = relabel[x]
         for y, z in enumerate(row):
-            u, v = relabel[x], relabel[y]
+            v = relabel[y]
             inner[max(u, v)][min(u, v)] = relabel[z]
     third = inner + base._third[15:]
     tag = GeometryTag("perturbed_pg", d, seed, base.tag.labels)

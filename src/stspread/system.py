@@ -31,8 +31,7 @@ import enum
 import os
 import re
 from array import array
-from itertools import repeat
-from operator import getitem, lt
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import _served, config
@@ -130,7 +129,7 @@ def _blocks_of(third):
     """The blocks (a, b, c) of a pair table, a < b < c = third[b][a], in
     lexicographic order: those with least point a come from column a."""
     return [(a, b, c) for a in range(len(third))
-            for b, c in enumerate(map(getitem, third[a + 1:], repeat(a)), a + 1) if c > b]
+            for b, c in enumerate(map(itemgetter(a), third[a + 1:]), a + 1) if c > b]
 
 
 def _fill(third, triples):
