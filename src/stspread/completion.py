@@ -14,10 +14,11 @@ proper subsystem of an STS(v) has at most (v-1)/2 points, and
 complete_partial refuses such a target at once; a partial source is still
 climbed there.
 
-The climber keeps a square pair table, third[x][y] = third[y][x] = z or
--1, filled from the source's table, finds there the block a move
-displaces, and hands the finished table to TripleSystem folded below the
-diagonal, as TripleSystem keeps it.
+The climber names the pair {x,y}, x < y, by its code x*n + y.  One flat
+array of n*n cells holds at each code the third point of the pair's block
+or -1; it is filled from the source's table, a move finds there the block
+it displaces, and the finished table is read out row by row with strided
+slices, row y the cells x*n + y with x < y, as TripleSystem keeps it.
 
 Each move finds its third points with a few big-int operations instead of a
 scan over all n points.  The climber keeps one bitmask per point: cov[x] has
@@ -36,11 +37,13 @@ The move loop makes no Python-level call.  It draws each index below k as
 rng.randrange(k) does, with rng.getrandbits(k.bit_length()) redrawn while
 it is k or more, so the generator sees the same calls.  It finds the set bit
 of rank r by skipping whole 64-bit words and halving the word at 32, 16 and
-8 bits.  It keeps the uncovered pairs in a list, in the order the scalar
-climb keeps them, with their positions in a flat array indexed by x*n + y.
-A move that displaces a block writes only the net change of the scalar
-climb's uncover-then-cover steps: four bitmasks, ten table entries and two
-list slots.
+8 bits.  It keeps the codes of the uncovered pairs in an array, in the
+order the scalar climb keeps them, with their positions in an array
+indexed by code; both arrays take a typecode wide enough for n*n.  A move
+computes the codes of {x,z} and {y,z} once, for the table and the
+positions alike.  A move that displaces a block writes only the net change
+of the scalar climb's uncover-then-cover steps: four bitmasks, five table
+cells and two slots of the uncovered codes.
 
 two_minimal_sizes_sts drives the whole pipeline of the two-sizes
 construction: build the partial system whose spreading structure is rigged,
@@ -111,14 +114,14 @@ def _climb(order, source, rng, max_moves):
     most order points; returns (the pair table of a Steiner system of that
     order or None, moves used)."""
     n = order
-    blank = array(_typecode(n), [-1]) * n
-    third = [blank[:] for _ in range(n)]
+    # t[x*n + y], x < y: the third point of the pair {x,y}, or -1
+    t = array(_typecode(n), [-1]) * (n * n)
     # frz[x] / cov[x]: bit z set when {x,z} is covered by a source block / covered
     frz = [0] * n
     for x, row in enumerate(source._third):
         for y, z in enumerate(row):
             if z != -1:
-                third[x][y] = third[y][x] = z
+                t[y * n + x] = z
                 frz[x] |= 1 << y
                 frz[y] |= 1 << x
     cov = frz[:]
@@ -126,9 +129,13 @@ def _climb(order, source, rng, max_moves):
     fb = [m | 1 << x for x, m in enumerate(frz)]
     full = (1 << n) - 1
 
-    # the uncovered pairs {x<y} as codes x*n + y; pos[code] is its index in uncov
-    uncov = [x * n + y for x in range(n) for y in range(x + 1, n) if third[x][y] == -1]
-    pos = array("l", [0]) * (n * n)
+    # the codes of the uncovered pairs in ascending order; pos[code] is its index in uncov
+    codes = "i" if n * n <= 1 << 31 else "q"
+    uncov = array(codes)
+    for x in range(n):
+        start = x * n + x + 1
+        uncov.extend(c for c, z in enumerate(t[start:x * n + n], start) if z == -1)
+    pos = array(codes, [0]) * (n * n)
     for i, code in enumerate(uncov):
         pos[code] = i
     getrandbits = rng.getrandbits
@@ -142,7 +149,8 @@ def _climb(order, source, rng, max_moves):
         i = getrandbits(bits)
         while i >= k:
             i = getrandbits(bits)
-        x, y = divmod(uncov[i], n)
+        xy = uncov[i]
+        x, y = divmod(xy, n)
         # third points z with neither {x,z} nor {y,z} frozen and at most one
         # of them covered: switching may resolve one conflict, not two
         cands = full ^ (fb[x] | fb[y] | cov[x] & cov[y])
@@ -192,22 +200,21 @@ def _climb(order, source, rng, max_moves):
             r -= 1
         z = base + (word & -word).bit_length() - 1
 
-        tx = third[x]
-        ty = third[y]
-        tz = third[z]
-        tx[y] = ty[x] = z
+        xz = x * n + z if x < z else z * n + x
+        yz = y * n + z if y < z else z * n + y
+        t[xy] = z
         # the block {u,z,w} that covers {x,z} (u = x) or else {y,z} (u = y)
-        w = tx[z]
+        w = t[xz]
         if w != -1:
-            u, v = x, y
+            u, v, uz, vz = x, y, xz, yz
         else:
-            u, v = y, x
-            w = ty[z]
+            u, v, uz, vz = y, x, yz, xz
+            w = t[yz]
         if w == -1:
             # no block gives way: {x,y}, {x,z}, {y,z} leave uncov in that
             # order, each replaced by the last entry
-            tx[z] = tz[x] = y
-            ty[z] = tz[y] = x
+            t[xz] = y
+            t[yz] = x
             bx = 1 << x
             by = 1 << y
             bz = 1 << z
@@ -218,7 +225,7 @@ def _climb(order, source, rng, max_moves):
             if i < len(uncov):
                 uncov[i] = last
                 pos[last] = i
-            for code in (x * n + z if x < z else z * n + x, y * n + z if y < z else z * n + y):
+            for code in (xz, yz):
                 i = pos[code]
                 last = uncov.pop()
                 if last != code:
@@ -227,10 +234,11 @@ def _climb(order, source, rng, max_moves):
             continue
         # {u,z,w} gives way to {u,v,z}: {u,z} stays covered, {u,w} and {z,w}
         # become uncovered and {u,v}, {v,z} covered
-        tw = third[w]
-        third[u][z] = tz[u] = v
-        third[v][z] = tz[v] = u
-        third[u][w] = tw[u] = tz[w] = tw[z] = -1
+        uw = u * n + w if u < w else w * n + u
+        zw = z * n + w if z < w else w * n + z
+        t[uz] = v
+        t[vz] = u
+        t[uw] = t[zw] = -1
         bu = 1 << u
         bv = 1 << v
         bw = 1 << w
@@ -244,16 +252,13 @@ def _climb(order, source, rng, max_moves):
         # Net of that, {u,w} and {z,w} take the places of {x,y} and {v,z}:
         # the larger code goes to {x,y}'s, except when u = y and {u,z} has
         # the largest code of the three, when the smaller one does.
-        uz = u * n + z if u < z else z * n + u
-        uw = u * n + w if u < w else w * n + u
-        zw = z * n + w if z < w else w * n + z
         if uw < zw:
             lo, hi = uw, zw
         else:
             lo, hi = zw, uw
         if u == y and uz > hi:
             lo, hi = hi, lo
-        q = pos[v * n + z if v < z else z * n + v]
+        q = pos[vz]
         uncov[i] = hi
         pos[hi] = i
         uncov[q] = lo
@@ -261,9 +266,8 @@ def _climb(order, source, rng, max_moves):
 
     if uncov:
         return None, moves
-    for x, row in enumerate(third):
-        third[x] = row[:x]
-    return third, moves
+    # row y of the half table: the cells x*n + y, x < y
+    return [t[y:y * n:n] for y in range(n)], moves
 
 
 def complete_partial(

@@ -184,53 +184,38 @@ class _NodesExhausted(Exception):
 
 def _backtrack_sts(order: int, rng: random.Random, node_budget: int):
     """One randomized pair-covering backtracking run; the pair table of a
-    Steiner system, or None.  The run keeps both orders of each pair in a
-    square scratch table, folded below the diagonal on success."""
-    blank = array(_typecode(order), [-1]) * order
-    third = [blank[:] for _ in range(order)]
+    Steiner system, or None.  The run keeps one flat array of order**2
+    cells: cell x*order + y holds the third point of the pair {x,y} for
+    x < y, or -1, and the cells with x >= y hold 0, so the first -1 is the
+    least uncovered pair and a point is never its own candidate."""
+    t = array(_typecode(order), [-1 if x < y else 0
+                                 for x in range(order) for y in range(order)])
     nodes = 0
 
-    def least_uncovered():
-        for x in range(order):
-            row = third[x]
-            for y in range(x + 1, order):
-                if row[y] == -1:
-                    return x, y
-        return None
-
-    def place(x, y, z):
-        for u, v, w in ((x, y, z), (x, z, y), (y, z, x)):
-            third[u][v] = third[v][u] = w
-
-    def unplace(x, y, z):
-        for u, v in ((x, y), (x, z), (y, z)):
-            third[u][v] = third[v][u] = -1
+    def cell(a, b):
+        return a * order + b if a < b else b * order + a
 
     def extend():
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise _NodesExhausted
-        pair = least_uncovered()
-        if pair is None:
+        if -1 not in t:
             return True
-        x, y = pair
-        rowx, rowy = third[x], third[y]
-        cands = [
-            z
-            for z in range(order)
-            if z != x and z != y and rowx[z] == -1 and rowy[z] == -1
-        ]
+        xy = t.index(-1)
+        x, y = divmod(xy, order)
+        cands = [z for z in range(order) if t[cell(x, z)] == -1 and t[cell(y, z)] == -1]
         rng.shuffle(cands)
         for z in cands:
-            place(x, y, z)
+            xz, yz = cell(x, z), cell(y, z)
+            t[xy], t[xz], t[yz] = z, y, x
             if extend():
                 return True
-            unplace(x, y, z)
+            t[xy] = t[xz] = t[yz] = -1
         return False
 
     try:
-        return [row[:x] for x, row in enumerate(third)] if extend() else None
+        return [t[y:y * order:order] for y in range(order)] if extend() else None
     except _NodesExhausted:
         return None
 

@@ -167,5 +167,5 @@ def __getattr__(name):
     """Public names of the greedy search and of the subset scan, served from
     their modules on first use through the package's table.  Only
     bench/layers.py reads them here; this forwarder goes with ROADMAP
-    direction 3."""
+    direction 5."""
     return _served(globals(), name, ("greedy", "enumeration"))

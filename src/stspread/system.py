@@ -604,5 +604,5 @@ def with_labels(ts: TripleSystem, labels: dict) -> TripleSystem:
 def __getattr__(name):
     """serialize and serialize_labels, served from writer.py on first use
     through the package's table.  Only bench/layers.py reads them here; this
-    forwarder goes with ROADMAP direction 3."""
+    forwarder goes with ROADMAP direction 5."""
     return _served(globals(), name, ("writer",))

@@ -608,6 +608,14 @@ def test_construct_never_holds_the_text_beside_the_table(tmp_path, capsys):
     assert peak < 1.25 * table, (peak, table)
 
 
+def test_random_sts_stays_within_ten_pair_tables():
+    ts, peak = _traced_peak(random_sts, 255, 1)
+    table = sum(map(sys.getsizeof, ts._third))
+    # the climb holds one pair cell, one position and at most one uncovered
+    # code per pair code x*n + y: about seven times the half table it returns
+    assert peak <= 10 * table, (peak, table)
+
+
 def test_construct_and_embed_never_load_openssl(tmp_path):
     fano, full = tmp_path / "fano.txt", tmp_path / "full.txt"
     script = ("import sys\n"

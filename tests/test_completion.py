@@ -258,6 +258,9 @@ def test_climb_cut_short_matches_scalar_oracle():
     big = section4_partial(5).system
     blocks, moves = _same_climb(159, big.triples, 0, max_moves=2000)
     assert (blocks, moves) == (None, 2000)
+    # the pair codes x*n + y pass 2^16, so a 2-byte code array would wrap
+    blocks, moves = _same_climb(259, (), 0, max_moves=5000)
+    assert (blocks, moves) == (None, 5000)
 
 
 def test_random_sts_255_is_pinned():
@@ -267,6 +270,17 @@ def test_random_sts_255_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "6710a588a16fcf3defe6c6b858fb9d50ed6972eb6412d49701978855b7f2e983"
     )
+
+
+@pytest.mark.parametrize("order, digest", [
+    (127, "b02c53e8f0c0567cde03b5293a090ffd1200430a27a535a0ef67c2b96e4aa7ba"),
+    (511, "014c645225581e88cc83ec69593ca0d0278eaafd277f031e8d0a6c2fbd96cf69"),
+])
+def test_random_sts_is_pinned(order, digest):
+    # digests of the systems the climb built while it kept a square table of
+    # row arrays
+    text = serialize(random_sts(order, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_embedding_into_159_is_pinned():

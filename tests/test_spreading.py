@@ -428,7 +428,7 @@ def test_enumerate_keeps_no_spreading_sets_for_a_refused_level(monkeypatch):
 ])
 def test_enumerate_above_order_31_meets_independent_counts(make, count, size, max_size):
     # the counts are those of a separate search for the minimal transversals
-    # of the complements of the maximal closed sets (ROADMAP direction 6);
+    # of the complements of the maximal closed sets (ROADMAP direction 9);
     # the budget stops the scan below max_size, so the result is truncated
     ts = make()
     enum = enumerate_minimal_spreading_sets(ts)
