@@ -130,12 +130,12 @@ def _climb(order, source, rng, max_moves):
     full = (1 << n) - 1
 
     # the codes of the uncovered pairs in ascending order; pos[code] is its index in uncov
-    codes = "i" if n * n <= 1 << 31 else "q"
-    uncov = array(codes)
+    typecode = "i" if n * n <= 1 << 31 else "q"
+    uncov = array(typecode)
     for x in range(n):
         start = x * n + x + 1
         uncov.extend(c for c, z in enumerate(t[start:x * n + n], start) if z == -1)
-    pos = array(codes, [0]) * (n * n)
+    pos = array(typecode, [0]) * (n * n)
     for i, code in enumerate(uncov):
         pos[code] = i
     getrandbits = rng.getrandbits
