@@ -258,7 +258,7 @@ def test_climb_cut_short_matches_scalar_oracle():
     big = section4_partial(5).system
     blocks, moves = _same_climb(159, big.triples, 0, max_moves=2000)
     assert (blocks, moves) == (None, 2000)
-    # the pair codes x*n + y pass 2^16, so a 2-byte code array would wrap
+    # the pair codes x*n + y pass 2^16, so a 2-byte code array would overflow
     blocks, moves = _same_climb(259, (), 0, max_moves=5000)
     assert (blocks, moves) == (None, 5000)
 
@@ -277,8 +277,8 @@ def test_random_sts_255_is_pinned():
     (511, "014c645225581e88cc83ec69593ca0d0278eaafd277f031e8d0a6c2fbd96cf69"),
 ])
 def test_random_sts_is_pinned(order, digest):
-    # digests of the systems the climb built while it kept a square table of
-    # row arrays
+    # digests taken from the climb that kept a square table of row arrays:
+    # a change of table layout must not change a single draw
     text = serialize(random_sts(order, 1))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
