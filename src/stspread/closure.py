@@ -436,15 +436,14 @@ def is_spreading_system(ts: TripleSystem) -> bool:
     Steiner system of order above 3; smaller orders have no nontrivial
     3-subsets to test.  A non-block triple {x, y, z} closes like the block
     through x and y plus z, so this holds exactly when every block plus
-    every outside point spreads.
+    every outside point spreads: the walk of enumerate_closed_sets finds no
+    proper closed set, and it stops at the first it finds.
     """
     if not ts.is_steiner():
         raise NotSteinerError("spreading-system test needs a Steiner system")
     if ts.order <= 3:
         raise TrivialOrderError("spreading-system test needs order > 3")
-    full = (1 << ts.order) - 1
-    seeds = [mask for _, _, mask in _pair_closures(ts)]
-    return all(mask == full for _, _, mask in _walk(ts, seeds))
+    return not _walk_closed_sets(ts, 0).truncated
 
 
 class ClosedSetEnumeration(NamedTuple):

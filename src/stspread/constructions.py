@@ -48,7 +48,7 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .system import GeometryTag, SystemKind, TripleSystem, _typecode
+from .system import GeometryTag, SystemKind, TripleSystem, _blocks_of, _fill, _typecode
 
 STS15_NODE_BUDGET = 10 ** 6
 STS15_MAX_RESTARTS = 100
@@ -279,14 +279,11 @@ def perturbed_pg(d: int, seed: int = 0) -> TripleSystem:
 
     # W, points 0..14, is closed, so the blocks with two points in W are the
     # blocks inside it: those are the entries of rows 0..14, which take the
-    # relabelled STS(15) in place of PG(3,2); the other rows are base's
+    # blocks of the relabelled STS(15) in place of PG(3,2); the other rows
+    # are base's
     blank = array(_typecode(base.order), [-1]) * 15
     inner = [blank[:x] for x in range(15)]
-    for x, row in enumerate(sts._third):
-        u = relabel[x]
-        for y, z in enumerate(row):
-            v = relabel[y]
-            inner[max(u, v)][min(u, v)] = relabel[z]
+    _fill(inner, [sorted(map(relabel.__getitem__, t)) for t in _blocks_of(sts._third)])
     third = inner + base._third[15:]
     tag = GeometryTag("perturbed_pg", d, seed, base.tag.labels)
     return TripleSystem._of_table(base.order, third, base.block_count, SystemKind.STEINER, tag)
@@ -335,11 +332,8 @@ def section4_partial(n: int = 4) -> Section4Artifacts:
     union = sorted(set().union(*hyper))
     rank = {p: i for i, p in enumerate(union)}
 
-    kept = set()
-    for t in ambient.triples:
-        s = set(t)
-        if any(s <= h for h in hyper):
-            kept.add(t)
+    # the lines inside some X_i, each once: ambient's blocks are distinct
+    kept = [t for t in ambient.triples if any(h.issuperset(t) for h in hyper)]
 
     # b_i: the first point, by label, of X_i minus the other X_j
     b_geo = [min(hyper[i].difference(*(h for j, h in enumerate(hyper) if j != i)),
@@ -351,13 +345,13 @@ def section4_partial(n: int = 4) -> Section4Artifacts:
     base_new = [rank[p] for p in base]
     hyper_new = [frozenset(rank[p] for p in h) for h in hyper]
 
-    triples = [tuple(sorted((rank[a], rank[b], rank[c]))) for a, b, c in kept]
-    added = []
+    # the constructor sorts each block and the list, so the relabelled lines
+    # and the chain blocks go in as they come
+    triples = [(rank[a], rank[b], rank[c]) for a, b, c in kept]
     for k in range(1, n + 5):  # (b_k, b_(k+1), b_(k+3)),  k = 1..n+4
-        added.append((b_points[k - 1], b_points[k], b_points[k + 2]))
+        triples.append((b_points[k - 1], b_points[k], b_points[k + 2]))
     for l in range(4, n + 4):  # (b_l, b_(l+4), a_(l-3)),  l = 4..n+3
-        added.append((b_points[l - 1], b_points[l + 3], base_new[l - 4]))
-    triples += [tuple(sorted(t)) for t in added]
+        triples.append((b_points[l - 1], b_points[l + 3], base_new[l - 4]))
 
     full_labels = tuple(
         labels[union[i]] if i < len(union) else None for i in range(order)

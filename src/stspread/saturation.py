@@ -39,7 +39,7 @@ from .errors import (
     TooLargeError,
     TrivialOrderError,
 )
-from .system import TripleSystem
+from .system import TripleSystem, _blocks_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -236,13 +236,13 @@ def min_saturating_size(ts: TripleSystem):
     most _BATCH_CAP candidates, so the scan holds a bounded window whatever
     C(n, k) is, and the first batch with a hit holds the colex-first
     witness.  Each batch is checked point by point, from the top point
-    down: a candidate covers p when it holds p or both points of a
-    pair in p's star, the pairs {b, c} with {p, b, c} a block, read once
-    from the pair table (an uncovered pair has no star).  The candidates
-    that cover every point so far are kept, and the batch is left at the
-    first point none of them covers.  No candidate of a batch holds a
-    point above its greatest one, so most batches are left after a few
-    points.
+    down: a candidate covers p when it holds p or both points of a pair in
+    p's star, the pairs {b, c} with {p, b, c} a block.  The stars come from
+    the block list, so each block sits once in the star of each of its
+    three points.  The candidates that cover every point so far are kept,
+    and the batch is left at the first point none of them covers.  No
+    candidate of a batch holds a point above its greatest one, so most
+    batches are left after a few points.
     """
     from .colex import _colex_levels
 
@@ -260,12 +260,10 @@ def min_saturating_size(ts: TripleSystem):
         if stars is None:
             # stars[p]: the pairs that complete a block with p, top point first
             stars = [[] for _ in range(n)]
-            for c, row in enumerate(ts._third):
-                for a, b in enumerate(row):
-                    if b > a:  # the block a < b < c
-                        stars[a].append((b, c))
-                        stars[b].append((a, c))
-                        stars[c].append((a, b))
+            for a, b, c in _blocks_of(ts._third):
+                stars[a].append((b, c))
+                stars[b].append((a, c))
+                stars[c].append((a, b))
             stars.reverse()
         for full, batch in batches:
             hits = full

@@ -326,6 +326,27 @@ def test_min_saturating_reads_no_level_below_the_counting_bound(monkeypatch):
         assert read[0] == bound, ts
 
 
+def test_min_saturating_reads_each_block_once_per_star(monkeypatch):
+    # each block of PG(3,2) sits once in the star of each of its points, so
+    # the scan reads 345 batch entries; with each block twice it read 667
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    levels = colex._colex_levels
+
+    def counting(n, cap):
+        for k, batches in levels(n, cap):
+            yield k, ((full, Counted(batch)) for full, batch in batches)
+
+    monkeypatch.setattr(colex, "_colex_levels", counting)
+    assert min_saturating_size(pg2(3)) == (5, frozenset({2, 3, 5, 7, 8}))
+    assert len(reads) == 345
+
+
 def test_min_saturating_refuses_order_63_before_reading_the_system(monkeypatch):
     # the first level of PG(5,2) by the counting bound is 11: C(63, 11)
     # candidates times 63 points plus 651 blocks exceed the work budget,
