@@ -328,7 +328,7 @@ def test_min_saturating_reads_no_level_below_the_counting_bound(monkeypatch):
 
 def test_min_saturating_reads_each_block_once_per_star(monkeypatch):
     # each block of PG(3,2) sits once in the star of each of its points, so
-    # the scan reads 345 batch entries; with each block twice it read 667
+    # the scan reads 345 batch entries (667 with each block twice per star)
     reads = []
 
     class Counted(list):
